@@ -473,7 +473,8 @@ def cmd_predict(cfg: RunConfig) -> int:
     for post in posts:
         bundle = extract_features(post.text, freq, table)
         coarse = predict(models["coarse"], bundle)
-        fine = {task: predict(models[task], bundle) for task in FINE_TASKS}
+        # assemble_labels reads no fine prediction for a non-hostile post.
+        fine = {task: predict(models[task], bundle) for task in FINE_TASKS} if coarse[0] else {}
         tags = assemble_labels(coarse, fine)
         if LabelTag.NON_HOSTILE in tags:
             joined = LabelTag.NON_HOSTILE.value

@@ -1,14 +1,14 @@
 """Compact transformer encoder with learned positions and an MLM head.
 
 Pre-norm residual blocks, CLS pooling, word-level vocabulary with five
-fixed specials. Two named profiles: "desk" (small, exercised by tests)
-and "paper" (768-dim, 12 layers).
+fixed specials. A batch of sequences runs as one padded graph. Two
+named profiles: "desk" (small, exercised by tests) and "paper"
+(768-dim, 12 layers).
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -19,7 +19,7 @@ from .numeric import (
     Tensor,
     add,
     add_bias,
-    concat_rows,
+    attention,
     cross_entropy,
     dropout,
     embedding_lookup,
@@ -27,18 +27,12 @@ from .numeric import (
     layer_norm,
     matmul,
     relu,
-    scale,
-    slice_cols,
-    softmax_rows,
-    transpose,
 )
 
 SPECIALS = ("<pad>", "<unk>", "<cls>", "<sep>", "<mask>")
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
 N_SPECIALS = len(SPECIALS)
 IGNORE_ID = -1
-
-_ATTN_MASK_VALUE = -1e9
 
 
 class Vocab:
@@ -226,64 +220,52 @@ class EncoderWeights:
         )
 
 
-def _self_attention(params, prefix, x, config, mask_bias, training, rng, attn_sink):
-    q = add_bias(matmul(x, params[f"{prefix}.wq"]), params[f"{prefix}.bq"])
-    k = add_bias(matmul(x, params[f"{prefix}.wk"]), params[f"{prefix}.bk"])
-    v = add_bias(matmul(x, params[f"{prefix}.wv"]), params[f"{prefix}.bv"])
-    dh = config.d_model // config.n_heads
-    heads = []
-    for h in range(config.n_heads):
-        lo, hi = h * dh, (h + 1) * dh
-        scores = scale(
-            matmul(slice_cols(q, lo, hi), transpose(slice_cols(k, lo, hi))),
-            1.0 / math.sqrt(dh),
-        )
-        if mask_bias is not None:
-            scores = add_bias(scores, mask_bias)
-        attn = softmax_rows(scores)
-        if attn_sink is not None:
-            attn_sink.append(attn.data.copy())
-        attn = dropout(attn, config.dropout_p, training, rng)
-        heads.append(matmul(attn, slice_cols(v, lo, hi)))
-    merged = concat_rows(heads)
-    return add_bias(matmul(merged, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
-
-
-def encode(
+def encode_batch(
     weights: EncoderWeights,
     config: EncoderConfig,
-    ids: Sequence[int],
+    batch: Sequence[Sequence[int]],
     training: bool = False,
     rng: np.random.Generator | None = None,
     attn_sink: list | None = None,
 ) -> tuple[Tensor, Tensor]:
-    """Run the encoder stack; returns (pooled CLS row [1,E], hidden [T,E]).
+    """Run the encoder stack over B id sequences as one padded graph.
 
-    PAD positions are masked out of attention, so trailing padding does
-    not change the other positions.
+    Sequences are right-padded with PAD to the longest length T, and PAD
+    keys are masked out of attention, so padding does not change the
+    other positions. Returns (pooled CLS rows [B,E], hidden [B*T,E]);
+    row b*T + t of hidden is position t of sequence b.
     """
-    ids = [int(i) for i in ids]
-    if not ids:
+    if not batch:
+        raise ShapeError("encode needs at least one sequence")
+    t = max(len(ids) for ids in batch)
+    if min(len(ids) for ids in batch) == 0:
         raise ShapeError("encode needs at least one token id")
-    if len(ids) > config.max_len:
-        raise ShapeError(f"sequence length {len(ids)} exceeds max_len {config.max_len}")
-    for i in ids:
-        if not 0 <= i < config.vocab_size:
-            raise ValueError(f"token id {i} out of range for vocab of {config.vocab_size}")
+    if t > config.max_len:
+        raise ShapeError(f"sequence length {t} exceeds max_len {config.max_len}")
+    padded = np.full((len(batch), t), PAD_ID, dtype=np.intp)
+    for row, ids in zip(padded, batch):
+        row[: len(ids)] = ids
+    bad = (padded < 0) | (padded >= config.vocab_size)
+    if bad.any():
+        raise ValueError(
+            f"token id {int(padded[bad][0])} out of range for vocab of {config.vocab_size}"
+        )
     params = weights.params
-    tok = embedding_lookup(params["tok_emb"], ids)
-    pos = embedding_lookup(params["pos_emb"], list(range(len(ids))))
+    tok = embedding_lookup(params["tok_emb"], padded.reshape(-1))
+    pos = embedding_lookup(params["pos_emb"], np.tile(np.arange(t), len(batch)))
     x = dropout(add(tok, pos), config.dropout_p, training, rng)
-    mask_bias = None
-    if PAD_ID in ids:
-        arr = np.where(np.asarray(ids) == PAD_ID, _ATTN_MASK_VALUE, 0.0)
-        mask_bias = Tensor(arr.astype(tok.data.dtype))
+    key_pad = padded == PAD_ID
     for i in range(config.n_layers):
         p = f"layers.{i}"
         normed = layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
-        attn_out = _self_attention(
-            params, f"{p}.attn", normed, config, mask_bias, training, rng, attn_sink
+        q, k, v = (
+            add_bias(matmul(normed, params[f"{p}.attn.w{n}"]), params[f"{p}.attn.b{n}"])
+            for n in "qkv"
         )
+        heads = attention(
+            q, k, v, config.n_heads, key_pad, config.dropout_p, training, rng, attn_sink
+        )
+        attn_out = add_bias(matmul(heads, params[f"{p}.attn.wo"]), params[f"{p}.attn.bo"])
         x = add(x, dropout(attn_out, config.dropout_p, training, rng))
         normed = layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
         ff = add_bias(
@@ -295,8 +277,31 @@ def encode(
         )
         x = add(x, dropout(ff, config.dropout_p, training, rng))
     hidden = layer_norm(x, params["ln_f.gain"], params["ln_f.bias"])
-    pooled = gather_rows(hidden, [0])
+    pooled = gather_rows(hidden, range(0, len(batch) * t, t))
     return pooled, hidden
+
+
+def encode(
+    weights: EncoderWeights,
+    config: EncoderConfig,
+    ids: Sequence[int],
+    training: bool = False,
+    rng: np.random.Generator | None = None,
+    attn_sink: list | None = None,
+) -> tuple[Tensor, Tensor]:
+    """encode_batch of one sequence: (pooled CLS row [1,E], hidden [T,E])."""
+    return encode_batch(weights, config, [ids], training, rng, attn_sink)
+
+
+def _corrupt(tid: int, vocab_size: int, rng: np.random.Generator) -> int:
+    """The input id at one selected position: 80% MASK, 10% a random
+    non-special id, 10% the original id."""
+    branch = rng.random()
+    if branch < 0.8:
+        return MASK_ID
+    if branch < 0.9 and vocab_size > N_SPECIALS:
+        return int(rng.integers(N_SPECIALS, vocab_size))
+    return tid
 
 
 def mask_tokens(
@@ -318,28 +323,55 @@ def mask_tokens(
         if rng.random() >= p:
             continue
         targets[i] = tid
-        branch = rng.random()
-        if branch < 0.8:
-            masked[i] = MASK_ID
-        elif branch < 0.9 and vocab_size > N_SPECIALS:
-            masked[i] = int(rng.integers(N_SPECIALS, vocab_size))
-        # else: keep the original token
+        masked[i] = _corrupt(tid, vocab_size, rng)
+    return masked, targets
+
+
+def mask_with_target(
+    ids: Sequence[int],
+    vocab_size: int,
+    rng: np.random.Generator,
+    p: float = 0.15,
+) -> tuple[list[int], list[int]]:
+    """mask_tokens with at least one target: when its draw selects
+    nothing, one non-special position picked with rng.integers is
+    selected and corrupted by the same 80/10/10 rule. ids must hold a
+    non-special id."""
+    masked, targets = mask_tokens(ids, vocab_size, rng, p)
+    if all(t == IGNORE_ID for t in targets):
+        maskable = [i for i, tid in enumerate(ids) if tid >= N_SPECIALS]
+        if not maskable:
+            raise ValueError("sequence has no maskable token")
+        i = maskable[int(rng.integers(len(maskable)))]
+        targets[i] = int(ids[i])
+        masked[i] = _corrupt(targets[i], vocab_size, rng)
     return masked, targets
 
 
 def mlm_loss(
     weights: EncoderWeights,
     config: EncoderConfig,
-    masked_ids: Sequence[int],
-    target_ids: Sequence[int],
+    masked_batch: Sequence[Sequence[int]],
+    target_batch: Sequence[Sequence[int]],
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Mean cross-entropy over the vocab softmax at the target positions."""
-    positions = [i for i, t in enumerate(target_ids) if t != IGNORE_ID]
-    if not positions:
-        raise ValueError("mlm_loss needs at least one target position")
-    _, hidden = encode(weights, config, masked_ids, training=training, rng=rng)
-    selected = gather_rows(hidden, positions)
+    """Masked-LM loss of a batch of lines: the mean over lines of each
+    line's mean vocab cross-entropy at its target positions."""
+    if len(masked_batch) != len(target_batch) or any(
+        len(m) != len(t) for m, t in zip(masked_batch, target_batch)
+    ):
+        raise ShapeError("masked ids and targets differ in shape")
+    per_line = [[i for i, t in enumerate(targets) if t != IGNORE_ID] for targets in target_batch]
+    if not all(per_line):
+        raise ValueError("mlm_loss needs at least one target position per line")
+    _, hidden = encode_batch(weights, config, masked_batch, training, rng)
+    t = hidden.shape[0] // len(masked_batch)
+    rows, labels, row_weights = [], [], []
+    for b, (positions, targets) in enumerate(zip(per_line, target_batch)):
+        rows.extend(b * t + i for i in positions)
+        labels.extend(int(targets[i]) for i in positions)
+        row_weights.extend([1.0 / (len(positions) * len(per_line))] * len(positions))
+    selected = gather_rows(hidden, rows)
     logits = add_bias(matmul(selected, weights.params["mlm.w"]), weights.params["mlm.b"])
-    return cross_entropy(logits, [int(target_ids[i]) for i in positions])
+    return cross_entropy(logits, labels, row_weights)

@@ -9,7 +9,7 @@ classified by a small MLP ending in two logits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .encoder import (
     Vocab,
     config_from_meta,
     config_to_meta,
-    encode,
+    encode_batch,
     encode_ids,
     init_array,
 )
@@ -140,23 +140,46 @@ def _project(head: Mapping[str, Tensor], prefix: str, pooled: Tensor) -> Tensor:
     return add_bias(matmul(h, head[f"{prefix}.w2"]), head[f"{prefix}.b2"])
 
 
-def _fused_input(
-    model: FusionModel,
-    bundle: FeatureBundle,
-    training: bool,
-    rng: np.random.Generator | None,
-) -> Tensor:
+@dataclass(frozen=True)
+class EncodedPost:
+    """A feature bundle in model input form: the token ids of both
+    encoders and the emoji mean vector."""
+
+    text_ids: list[int]
+    hash_ids: list[int]
+    emoji_vec: np.ndarray
+
+
+def encode_post(model: FusionModel, bundle: FeatureBundle) -> EncodedPost:
+    """The bundle in model input form; training encodes each example
+    once per run."""
     cfg = model.config
     vec = np.asarray(bundle.emoji_vec)
     if vec.shape != (cfg.emoji_dim,):
         raise ShapeError(f"emoji vector shape {vec.shape} != ({cfg.emoji_dim},)")
-    enc_cfg = cfg.encoder
-    text_ids = encode_ids(model.vocab, bundle.cleaned_text, enc_cfg.max_len)
-    hash_ids = encode_ids(model.vocab, bundle.hashtag_flow, enc_cfg.max_len)
-    text_pooled, _ = encode(model.text_encoder, enc_cfg, text_ids, training, rng)
-    hash_pooled, _ = encode(model.hashtag_encoder, enc_cfg, hash_ids, training, rng)
+    max_len = cfg.encoder.max_len
+    return EncodedPost(
+        encode_ids(model.vocab, bundle.cleaned_text, max_len),
+        encode_ids(model.vocab, bundle.hashtag_flow, max_len),
+        vec,
+    )
+
+
+def _fused_input(
+    model: FusionModel,
+    batch: Sequence[EncodedPost],
+    training: bool,
+    rng: np.random.Generator | None,
+) -> Tensor:
+    enc_cfg = model.config.encoder
+    text_pooled, _ = encode_batch(
+        model.text_encoder, enc_cfg, [x.text_ids for x in batch], training, rng
+    )
+    hash_pooled, _ = encode_batch(
+        model.hashtag_encoder, enc_cfg, [x.hash_ids for x in batch], training, rng
+    )
     dtype = model.head["fusion.w"].data.dtype
-    emoji = Tensor(vec.reshape(1, -1).astype(dtype))
+    emoji = Tensor(np.stack([x.emoji_vec for x in batch]).astype(dtype))
     return concat_rows(
         [
             _project(model.head, "text_proj", text_pooled),
@@ -169,20 +192,22 @@ def _fused_input(
 def fused_vector(model: FusionModel, bundle: FeatureBundle) -> np.ndarray:
     """The concatenated feature vector fed to the fusion layer (length
     2*d_model + emoji_dim)."""
-    return _fused_input(model, bundle, training=False, rng=None).data[0].copy()
+    batch = [encode_post(model, bundle)]
+    return _fused_input(model, batch, training=False, rng=None).data[0].copy()
 
 
 def forward(
     model: FusionModel,
-    bundle: FeatureBundle,
+    batch: Sequence[EncodedPost],
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Logits [1, 2] for one feature bundle; dropout only when training."""
+    """Logits [B, 2] for a batch of encoded posts, computed as one padded
+    graph; dropout only when training."""
     cfg = model.config
     head = model.head
     fused = add_bias(
-        matmul(_fused_input(model, bundle, training, rng), head["fusion.w"]),
+        matmul(_fused_input(model, batch, training, rng), head["fusion.w"]),
         head["fusion.b"],
     )
     x = fused
@@ -200,9 +225,13 @@ def prob_of_positive(logits_row: np.ndarray) -> float:
     return float(e[1] / e.sum())
 
 
-def predict(model: FusionModel, bundle: FeatureBundle) -> tuple[int, float]:
-    """(label, positive-class probability); label is 1 iff prob >= 0.5."""
-    logits = forward(model, bundle, training=False).data[0]
+def predict(model: FusionModel, post: FeatureBundle | EncodedPost) -> tuple[int, float]:
+    """(label, positive-class probability); label is 1 iff prob >= 0.5.
+    One post at a time: a padded batch of mixed lengths costs more than
+    it saves at inference."""
+    if not isinstance(post, EncodedPost):
+        post = encode_post(model, post)
+    logits = forward(model, [post], training=False).data[0]
     prob = prob_of_positive(logits)
     return (1 if prob >= 0.5 else 0, prob)
 

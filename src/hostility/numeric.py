@@ -3,19 +3,24 @@
 Every forward op records its inputs and a closure that pushes gradients
 back to them; backward() walks the recorded graph in reverse topological
 order. The op set is deliberately coarse (matmul, layer norm, row
-softmax, ...) — just what a small transformer stack needs. float32 is
+softmax, fused multi-head attention, ...) — just what a small
+transformer stack needs. float32 is
 the training dtype; float64 graphs are supported so finite-difference
 checks can run at full precision.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import InvariantError, ShapeError
+
+# Additive score for masked attention keys; exp() of it underflows to 0.
+_ATTN_MASK_VALUE = -1e9
 
 
 class Tensor:
@@ -330,8 +335,84 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
     return _result(x.data * factor, (x,), bp)
 
 
-def cross_entropy(logits: Tensor, labels: Sequence[int]) -> Tensor:
-    """Mean negative log softmax probability of the given class per row."""
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    n_heads: int,
+    key_pad: np.ndarray,
+    p: float,
+    training: bool,
+    rng: np.random.Generator | None,
+    attn_sink: list | None = None,
+) -> Tensor:
+    """Multi-head scaled dot-product attention over a padded batch.
+
+    q, k and v are [B*T, E], row b*T + t holding position t of sequence
+    b; each is viewed as [B, H, T, E/H]. key_pad is a [B, T] bool array,
+    True at keys to mask out (PAD). Attention probabilities get
+    inverted dropout with probability p when training, drawn as one
+    rng.random((B, H, T, T)). Returns the heads merged back to [B*T, E].
+    attn_sink, when given, receives each (sequence, head) pre-dropout
+    probability matrix [T, T].
+    """
+    if not 0 <= p < 1:
+        raise ValueError(f"dropout probability must satisfy 0 <= p < 1, got {p}")
+    if q.data.ndim != 2 or q.data.shape != k.data.shape or q.data.shape != v.data.shape:
+        raise ShapeError(
+            f"attention mismatch: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}"
+        )
+    bt, e = q.data.shape
+    if n_heads < 1 or e % n_heads:
+        raise ShapeError(f"width {e} not divisible into {n_heads} heads")
+    if key_pad.ndim != 2 or key_pad.size != bt:
+        raise ShapeError(f"key_pad shape {key_pad.shape} does not cover {bt} rows")
+    b = key_pad.shape[0]
+    t, h, dh = bt // b, n_heads, e // n_heads
+    dtype = q.data.dtype
+
+    # Contiguous [T, dh] and [dh, T] blocks make BLAS compute each head
+    # exactly as a 2-D matmul of that head's columns would; strided views
+    # can round differently.
+    def heads(x):  # [B*T, E] -> [B, H, T, dh]
+        return np.ascontiguousarray(x.reshape(b, t, h, dh).transpose(0, 2, 1, 3))
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    c = dtype.type(1.0 / math.sqrt(dh))
+    scores = (qh @ np.ascontiguousarray(kh.transpose(0, 1, 3, 2))) * c
+    if key_pad.any():
+        scores = scores + np.where(key_pad, _ATTN_MASK_VALUE, 0.0).astype(dtype)[:, None, None, :]
+    e_scores = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e_scores / e_scores.sum(axis=-1, keepdims=True)
+    if attn_sink is not None:
+        attn_sink.extend(probs.reshape(-1, t, t).copy())
+    factor = None
+    if training and p > 0:
+        if rng is None:
+            raise ValueError("attention dropout in training mode needs an rng")
+        keep = rng.random((b, h, t, t)) >= p
+        factor = keep.astype(dtype) / dtype.type(1 - p)
+    dropped = probs if factor is None else probs * factor
+    out = (dropped @ vh).transpose(0, 2, 1, 3).reshape(bt, e)
+
+    def bp(g):
+        gh = heads(g)
+        _accum(v, (dropped.transpose(0, 1, 3, 2) @ gh).transpose(0, 2, 1, 3).reshape(bt, e))
+        g_probs = gh @ vh.transpose(0, 1, 3, 2)
+        if factor is not None:
+            g_probs = g_probs * factor
+        g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * c
+        _accum(q, (g_scores @ kh).transpose(0, 2, 1, 3).reshape(bt, e))
+        _accum(k, (g_scores.transpose(0, 1, 3, 2) @ qh).transpose(0, 2, 1, 3).reshape(bt, e))
+
+    return _result(out, (q, k, v), bp)
+
+
+def cross_entropy(
+    logits: Tensor, labels: Sequence[int], weights: Sequence[float] | None = None
+) -> Tensor:
+    """Negative log softmax probability of the given class per row,
+    averaged over rows, or summed with the given per-row weights."""
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy expects a matrix, got shape {logits.data.shape}")
     b, n_classes = logits.data.shape
@@ -345,14 +426,22 @@ def cross_entropy(logits: Tensor, labels: Sequence[int]) -> Tensor:
     picked = logits.data[np.arange(b), y]
     losses = lse[:, 0] - picked
     probs = np.exp(logits.data - lse)
+    if weights is None:
+        w = None
+        loss = losses.mean()
+    else:
+        w = np.asarray(weights, dtype=logits.data.dtype)
+        if w.shape != (b,):
+            raise ShapeError(f"cross_entropy got {w.size} weights for {b} rows")
+        loss = (losses * w).sum()
 
     def bp(g):
         gl = probs.copy()
         gl[np.arange(b), y] -= 1
-        gl *= g / b
+        gl *= g / b if w is None else (g * w)[:, None]
         _accum(logits, gl)
 
-    return _result(losses.mean(), (logits,), bp)
+    return _result(loss, (logits,), bp)
 
 
 # ---------------------------------------------------------------------------
@@ -398,3 +487,14 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState, lr: float) -> None
         v *= state.beta2
         v += (1.0 - state.beta2) * (g * g)
         p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+
+
+def train_step(params: Mapping[str, Tensor], state: AdamState, loss: Tensor, lr: float) -> None:
+    """One optimizer step on a scalar batch loss: zero the gradients,
+    backpropagate and take an Adam step. A non-finite loss raises
+    InvariantError before any parameter changes."""
+    if not np.isfinite(loss.data):
+        raise InvariantError(f"non-finite batch loss {float(loss.data)}")
+    zero_grad(params.values())
+    backward(loss)
+    adam_step(params, state, lr)

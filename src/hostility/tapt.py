@@ -21,11 +21,11 @@ from .encoder import (
     config_to_meta,
     N_SPECIALS,
     encode_ids,
-    mask_tokens,
+    mask_with_target,
     mlm_loss,
 )
 from .errors import DataError, InvariantError
-from .numeric import add, adam_init, adam_step, backward, scale, zero_grad
+from .numeric import adam_init, train_step
 from .preprocess import RawPost, clean_text, tokenize_raw
 
 RAW = "raw"
@@ -34,6 +34,7 @@ CLEANED = "cleaned"
 TEXT_INIT_STREAM = 0
 HASHTAG_INIT_STREAM = 1
 _TRAIN_STREAM = 5
+_MASK_STREAM = 6
 
 
 @dataclass
@@ -92,11 +93,15 @@ def run_tapt(
     init_weights: EncoderWeights | None = None,
     mask_prob: float = 0.15,
 ) -> TaptResult:
-    """Continued MLM pretraining over shuffled corpus lines.
+    """Continued MLM pretraining over shuffled corpus lines, one padded
+    batch graph and one optimizer step per mini-batch.
 
-    Deterministic given the seed. Lines that yield no maskable token
-    (e.g. empty cleaned lines) are skipped at batching but keep their
-    place in the corpus.
+    Deterministic given the seed. Each epoch masks every line once, in
+    corpus order, from its own seed stream, so what is masked does not
+    depend on the batch size, the shuffle or the dropout draws; every
+    line gets at least one target (see mask_with_target). Lines that
+    yield no maskable token (e.g. empty cleaned lines) are skipped at
+    batching but keep their place in the corpus.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -105,46 +110,35 @@ def run_tapt(
     if not corpus.lines:
         raise ValueError("cannot pretrain on an empty corpus")
     encoded = [encode_ids(vocab, line, config.max_len) for line in corpus.lines]
-    if not any(any(t >= N_SPECIALS for t in ids) for ids in encoded):
+    maskable = [j for j, ids in enumerate(encoded) if any(t >= N_SPECIALS for t in ids)]
+    if not maskable:
         raise ValueError("corpus has no maskable tokens under this vocab")
     weights = init_weights.copy() if init_weights is not None else base_init(config, seed)
     rng = np.random.default_rng([seed, _TRAIN_STREAM])
+    mask_rng = np.random.default_rng([seed, _MASK_STREAM])
     state = adam_init(weights.params)
     epoch_losses: list[float] = []
     steps = 0
-    for epoch in range(1, epochs + 1):
+    for _ in range(epochs):
         order = rng.permutation(len(encoded))
+        masks = {
+            j: mask_with_target(encoded[j], len(vocab), mask_rng, mask_prob) for j in maskable
+        }
         loss_total = 0.0
         n_seqs = 0
         for start in range(0, len(order), batch_size):
-            nodes = []
-            for j in order[start : start + batch_size]:
-                ids = encoded[j]
-                if all(t < N_SPECIALS for t in ids):
-                    continue
-                # Independent selection can pick nothing; resample until
-                # the line contributes at least one target.
-                while True:
-                    masked, targets = mask_tokens(ids, len(vocab), rng, mask_prob)
-                    if any(t >= 0 for t in targets):
-                        break
-                nodes.append(mlm_loss(weights, config, masked, targets, training=True, rng=rng))
-            if not nodes:
+            batch = [masks[j] for j in order[start : start + batch_size] if j in masks]
+            if not batch:
                 continue
-            total = nodes[0]
-            for node in nodes[1:]:
-                total = add(total, node)
-            batch_loss = scale(total, 1.0 / len(nodes))
-            zero_grad(weights.params.values())
-            backward(batch_loss)
-            adam_step(weights.params, state, lr)
+            masked_batch, target_batch = zip(*batch)
+            batch_loss = mlm_loss(
+                weights, config, masked_batch, target_batch, training=True, rng=rng
+            )
+            train_step(weights.params, state, batch_loss, lr)
             steps += 1
-            loss_total += float(batch_loss.data) * len(nodes)
-            n_seqs += len(nodes)
-        epoch_loss = loss_total / n_seqs if n_seqs else float("nan")
-        if not np.isfinite(epoch_loss):
-            raise InvariantError(f"non-finite MLM loss at epoch {epoch}")
-        epoch_losses.append(epoch_loss)
+            loss_total += float(batch_loss.data) * len(batch)
+            n_seqs += len(batch)
+        epoch_losses.append(loss_total / n_seqs)
     return TaptResult(weights=weights, epoch_losses=epoch_losses, steps=steps)
 
 

@@ -19,12 +19,13 @@ from .errors import InvariantError
 from .fusion import (
     FusionConfig,
     FusionModel,
+    encode_post,
     forward,
     init_model,
     model_to_bytes,
     predict,
 )
-from .numeric import adam_init, adam_step, add, backward, cross_entropy, scale, zero_grad
+from .numeric import adam_init, cross_entropy, train_step
 from .preprocess import (
     EmojiTable,
     FeatureBundle,
@@ -200,7 +201,8 @@ def train_binary(
     tapt_weights: EncoderWeights | None = None,
     hp: Hyperparams = Hyperparams(),
 ) -> TrainRun:
-    """End-to-end cross-entropy training of one fusion model.
+    """End-to-end cross-entropy training of one fusion model, one padded
+    batch graph and one optimizer step per mini-batch.
 
     Both encoders are tuned jointly. The training split must contain
     both classes; a single-class validation split is tolerated (its
@@ -213,6 +215,8 @@ def train_binary(
         raise ValueError(f"training split for task {task!r} has a single class")
     val_targets = [t for _, t in val]
     model = init_model(config, vocab, task, tapt_weights, base_seed=hp.seed)
+    encoded = [encode_post(model, bundle) for bundle, _ in train]
+    val_encoded = [encode_post(model, bundle) for bundle, _ in val]
     params = model.named_params()
     state = adam_init(params)
     rng = np.random.default_rng([hp.seed, 9])
@@ -223,21 +227,12 @@ def train_binary(
         loss_total = 0.0
         for start in range(0, len(order), hp.batch_size):
             chunk = order[start : start + hp.batch_size]
-            nodes = []
-            for j in chunk:
-                bundle, target = train[j]
-                logits = forward(model, bundle, training=True, rng=rng)
-                nodes.append(cross_entropy(logits, [target]))
-            total = nodes[0]
-            for node in nodes[1:]:
-                total = add(total, node)
-            batch_loss = scale(total, 1.0 / len(nodes))
-            zero_grad(params.values())
-            backward(batch_loss)
-            adam_step(params, state, hp.lr)
-            loss_total += float(batch_loss.data) * len(nodes)
+            logits = forward(model, [encoded[j] for j in chunk], training=True, rng=rng)
+            batch_loss = cross_entropy(logits, [train_targets[j] for j in chunk])
+            train_step(params, state, batch_loss, hp.lr)
+            loss_total += float(batch_loss.data) * len(chunk)
         run.train_loss.append(loss_total / len(train))
-        val_preds = [predict(model, bundle)[0] for bundle, _ in val]
+        val_preds = [predict(model, post)[0] for post in val_encoded]
         macro = f1_scores(val_preds, val_targets).macro_f1
         run.val_macro_f1.append(macro)
         if macro > best:

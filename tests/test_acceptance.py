@@ -23,6 +23,7 @@ from hostility.encoder import (
 )
 from hostility.fusion import (
     FusionConfig,
+    encode_post,
     forward,
     fused_vector,
     hashtag_encoder_init,
@@ -32,6 +33,7 @@ from hostility.numeric import (
     Tensor,
     add,
     add_bias,
+    attention,
     concat_rows,
     cross_entropy,
     dropout,
@@ -144,6 +146,25 @@ def _check_op_grads():
 
     logits = t64(rng.normal(size=(4, 5)), requires_grad=True)
     check(lambda: cross_entropy(logits, [0, 2, 4, 1]), {"logits": logits})
+    check(lambda: cross_entropy(logits, [0, 2, 4, 1], [0.1, 0.5, 0.25, 0.15]), {"logits": logits})
+
+    # B=2 sequences of T=3, E=4 in 2 heads; the second has a PAD key.
+    qkv = {n: t64(rng.normal(size=(6, 4)), requires_grad=True) for n in "qkv"}
+    key_pad = np.array([[False, False, False], [False, False, True]])
+    w_attn = t64(rng.normal(size=(6, 4)))
+    for p in (0.0, 0.3):
+        check(
+            lambda: sum_all(
+                mul(
+                    attention(
+                        qkv["q"], qkv["k"], qkv["v"], 2, key_pad, p,
+                        training=True, rng=np.random.default_rng(78),
+                    ),
+                    w_attn,
+                )
+            ),
+            qkv,
+        )
 
 
 def test_c01_gradient_integrity():
@@ -168,7 +189,7 @@ def test_c01_gradient_integrity():
             label = int(rng.integers(0, 2))
 
             def build():
-                return cross_entropy(forward(model, bundle), [label])
+                return cross_entropy(forward(model, [encode_post(model, bundle)]), [label])
 
             analytic = analytic_grads(build, params)
             numeric = finite_difference_grads(lambda: float(build().data), params)

@@ -255,6 +255,25 @@ class TestPredict:
             if "non-hostile" in parts:
                 assert parts == ["non-hostile"]
 
+    def test_fine_models_run_only_for_hostile_posts(self, data_dir, trained_dir, monkeypatch):
+        import hostility.cli
+
+        calls = []
+        real_predict = hostility.cli.predict
+
+        def recording_predict(model, bundle):
+            result = real_predict(model, bundle)
+            calls.append((model.task, result[0]))
+            return result
+
+        monkeypatch.setattr(hostility.cli, "predict", recording_predict)
+        assert run("predict", *common_args(data_dir, trained_dir)) == 0
+        coarse = [label for task, label in calls if task == "coarse"]
+        assert len(coarse) == 12
+        assert len(calls) == 12 + 4 * sum(coarse)
+        lines = (trained_dir / "predictions.tsv").read_text(encoding="utf-8").splitlines()
+        assert [line.endswith("\tnon-hostile") for line in lines] == [c == 0 for c in coarse]
+
     def test_works_on_unlabeled_rows(self, data_dir, trained_dir, tmp_path):
         data = tmp_path / "unlabeled.csv"
         data.write_text("id,text,labels\nu1,yeh sach hai,\n", encoding="utf-8")

@@ -19,6 +19,7 @@ from hostility.encoder import (
     config_to_meta,
     desk_config,
     encode,
+    encode_batch,
     encode_ids,
     mask_tokens,
     mlm_loss,
@@ -155,6 +156,20 @@ class TestEncode:
         padded, _ = encode(weights, config, ids + [PAD_ID] * 6)
         assert np.abs(padded.data - base.data).max() <= 1e-5
 
+    def test_padded_batch_matches_single_sequences(self, weights, config, vocab):
+        texts = ["sach", "jhooth khabar nafrat gaali mat bolo", "acha din"]
+        batch = [encode_ids(vocab, text, config.max_len) for text in texts]
+        batch[2] = batch[2] + [PAD_ID] * 2  # an explicit PAD stays masked
+        pooled, hidden = encode_batch(weights, config, batch)
+        t = max(len(ids) for ids in batch)
+        assert pooled.shape == (3, config.d_model)
+        assert hidden.shape == (3 * t, config.d_model)
+        for b, ids in enumerate(batch):
+            single_pooled, single_hidden = encode(weights, config, ids)
+            assert np.abs(pooled.data[b] - single_pooled.data[0]).max() <= 1e-5
+            rows = hidden.data[b * t : b * t + len(ids)]
+            assert np.abs(rows - single_hidden.data).max() <= 1e-5
+
     def test_attention_rows_sum_to_one(self, weights, config, vocab):
         ids = encode_ids(vocab, "jhooth khabar nafrat", config.max_len) + [PAD_ID] * 3
         sink = []
@@ -236,15 +251,25 @@ class TestMlmLoss:
     def test_untrained_loss_near_log_vocab(self, weights, config, vocab):
         ids = encode_ids(vocab, "yeh sach hai sach ka saath", config.max_len)
         masked, targets = mask_tokens(ids, len(vocab), np.random.default_rng(8), p=0.9)
-        loss = mlm_loss(weights, config, masked, targets)
+        loss = mlm_loss(weights, config, [masked], [targets])
         expected = math.log(config.vocab_size)
         assert abs(loss.item() - expected) / expected < 0.15
 
+    def test_batch_loss_is_mean_of_line_losses(self, weights, config, vocab):
+        rng = np.random.default_rng(6)
+        texts = ("yeh sach hai", "acha din shanti path ka")
+        lines = [encode_ids(vocab, t, config.max_len) for t in texts]
+        masks = [mask_tokens(ids, len(vocab), rng, p=0.7) for ids in lines]
+        masked, targets = [m for m, _ in masks], [t for _, t in masks]
+        batch = mlm_loss(weights, config, masked, targets).item()
+        singles = [mlm_loss(weights, config, [m], [t]).item() for m, t in masks]
+        assert batch == pytest.approx(sum(singles) / 2, abs=1e-5)
+
     def test_no_targets_is_an_error(self, weights, config):
         with pytest.raises(ValueError, match="target"):
-            mlm_loss(weights, config, [CLS_ID, SEP_ID], [IGNORE_ID, IGNORE_ID])
+            mlm_loss(weights, config, [[CLS_ID, SEP_ID]], [[IGNORE_ID, IGNORE_ID]])
 
     def test_nonnegative(self, weights, config, vocab):
         ids = encode_ids(vocab, "nafrat gaali mat bolo", config.max_len)
         masked, targets = mask_tokens(ids, len(vocab), np.random.default_rng(4), p=0.8)
-        assert mlm_loss(weights, config, masked, targets).item() >= 0
+        assert mlm_loss(weights, config, [masked], [targets]).item() >= 0

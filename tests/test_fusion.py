@@ -5,6 +5,7 @@ from hostility.encoder import EncoderConfig, Vocab, desk_config, paper_config
 from hostility.errors import DataError, ShapeError
 from hostility.fusion import (
     FusionConfig,
+    encode_post,
     forward,
     fused_vector,
     hashtag_encoder_init,
@@ -53,8 +54,17 @@ class TestDimensionLaw:
         model = init_model(config, vocab, "coarse", base_seed=0)
         vec = fused_vector(model, bundle())
         assert vec.shape == (config.fused_dim,)
-        logits = forward(model, bundle())
+        logits = forward(model, [encode_post(model, bundle())])
         assert logits.shape == (1, 2)
+
+    def test_batch_rows_match_single_posts(self, config, vocab):
+        model = init_model(config, vocab, "coarse", base_seed=0)
+        posts = [bundle(), bundle("yeh", "", fill=1.0), bundle("sach ka saath dena hai", "sach")]
+        batch = forward(model, [encode_post(model, b) for b in posts]).data
+        assert batch.shape == (3, 2)
+        for row, b in zip(batch, posts):
+            single = forward(model, [encode_post(model, b)]).data[0]
+            assert np.abs(row - single).max() <= 1e-5
 
 
 class TestInitModel:
@@ -98,26 +108,26 @@ class TestInitModel:
 class TestForward:
     def test_inference_deterministic(self, config, vocab):
         model = init_model(config, vocab, "coarse", base_seed=1)
-        a = forward(model, bundle()).data
-        b = forward(model, bundle()).data
+        a = forward(model, [encode_post(model, bundle())]).data
+        b = forward(model, [encode_post(model, bundle())]).data
         np.testing.assert_array_equal(a, b)
 
     def test_emoji_vector_length_checked(self, config, vocab):
         model = init_model(config, vocab, "coarse", base_seed=1)
         with pytest.raises(ShapeError, match="emoji"):
-            forward(model, bundle(dim=5))
+            forward(model, [encode_post(model, bundle(dim=5))])
 
     def test_emoji_block_perturbs_logits(self, config, vocab):
         model = init_model(config, vocab, "coarse", base_seed=1)
         # force a nonzero fusion column for the emoji block
         model.head["fusion.w"].data[2 * 16 + 1, :] = 0.5
-        zero = forward(model, bundle(fill=0.0)).data
-        nonzero = forward(model, bundle(fill=1.0)).data
+        zero = forward(model, [encode_post(model, bundle(fill=0.0))]).data
+        nonzero = forward(model, [encode_post(model, bundle(fill=1.0))]).data
         assert np.abs(zero - nonzero).max() > 1e-6
 
     def test_empty_flow_uses_uniform_path(self, config, vocab):
         model = init_model(config, vocab, "coarse", base_seed=1)
-        logits = forward(model, bundle(flow=""))
+        logits = forward(model, [encode_post(model, bundle(flow=""))])
         assert np.isfinite(logits.data).all()
 
     def test_gradients_reach_both_encoders(self, config, vocab):
@@ -127,7 +137,8 @@ class TestForward:
         params = model.named_params()
         state = adam_init(params)
         rng = np.random.default_rng(0)
-        loss = cross_entropy(forward(model, bundle(), training=True, rng=rng), [1])
+        logits = forward(model, [encode_post(model, bundle())], training=True, rng=rng)
+        loss = cross_entropy(logits, [1])
         zero_grad(params.values())
         backward(loss)
         adam_step(params, state, lr=1e-2)

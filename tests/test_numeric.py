@@ -14,6 +14,7 @@ from hostility.numeric import (
     adam_step,
     add,
     add_bias,
+    attention,
     backward,
     concat_rows,
     cross_entropy,
@@ -251,6 +252,55 @@ class TestDropout:
         a = dropout(x, 0.3, training=True, rng=np.random.default_rng(7))
         b = dropout(x, 0.3, training=True, rng=np.random.default_rng(7))
         np.testing.assert_array_equal(a.data, b.data)
+
+
+def _per_head_attention(q, k, v, n_heads, key_pad_row, p, rng):
+    """Reference for one sequence: attention composed from 2-D ops, one
+    head at a time, dropout drawn per head."""
+    dh = q.shape[1] // n_heads
+    mask = Tensor(np.where(key_pad_row, -1e9, 0.0).astype(q.data.dtype))
+    heads = []
+    for h in range(n_heads):
+        lo, hi = h * dh, (h + 1) * dh
+        scores = scale(matmul(slice_cols(q, lo, hi), transpose(slice_cols(k, lo, hi))), dh**-0.5)
+        attn = dropout(softmax_rows(add_bias(scores, mask)), p, True, rng)
+        heads.append(matmul(attn, slice_cols(v, lo, hi)))
+    return concat_rows(heads)
+
+
+class TestAttention:
+    KEY_PAD = np.array([[False] * 6 + [True]])
+
+    def _qkv(self, dtype):
+        rng = np.random.default_rng(11)
+        return [Tensor(rng.normal(size=(7, 16)).astype(dtype), requires_grad=True) for _ in "qkv"]
+
+    @pytest.mark.parametrize("p", [0.0, 0.25])
+    def test_one_sequence_matches_per_head_ops(self, p):
+        q, k, v = self._qkv(np.float32)
+        fused = attention(q, k, v, 4, self.KEY_PAD, p, True, np.random.default_rng(5))
+        ref = _per_head_attention(q, k, v, 4, self.KEY_PAD[0], p, np.random.default_rng(5))
+        np.testing.assert_array_equal(fused.data, ref.data)
+
+    def test_one_sequence_grads_match_per_head_ops(self):
+        w = t64(np.random.default_rng(12).normal(size=(7, 16)))
+        grads = []
+        for fused in (True, False):
+            qkv = self._qkv(np.float64)
+            rng = np.random.default_rng(5)
+            if fused:
+                out = attention(*qkv, 4, self.KEY_PAD, 0.25, True, rng)
+            else:
+                out = _per_head_attention(*qkv, 4, self.KEY_PAD[0], 0.25, rng)
+            backward(sum_all(mul(out, w)))
+            grads.append([t.grad for t in qkv])
+        for fused, ref in zip(*grads):
+            np.testing.assert_allclose(fused, ref, rtol=1e-12, atol=1e-12)
+
+    def test_key_pad_must_cover_rows(self):
+        q, k, v = self._qkv(np.float32)
+        with pytest.raises(ShapeError, match="key_pad"):
+            attention(q, k, v, 4, np.zeros((2, 3), dtype=bool), 0.0, False, None)
 
 
 class TestAdam:

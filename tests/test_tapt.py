@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hostility.encoder import EncoderConfig, Vocab
+import hostility.encoder
+import hostility.tapt
+from hostility.encoder import IGNORE_ID, EncoderConfig, Vocab
 from hostility.errors import DataError
 from hostility.preprocess import RawPost
 from hostility.tapt import (
@@ -117,6 +119,29 @@ class TestRunTapt:
         corpus = TaptCorpus(["sach khabar acha din", ""], [RAW, CLEANED])
         result = run_tapt(config, vocab, corpus, epochs=1, lr=1e-3, batch_size=1, seed=0)
         assert result.steps == 1
+
+    def test_one_word_line_gets_one_target_from_one_draw(self, setup, monkeypatch):
+        _, vocab, config = setup
+        draws, selected, targets_seen = [], [], []
+        real_mask, real_loss = hostility.encoder.mask_tokens, hostility.tapt.mlm_loss
+
+        def counting_mask(*args, **kwargs):
+            masked, targets = real_mask(*args, **kwargs)
+            draws.append(1)
+            selected.append(sum(t != IGNORE_ID for t in targets))
+            return masked, targets
+
+        def recording_loss(weights, config, masked_batch, target_batch, **kwargs):
+            targets_seen.extend(target_batch)
+            return real_loss(weights, config, masked_batch, target_batch, **kwargs)
+
+        monkeypatch.setattr(hostility.encoder, "mask_tokens", counting_mask)
+        monkeypatch.setattr(hostility.tapt, "mlm_loss", recording_loss)
+        corpus = TaptCorpus(["sach"], [RAW])
+        run_tapt(config, vocab, corpus, epochs=1, lr=1e-3, batch_size=1, seed=0, mask_prob=0.01)
+        assert draws == [1]
+        assert selected == [0]  # the draw picked nothing: the fallback chose the target
+        assert [sum(t != IGNORE_ID for t in targets) for targets in targets_seen] == [1]
 
 
 class TestEncoderCheckpoint:

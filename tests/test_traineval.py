@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import confusion_matrix_scores
 from hostility.encoder import EncoderConfig, Vocab
+from hostility.errors import InvariantError
 from hostility.fusion import FusionConfig, model_from_bytes, predict
 from hostility.preprocess import FeatureBundle, LabelTag, RawPost
 from hostility.traineval import (
@@ -286,6 +287,20 @@ class TestTrainBinary:
         ones = [e for e in examples if e[1] == 1]
         with pytest.raises(ValueError, match="single class"):
             train_binary(config, vocab, COARSE, ones, examples, hp=Hyperparams(epochs=1, lr=1e-3))
+
+    def test_nan_batch_loss_raises(self, toy_setup, monkeypatch):
+        import hostility.traineval
+        from hostility.numeric import cross_entropy, scale
+
+        examples, vocab, config = toy_setup
+        monkeypatch.setattr(
+            hostility.traineval,
+            "cross_entropy",
+            lambda logits, labels: scale(cross_entropy(logits, labels), float("nan")),
+        )
+        hp = Hyperparams(epochs=1, lr=1e-3)
+        with pytest.raises(InvariantError, match="non-finite"):
+            train_binary(config, vocab, COARSE, examples, examples, hp=hp)
 
     def test_overfits_separable_toy_set(self, toy_setup):
         examples, vocab, config = toy_setup
