@@ -76,6 +76,8 @@ def parse_checkpoint(blob: bytes) -> tuple[dict[str, str], dict[str, np.ndarray]
     tensors: dict[str, np.ndarray] = {}
     while offset < len(blob):
         name = take(take_u32()).decode("utf-8")
+        if name in tensors:
+            raise DataError(f"duplicate tensor name {name!r}")
         ndim = take_u32()
         shape = tuple(take_u32() for _ in range(ndim))
         count = 1

@@ -24,12 +24,11 @@ from .preprocess import (
     FreqDict,
     LabelTag,
     RawPost,
-    TokenKind,
     extract_features,
+    hashtag_flow,
     load_dataset,
     load_emoji_table,
     load_freq_dict,
-    segment_hashtag,
     tokenize_raw,
 )
 from .tapt import (
@@ -223,14 +222,6 @@ def _load_aux(cfg: RunConfig, emoji_dim: int = 300) -> tuple[FreqDict, EmojiTabl
     return freq, table
 
 
-def _hashtag_flow(text: str, freq: FreqDict) -> str:
-    return " ".join(
-        segment_hashtag(t.surface, freq)
-        for t in tokenize_raw(text)
-        if t.kind is TokenKind.HASHTAG and len(t.surface) > 1
-    )
-
-
 def _derive_vocab_corpus(cfg: RunConfig, posts, freq):
     """Split, build the adaptation corpus, and derive the shared vocab.
 
@@ -241,7 +232,7 @@ def _derive_vocab_corpus(cfg: RunConfig, posts, freq):
     corpus_posts = train if cfg.tapt_corpus == "train" else list(posts)
     corpus = build_tapt_corpus(corpus_posts, include_cleaned=not cfg.no_clean_dup)
     vocab_lines = list(corpus.lines)
-    vocab_lines.extend(_hashtag_flow(p.text, freq) for p in corpus_posts)
+    vocab_lines.extend(hashtag_flow(tokenize_raw(p.text), freq) for p in corpus_posts)
     vocab = Vocab.build(vocab_lines, min_count=1)
     return train, val, corpus, vocab
 

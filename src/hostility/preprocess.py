@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -70,6 +71,11 @@ class FreqDict:
     @classmethod
     def empty(cls) -> "FreqDict":
         return cls({}, 0)
+
+    @cached_property
+    def max_word_len(self) -> int:
+        """Length of the longest dictionary word (0 when empty)."""
+        return max(map(len, self.counts), default=0)
 
 
 @dataclass(frozen=True)
@@ -205,22 +211,65 @@ def clean_text(tokens: Iterable[ClassifiedToken]) -> str:
     return " ".join(t.surface for t in tokens if t.kind is TokenKind.WORD)
 
 
-def _word_score(word: str, freq: FreqDict) -> float:
-    count = freq.counts.get(word)
-    if count is not None:
-        return math.log(count / freq.total)
+_LOG10 = math.log(10)
+
+
+def _oov_score(length: int, log_total: float) -> float:
     # Zipf-style out-of-vocabulary penalty, exponential in word length.
-    total = max(freq.total, 1)
-    return -(math.log(total) + len(word) * math.log(10))
+    return -(log_total + length * _LOG10)
+
+
+# A segmentation entry is (score, words, end, prev): a split of body[:end]
+# whose last word body[prev[2]:end] extends the entry prev (None at the
+# start). Entries share their prefixes, so no joined string is built.
+def _joined_before(a: tuple, b: tuple, body: str) -> bool:
+    """Whether a's words, joined by spaces, sort before b's. Both split
+    the same prefix, so the strings first differ at the smallest cut
+    only one of them has: a space there against a body character."""
+    cut, cut_in_a = -1, False
+    while a is not b:
+        if a[2] > b[2]:
+            cut, cut_in_a, a = a[2], True, a[3]
+        elif b[2] > a[2]:
+            cut, cut_in_a, b = b[2], False, b[3]
+        else:
+            a, b = a[3], b[3]
+    return (" " < body[cut]) == cut_in_a
+
+
+def _better(cur: tuple | None, cand: tuple | None, body: str) -> tuple | None:
+    """The preferred of two splits of one prefix: higher score, then
+    fewer words, then the smaller joined string. None always loses."""
+    if cur is None:
+        return cand
+    if cand is None or cand[0] < cur[0]:
+        return cur
+    if cand[0] > cur[0] or cand[1] < cur[1]:
+        return cand
+    if cand[1] > cur[1]:
+        return cur
+    return cand if _joined_before(cand, cur, body) else cur
+
+
+def _words(entry: tuple, body: str) -> str:
+    cuts = []
+    while entry[3] is not None:
+        cuts.append(entry[2])
+        entry = entry[3]
+    bounds = [0] + cuts[::-1]
+    return " ".join(body[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
 def segment_hashtag(tag: str, freq: FreqDict) -> str:
     """Split a hashtag body into the highest-scoring word sequence.
 
     Scores are summed per-word unigram log probabilities with a
-    length-exponential penalty for unknown words. Ties prefer fewer
-    words, then the lexicographically smallest result. The concatenation
-    of the output equals the case-folded tag body.
+    length-exponential penalty for unknown words, and an unknown word
+    never directly follows another. Ties prefer fewer words, then the
+    lexicographically smallest result. The concatenation of the output
+    equals the case-folded tag body. Cost is O(n·L) for a body of n
+    characters and a longest dictionary word of L characters, unless
+    many long unknown words tie up to rounding (then up to O(n²)).
     """
     if not tag.startswith("#"):
         raise ValueError(f"hashtag must start with '#', got {tag!r}")
@@ -230,27 +279,64 @@ def segment_hashtag(tag: str, freq: FreqDict) -> str:
     if any(ch.isspace() for ch in body):
         raise ValueError(f"hashtag body contains whitespace: {tag!r}")
     n = len(body)
-    # best[i]: (score, word count, joined words) for body[:i]; higher
-    # score wins, then fewer words, then the smaller string.
-    best: list[tuple[float, int, str] | None] = [None] * (n + 1)
-    best[0] = (0.0, 0, "")
+    counts, total = freq.counts, freq.total
+    log_total = math.log(max(total, 1))
+    window = freq.max_word_len
+    start = (0.0, 0, 0, None)
+    # best[i]: the preferred split of body[:i]; known[i]: the preferred
+    # one ending in a dictionary word (or the empty split at 0), the only
+    # kind an unknown word may extend. When total >= 2 merging two
+    # adjacent unknown words gains at least log 2, so the rule changes
+    # no result there; with no dictionary it keeps the body whole.
+    best: list[tuple | None] = [start] + [None] * n
+    known: list[tuple | None] = [start] + [None] * n
+    # An unknown word body[j:i] longer than `window` scores
+    # key(j) - log_total - i·log 10 with key(j) = known[j] score + j·log 10,
+    # so only the j whose key is near the running maximum can win at any
+    # i; `far` holds those (key, entry) pairs and their exact scores
+    # decide. `tol` is far above the rounding error of a sum of at most n
+    # scores below `bound` in size (dictionary counts at most `total`).
+    far: list[tuple[float, tuple]] = []
+    far_max = -math.inf
+    bound = n * (log_total + 2 * _LOG10) + 1
+    tol = (n + 3) * bound * 2.0**-48
     for i in range(1, n + 1):
-        for j in range(i):
-            prev = best[j]
-            if prev is None:
-                continue
-            word = body[j:i]
-            score = prev[0] + _word_score(word, freq)
-            joined = word if j == 0 else f"{prev[2]} {word}"
-            cand = (score, prev[1] + 1, joined)
-            cur = best[i]
-            if (
-                cur is None
-                or cand[0] > cur[0]
-                or (cand[0] == cur[0] and (cand[1], cand[2]) < (cur[1], cur[2]))
-            ):
-                best[i] = cand
-    return best[n][2]
+        j = i - window - 1
+        if j >= 0 and known[j] is not None:
+            key = known[j][0] + j * _LOG10
+            if key >= far_max - tol:
+                if key > far_max:
+                    far_max = key
+                    far = [f for f in far if f[0] >= key - tol]
+                far.append((key, known[j]))
+        in_dict = None
+        unknown = None
+        for j in range(max(0, i - window), i):
+            count = counts.get(body[j:i])
+            if count is not None:
+                prev = best[j]
+                cand = (prev[0] + math.log(count / total), prev[1] + 1, i, prev)
+                in_dict = _better(in_dict, cand, body)
+            elif known[j] is not None:
+                prev = known[j]
+                cand = (prev[0] + _oov_score(i - j, log_total), prev[1] + 1, i, prev)
+                unknown = _better(unknown, cand, body)
+        for _, prev in far:
+            cand = (prev[0] + _oov_score(i - prev[2], log_total), prev[1] + 1, i, prev)
+            unknown = _better(unknown, cand, body)
+        known[i] = in_dict
+        best[i] = _better(in_dict, unknown, body)
+    return _words(best[n], body)
+
+
+def hashtag_flow(tokens: Iterable[ClassifiedToken], freq: FreqDict) -> str:
+    """The segmented bodies of the hashtag tokens, joined in order; a
+    bare '#' contributes nothing."""
+    return " ".join(
+        segment_hashtag(t.surface, freq)
+        for t in tokens
+        if t.kind is TokenKind.HASHTAG and len(t.surface) > 1
+    )
 
 
 def mean_emoji_vector(emojis: Sequence[str], table: EmojiTable) -> np.ndarray:
@@ -269,15 +355,10 @@ def mean_emoji_vector(emojis: Sequence[str], table: EmojiTable) -> np.ndarray:
 def extract_features(text: str, freq: FreqDict, table: EmojiTable) -> FeatureBundle:
     tokens = tokenize_raw(text)
     cleaned = clean_text(tokens)
-    flows = [
-        segment_hashtag(t.surface, freq)
-        for t in tokens
-        if t.kind is TokenKind.HASHTAG and len(t.surface) > 1
-    ]
     emojis = [t.surface for t in tokens if t.kind is TokenKind.EMOJI]
     return FeatureBundle(
         cleaned_text=cleaned,
-        hashtag_flow=" ".join(flows),
+        hashtag_flow=hashtag_flow(tokens, freq),
         emoji_vec=mean_emoji_vector(emojis, table),
         emoji_count=len(emojis),
     )

@@ -44,6 +44,44 @@ def best_segmentation_bruteforce(body: str, freq) -> str:
     return best[2]
 
 
+def _dp_word_score(word: str, freq) -> float:
+    count = freq.counts.get(word)
+    if count is not None:
+        return math.log(count / freq.total)
+    # Zipf-style out-of-vocabulary penalty, exponential in word length.
+    total = max(freq.total, 1)
+    return -(math.log(total) + len(word) * math.log(10))
+
+
+def segment_hashtag_quadratic(tag: str, freq) -> str:
+    """The earlier all-split-points dynamic program: every prefix is
+    extended by every word, and joined strings are built for every
+    candidate. It agrees with the fast segmenter whenever freq.total >= 2."""
+    body = tag[1:].casefold()
+    n = len(body)
+    # best[i]: (score, word count, joined words) for body[:i]; higher
+    # score wins, then fewer words, then the smaller string.
+    best = [None] * (n + 1)
+    best[0] = (0.0, 0, "")
+    for i in range(1, n + 1):
+        for j in range(i):
+            prev = best[j]
+            if prev is None:
+                continue
+            word = body[j:i]
+            score = prev[0] + _dp_word_score(word, freq)
+            joined = word if j == 0 else f"{prev[2]} {word}"
+            cand = (score, prev[1] + 1, joined)
+            cur = best[i]
+            if (
+                cur is None
+                or cand[0] > cur[0]
+                or (cand[0] == cur[0] and (cand[1], cand[2]) < (cur[1], cur[2]))
+            ):
+                best[i] = cand
+    return best[n][2]
+
+
 def confusion_matrix_scores(preds, golds):
     """Per-class precision/recall/F1 plus macro and weighted F1 via an
     explicit confusion matrix."""

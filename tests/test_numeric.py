@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -375,3 +376,10 @@ class TestCheckpoint:
         blob = checkpoint_bytes({}, {"w": np.ones(4, dtype=np.float32)})
         with pytest.raises(DataError, match="truncated"):
             parse_checkpoint(blob[:-3])
+
+    def test_duplicate_tensor_name(self):
+        # Header with no metadata, then two one-element tensors named "w".
+        record = struct.pack("<I", 1) + b"w" + struct.pack("<II", 1, 1) + struct.pack("<f", 2.0)
+        blob = b"TAPTCKPT" + struct.pack("<II", 1, 0) + record + record
+        with pytest.raises(DataError, match="duplicate tensor name 'w'"):
+            parse_checkpoint(blob)

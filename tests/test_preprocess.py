@@ -1,3 +1,5 @@
+import random
+import time
 from collections import Counter
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import best_segmentation_bruteforce
+from oracles import best_segmentation_bruteforce, segment_hashtag_quadratic
 from hostility.errors import DataError
 from hostility.preprocess import (
     EmojiTable,
@@ -104,6 +106,50 @@ class TestCleanText:
 TOY_FREQ = FreqDict.from_counts(
     {"hindi": 50, "tweets": 30, "hind": 5, "it": 40, "weets": 1}
 )
+# The dictionary of acceptance criterion c04.
+C04_WORDS = [
+    "a", "b", "c", "d", "e",
+    "ab", "ba", "cd", "de", "ea",
+    "ad", "be", "ce", "da", "eb",
+    "aa", "bb", "cc", "dd", "ee",
+    "abc", "bcd", "cde", "dea", "eab",
+    "ae", "ac", "bd", "abcd", "bcde",
+]
+C04_FREQ = FreqDict.from_counts({w: (i * 7) % 50 + 1 for i, w in enumerate(C04_WORDS)})
+
+
+def zipf_freq(n_words=1200, seed=7):
+    """Distinct random words of 1-8 letters over "abcdefgh", counted
+    100000 / rank + 1."""
+    rng = random.Random(seed)
+    words = {}
+    while len(words) < n_words:
+        words.setdefault("".join(rng.choice("abcdefgh") for _ in range(rng.randint(1, 8))), None)
+    return FreqDict.from_counts({w: 100_000 // rank + 1 for rank, w in enumerate(words, 1)})
+
+
+ZIPF_FREQ = zipf_freq()
+# Equal counts make many splits tie on score and word count.
+EQUAL_FREQ = FreqDict.from_counts({w: 1 for w in ["ab", "c", "def", "a", "bcd", "ef", "fa", "b"]})
+# p("a") is exactly 1/10, the unknown-word penalty per letter, so long
+# unknown words after different runs of "a" tie up to rounding.
+TENTH_FREQ = FreqDict.from_counts({"a": 1, "b": 9})
+
+
+@st.composite
+def hashtag_bodies(draw, freq):
+    """Bodies of up to 60 characters built from dictionary words, short
+    runs of the dictionary's letters and unknown runs longer than its
+    longest word."""
+    words = sorted(freq.counts)
+    letters = "".join(sorted(set("".join(words)))) + "xz9"
+    longest = freq.max_word_len
+    piece = st.one_of(
+        st.sampled_from(words),
+        st.text(alphabet=letters, min_size=1, max_size=4),
+        st.text(alphabet=letters, min_size=longest + 1, max_size=longest + 15),
+    )
+    return "".join(draw(st.lists(piece, min_size=1, max_size=12)))[:60]
 
 
 class TestSegmentHashtag:
@@ -139,6 +185,45 @@ class TestSegmentHashtag:
         got = segment_hashtag("#" + body, TOY_FREQ)
         assert got.replace(" ", "") == body.casefold()
         assert got == best_segmentation_bruteforce(body.casefold(), TOY_FREQ)
+
+    def test_tie_prefers_smaller_joined_string(self):
+        # "a bcd ef" and "ab c def" both score 3 * log(1/8).
+        assert segment_hashtag("#abcdef", EQUAL_FREQ) == "a bcd ef"
+        assert best_segmentation_bruteforce("abcdef", EQUAL_FREQ) == "a bcd ef"
+
+    @pytest.mark.parametrize(
+        "freq",
+        [TOY_FREQ, C04_FREQ, ZIPF_FREQ, EQUAL_FREQ, TENTH_FREQ],
+        ids=["toy", "c04", "zipf", "equal", "tenth"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_quadratic_dp(self, freq, data):
+        body = data.draw(hashtag_bodies(freq))
+        assert segment_hashtag("#" + body, freq) == segment_hashtag_quadratic("#" + body, freq)
+
+    @pytest.mark.parametrize(
+        "tag, counts, expected",
+        [
+            ("#IndiaFightsCorona", {}, "indiafightscorona"),
+            ("#FakeNewsAlert2021", {}, "fakenewsalert2021"),
+            ("#HindiTweetsNow", {"hindi": 1}, "hindi tweetsnow"),
+        ],
+    )
+    def test_unknown_words_never_adjacent(self, tag, counts, expected):
+        """With a total count of at most 1 every split of an unknown run
+        scores the same; unknown words may not be adjacent, so the run
+        stays whole."""
+        assert segment_hashtag(tag, FreqDict.from_counts(counts)) == expected
+
+    @pytest.mark.parametrize("freq", [ZIPF_FREQ, FreqDict.empty()], ids=["zipf", "empty"])
+    def test_long_hashtag_bounded_time(self, freq):
+        rng = random.Random(3)
+        body = "".join(rng.choice("abcdefghxyz") for _ in range(10_000))
+        start = time.perf_counter()
+        got = segment_hashtag("#" + body, freq)
+        assert time.perf_counter() - start < 2.0
+        assert got.replace(" ", "") == body
 
 
 class TestMeanEmojiVector:
@@ -202,6 +287,10 @@ class TestExtractFeatures:
     def test_duplicate_hashtags_repeat(self, fixture_freq, fixture_emoji_table):
         bundle = extract_features("#AchaDin #AchaDin", fixture_freq, fixture_emoji_table)
         assert bundle.hashtag_flow == "acha din acha din"
+
+    def test_bare_hash_adds_nothing(self, fixture_freq, fixture_emoji_table):
+        bundle = extract_features("# #AchaDin #", fixture_freq, fixture_emoji_table)
+        assert bundle.hashtag_flow == "acha din"
 
     def test_pure_function(self, fixture_freq, fixture_emoji_table):
         text = "jhooth khabar #FakeNews \U0001F621 dekho"
