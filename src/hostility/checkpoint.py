@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DataError
 
 MAGIC = b"TAPTCKPT"
-VERSION = 1
+VERSION = 2
 
 
 def checkpoint_bytes(metadata: Mapping[str, str], tensors: Mapping[str, np.ndarray]) -> bytes:
@@ -40,11 +40,6 @@ def checkpoint_bytes(metadata: Mapping[str, str], tensors: Mapping[str, np.ndarr
             parts.append(struct.pack("<I", dim))
         parts.append(arr.tobytes(order="C"))
     return b"".join(parts)
-
-
-def write_checkpoint(path, metadata: Mapping[str, str], tensors: Mapping[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(metadata, tensors))
 
 
 def parse_checkpoint(blob: bytes) -> tuple[dict[str, str], dict[str, np.ndarray]]:

@@ -198,27 +198,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _load_posts(cfg: RunConfig) -> list[RawPost]:
-    try:
-        posts = load_dataset(cfg.data)
-    except OSError as exc:
-        raise DataError(f"cannot read dataset: {exc}") from None
-    return posts
-
-
 def _load_aux(cfg: RunConfig, emoji_dim: int = 300) -> tuple[FreqDict, EmojiTable]:
-    freq = FreqDict.empty()
-    if cfg.dict:
-        try:
-            freq = load_freq_dict(cfg.dict)
-        except OSError as exc:
-            raise DataError(f"cannot read frequency dictionary: {exc}") from None
-    table = EmojiTable(dim=emoji_dim, entries={})
-    if cfg.emoji:
-        try:
-            table = load_emoji_table(cfg.emoji)
-        except OSError as exc:
-            raise DataError(f"cannot read emoji table: {exc}") from None
+    freq = load_freq_dict(cfg.dict) if cfg.dict else FreqDict.empty()
+    table = load_emoji_table(cfg.emoji) if cfg.emoji else EmojiTable(dim=emoji_dim, entries={})
     return freq, table
 
 
@@ -273,7 +255,7 @@ def _run_meta(cfg: RunConfig) -> dict[str, str]:
 
 
 def cmd_preprocess(cfg: RunConfig) -> int:
-    posts = _load_posts(cfg)
+    posts = load_dataset(cfg.data)
     freq, table = _load_aux(cfg)
     out = _out_dir(cfg)
     histogram = _label_histogram(posts)
@@ -300,7 +282,7 @@ def cmd_preprocess(cfg: RunConfig) -> int:
 
 
 def cmd_tapt(cfg: RunConfig) -> int:
-    posts = _load_posts(cfg)
+    posts = load_dataset(cfg.data)
     if not posts:
         raise DataError("dataset is empty")
     freq, _ = _load_aux(cfg)
@@ -355,7 +337,7 @@ def _load_tapt_weights(cfg: RunConfig, out: Path, vocab: Vocab, config: EncoderC
 
 
 def cmd_finetune(cfg: RunConfig) -> int:
-    posts = _load_posts(cfg)
+    posts = load_dataset(cfg.data)
     freq, table = _load_aux(cfg)
     train, val, _, vocab = _derive_vocab_corpus(cfg, posts, freq)
     out = _out_dir(cfg)
@@ -409,32 +391,30 @@ def cmd_finetune(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_models(cfg: RunConfig, out: Path):
+def _load_scoring_inputs(cfg: RunConfig):
+    """What evaluate and predict read: the five task models, the posts,
+    and the frequency dictionary and emoji table the models expect."""
+    out = _out_dir(cfg)
     vocab_path = out / "vocab.txt"
     if not vocab_path.exists():
         raise DataError(f"vocab file not found at {vocab_path}; run finetune first")
     vocab = Vocab.load(vocab_path)
     models = {}
-    config = None
     for task in ALL_TASKS:
         path = out / f"{task}.ckpt"
         if not path.exists():
             raise DataError(f"checkpoint not found at {path}; run finetune first")
-        model, _ = load_model(path, vocab)
-        models[task] = model
-        config = model.config
-    return vocab, models, config
+        models[task], _ = load_model(path, vocab)
+    posts = load_dataset(cfg.data)
+    emoji_dim = models[ALL_TASKS[-1]].config.emoji_dim
+    freq, table = _load_aux(cfg, emoji_dim=emoji_dim)
+    if table.dim != emoji_dim:
+        raise DataError(f"emoji table dimension {table.dim} != model emoji dimension {emoji_dim}")
+    return out, models, posts, freq, table
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
-    vocab, models, config = _load_models(cfg, out)
-    posts = _load_posts(cfg)
-    freq, table = _load_aux(cfg, emoji_dim=config.emoji_dim)
-    if table.dim != config.emoji_dim:
-        raise DataError(
-            f"emoji table dimension {table.dim} != model emoji dimension {config.emoji_dim}"
-        )
+    out, models, posts, freq, table = _load_scoring_inputs(cfg)
     if cfg.split != "all":
         train, val = split_dataset(posts, SplitSpec(seed=cfg.seed))
         posts = train if cfg.split == "train" else val
@@ -452,14 +432,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
-    out = _out_dir(cfg)
-    vocab, models, config = _load_models(cfg, out)
-    posts = _load_posts(cfg)
-    freq, table = _load_aux(cfg, emoji_dim=config.emoji_dim)
-    if table.dim != config.emoji_dim:
-        raise DataError(
-            f"emoji table dimension {table.dim} != model emoji dimension {config.emoji_dim}"
-        )
+    out, models, posts, freq, table = _load_scoring_inputs(cfg)
     lines = []
     for post in posts:
         bundle = extract_features(post.text, freq, table)

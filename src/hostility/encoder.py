@@ -1,9 +1,10 @@
-"""Compact transformer encoder with learned positions and an MLM head.
+"""Compact transformer encoder with learned positions, and the MLM loss.
 
 Pre-norm residual blocks, CLS pooling, word-level vocabulary with five
 fixed specials. A batch of sequences runs as one padded graph. Two
 named profiles: "desk" (small, exercised by tests) and "paper"
-(768-dim, 12 layers).
+(768-dim, 12 layers). EncoderWeights is the encoder body only; the MLM
+output head is a separate parameter dict that exists while TAPT runs.
 """
 
 from __future__ import annotations
@@ -100,6 +101,11 @@ class EncoderConfig:
     dropout_p: float = 0.1
 
     def __post_init__(self):
+        for name in ("d_model", "n_layers", "n_heads", "d_ff", "max_len"):
+            if getattr(self, name) < 1:
+                raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 <= self.dropout_p < 1:
+            raise ShapeError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.d_model % self.n_heads != 0:
             raise ShapeError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
@@ -146,7 +152,7 @@ def init_array(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> n
 
 
 class EncoderWeights:
-    """Named parameter tensors of one encoder, in a fixed order."""
+    """Named parameter tensors of one encoder body, in a fixed order."""
 
     def __init__(self, params: dict[str, Tensor]):
         self.params = params
@@ -174,8 +180,6 @@ class EncoderWeights:
             table[f"{p}.ffn.b2"] = (e,)
         table["ln_f.gain"] = (e,)
         table["ln_f.bias"] = (e,)
-        table["mlm.w"] = (e, v)
-        table["mlm.b"] = (v,)
         return table
 
     @classmethod
@@ -204,11 +208,6 @@ class EncoderWeights:
     def copy(self) -> "EncoderWeights":
         return EncoderWeights(
             {k: Tensor(p.data.copy(), requires_grad=True) for k, p in self.params.items()}
-        )
-
-    def astype(self, dtype) -> "EncoderWeights":
-        return EncoderWeights(
-            {k: Tensor(p.data.astype(dtype), requires_grad=True) for k, p in self.params.items()}
         )
 
     def arrays(self) -> dict[str, np.ndarray]:
@@ -281,18 +280,6 @@ def encode_batch(
     return pooled, hidden
 
 
-def encode(
-    weights: EncoderWeights,
-    config: EncoderConfig,
-    ids: Sequence[int],
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-    attn_sink: list | None = None,
-) -> tuple[Tensor, Tensor]:
-    """encode_batch of one sequence: (pooled CLS row [1,E], hidden [T,E])."""
-    return encode_batch(weights, config, [ids], training, rng, attn_sink)
-
-
 def _corrupt(tid: int, vocab_size: int, rng: np.random.Generator) -> int:
     """The input id at one selected position: 80% MASK, 10% a random
     non-special id, 10% the original id."""
@@ -348,16 +335,28 @@ def mask_with_target(
     return masked, targets
 
 
+def mlm_head_init(config: EncoderConfig, rng: np.random.Generator) -> dict[str, Tensor]:
+    """The masked-LM output layer: mlm.w [E, V] and mlm.b [V]. TAPT draws
+    it from the generator that drew the encoder body, right after the body."""
+    shapes = {"mlm.w": (config.d_model, config.vocab_size), "mlm.b": (config.vocab_size,)}
+    return {
+        name: Tensor(init_array(name, shape, rng), requires_grad=True)
+        for name, shape in shapes.items()
+    }
+
+
 def mlm_loss(
     weights: EncoderWeights,
+    head: Mapping[str, Tensor],
     config: EncoderConfig,
     masked_batch: Sequence[Sequence[int]],
     target_batch: Sequence[Sequence[int]],
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Masked-LM loss of a batch of lines: the mean over lines of each
-    line's mean vocab cross-entropy at its target positions."""
+    """Masked-LM loss of a batch of lines under the given head: the mean
+    over lines of each line's mean vocab cross-entropy at its target
+    positions."""
     if len(masked_batch) != len(target_batch) or any(
         len(m) != len(t) for m, t in zip(masked_batch, target_batch)
     ):
@@ -373,5 +372,5 @@ def mlm_loss(
         labels.extend(int(targets[i]) for i in positions)
         row_weights.extend([1.0 / (len(positions) * len(per_line))] * len(positions))
     selected = gather_rows(hidden, rows)
-    logits = add_bias(matmul(selected, weights.params["mlm.w"]), weights.params["mlm.b"])
+    logits = add_bias(matmul(selected, head["mlm.w"]), head["mlm.b"])
     return cross_entropy(logits, labels, row_weights)

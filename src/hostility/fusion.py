@@ -261,11 +261,6 @@ def model_to_bytes(model: FusionModel, extra: Mapping[str, str] | None = None) -
     return checkpoint_bytes(_fusion_meta(model, extra), tensors)
 
 
-def save_model(model: FusionModel, path, extra: Mapping[str, str] | None = None) -> None:
-    with open(path, "wb") as fh:
-        fh.write(model_to_bytes(model, extra))
-
-
 def _model_from_parsed(
     metadata: dict[str, str], arrays: dict[str, np.ndarray], vocab: Vocab
 ) -> tuple[FusionModel, dict[str, str]]:

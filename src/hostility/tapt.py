@@ -2,7 +2,8 @@
 
 The adaptation corpus holds each post twice: the raw text and its
 cleaned text. Training produces weights for the cleaned-text encoder
-only; the hashtag encoder keeps the base initialization.
+only; the hashtag encoder keeps the base initialization. The MLM head
+trains alongside the encoder body and is dropped when run_tapt returns.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .encoder import (
     N_SPECIALS,
     encode_ids,
     mask_with_target,
+    mlm_head_init,
     mlm_loss,
 )
 from .errors import DataError, InvariantError
@@ -76,12 +78,6 @@ class TaptResult:
     steps: int
 
 
-def base_init(config: EncoderConfig, seed: int) -> EncoderWeights:
-    """The fixed random initialization snapshot TAPT starts from (and the
-    fresh cleaned-text encoder when TAPT is off)."""
-    return EncoderWeights.init(config, np.random.default_rng([seed, TEXT_INIT_STREAM]))
-
-
 def run_tapt(
     config: EncoderConfig,
     vocab: Vocab,
@@ -90,11 +86,14 @@ def run_tapt(
     lr: float = 1e-4,
     batch_size: int = 8,
     seed: int = 0,
-    init_weights: EncoderWeights | None = None,
     mask_prob: float = 0.15,
 ) -> TaptResult:
     """Continued MLM pretraining over shuffled corpus lines, one padded
     batch graph and one optimizer step per mini-batch.
+
+    The encoder body starts from fusion.text_encoder_init(config, seed),
+    and the MLM head is drawn next from the same generator. Adam steps
+    both; only the body is returned.
 
     Deterministic given the seed. Each epoch masks every line once, in
     corpus order, from its own seed stream, so what is masked does not
@@ -113,10 +112,13 @@ def run_tapt(
     maskable = [j for j, ids in enumerate(encoded) if any(t >= N_SPECIALS for t in ids)]
     if not maskable:
         raise ValueError("corpus has no maskable tokens under this vocab")
-    weights = init_weights.copy() if init_weights is not None else base_init(config, seed)
+    init_rng = np.random.default_rng([seed, TEXT_INIT_STREAM])
+    weights = EncoderWeights.init(config, init_rng)
+    head = mlm_head_init(config, init_rng)
+    params = {**weights.params, **head}
     rng = np.random.default_rng([seed, _TRAIN_STREAM])
     mask_rng = np.random.default_rng([seed, _MASK_STREAM])
-    state = adam_init(weights.params)
+    state = adam_init(params)
     epoch_losses: list[float] = []
     steps = 0
     for _ in range(epochs):
@@ -132,9 +134,9 @@ def run_tapt(
                 continue
             masked_batch, target_batch = zip(*batch)
             batch_loss = mlm_loss(
-                weights, config, masked_batch, target_batch, training=True, rng=rng
+                weights, head, config, masked_batch, target_batch, training=True, rng=rng
             )
-            train_step(weights.params, state, batch_loss, lr)
+            train_step(params, state, batch_loss, lr)
             steps += 1
             loss_total += float(batch_loss.data) * len(batch)
             n_seqs += len(batch)

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .encoder import Vocab
+from .encoder import EncoderWeights, Vocab
 from .errors import InvariantError
 from .fusion import (
     FusionConfig,
@@ -26,15 +26,7 @@ from .fusion import (
     predict,
 )
 from .numeric import adam_init, cross_entropy, train_step
-from .preprocess import (
-    EmojiTable,
-    FeatureBundle,
-    FreqDict,
-    LabelTag,
-    RawPost,
-    extract_features,
-)
-from .tapt import EncoderWeights
+from .preprocess import FeatureBundle, LabelTag, RawPost
 
 COARSE = "coarse"
 FINE_TASKS = ("fake", "hate", "offensive", "defamation")
@@ -101,16 +93,6 @@ def binary_targets(posts: Sequence[RawPost], task: str) -> list[int]:
         else:
             targets.append(1 if _FINE_TAG[task] in post.labels else 0)
     return targets
-
-
-def make_examples(
-    posts: Sequence[RawPost], task: str, freq: FreqDict, table: EmojiTable
-) -> list[Example]:
-    targets = binary_targets(posts, task)
-    return [
-        (extract_features(post.text, freq, table), target)
-        for post, target in zip(posts, targets)
-    ]
 
 
 # ---------------------------------------------------------------------------

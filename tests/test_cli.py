@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from hostility.checkpoint import read_checkpoint
+from hostility.checkpoint import checkpoint_bytes, read_checkpoint
 from hostility.cli import main
 from hostility.traineval import ALL_TASKS
-
-DATA_ARGS = ["--data", None, "--dict", None, "--emoji", None]
 
 
 def run(*args):
@@ -34,6 +32,14 @@ def trained_dir(tmp_path_factory, data_dir):
     return out
 
 
+def copy_run(trained_dir, dest):
+    """The files evaluate and predict read: vocab.txt and the task checkpoints."""
+    dest.mkdir()
+    for name in ["vocab.txt"] + [f"{t}.ckpt" for t in ALL_TASKS]:
+        (dest / name).write_bytes((trained_dir / name).read_bytes())
+    return dest
+
+
 class TestPreprocess:
     def test_fixture_dump_and_histogram(self, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -60,8 +66,12 @@ class TestPreprocess:
         assert "posts: 0" in stdout
         assert "non-hostile=0" in stdout
 
-    def test_missing_file_is_data_error(self, tmp_path):
-        assert run("preprocess", "--data", tmp_path / "nope.csv", "--out", tmp_path) == 2
+    @pytest.mark.parametrize("flag", ["--data", "--dict", "--emoji"])
+    def test_missing_file_is_data_error(self, data_dir, tmp_path, capsys, flag):
+        args = common_args(data_dir, tmp_path / "out")
+        args[args.index(flag) + 1] = str(tmp_path / "nope.txt")
+        assert run("preprocess", *args) == 2
+        assert "nope.txt" in capsys.readouterr().err
 
     def test_malformed_file_names_line(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
@@ -176,6 +186,13 @@ class TestFinetune:
         for name in hash_names:
             np.testing.assert_array_equal(with_tapt[name], without[name])
 
+    def test_checkpoints_hold_no_mlm_tensors(self, trained_dir):
+        paths = sorted(trained_dir.glob("*.ckpt"))
+        assert len(paths) == 1 + 2 * len(ALL_TASKS)
+        for path in paths:
+            _, tensors = read_checkpoint(path)
+            assert tensors and not [n for n in tensors if "mlm." in n], path.name
+
     def test_prints_best_f1_per_task(self, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
         assert run("finetune", *common_args(data_dir, out), "--epochs", "1") == 0
@@ -222,6 +239,21 @@ class TestEvaluate:
         args = common_args(data_dir, tampered)
         assert run("evaluate", *args) == 2
         assert "vocab hash" in capsys.readouterr().err
+
+    def test_zero_heads_checkpoint_is_data_error(self, data_dir, trained_dir, tmp_path, capsys):
+        run_dir = copy_run(trained_dir, tmp_path / "run")
+        meta, tensors = read_checkpoint(run_dir / "coarse.ckpt")
+        meta["enc.n_heads"] = "0"
+        (run_dir / "coarse.ckpt").write_bytes(checkpoint_bytes(meta, tensors))
+        assert run("evaluate", *common_args(data_dir, run_dir)) == 2
+        assert "n_heads must be >= 1" in capsys.readouterr().err
+
+    def test_version_1_checkpoint_is_data_error(self, data_dir, trained_dir, tmp_path, capsys):
+        run_dir = copy_run(trained_dir, tmp_path / "run")
+        blob = (run_dir / "hate.ckpt").read_bytes()
+        (run_dir / "hate.ckpt").write_bytes(blob[:8] + (1).to_bytes(4, "little") + blob[12:])
+        assert run("evaluate", *common_args(data_dir, run_dir)) == 2
+        assert "unsupported checkpoint version 1" in capsys.readouterr().err
 
     def test_unlabeled_dataset_is_data_error(self, data_dir, trained_dir, tmp_path):
         data = tmp_path / "unlabeled.csv"

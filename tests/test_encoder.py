@@ -18,10 +18,10 @@ from hostility.encoder import (
     config_from_meta,
     config_to_meta,
     desk_config,
-    encode,
     encode_batch,
     encode_ids,
     mask_tokens,
+    mlm_head_init,
     mlm_loss,
     paper_config,
 )
@@ -47,6 +47,11 @@ def config(vocab):
 @pytest.fixture(scope="module")
 def weights(config):
     return EncoderWeights.init(config, np.random.default_rng(11))
+
+
+@pytest.fixture(scope="module")
+def head(config):
+    return mlm_head_init(config, np.random.default_rng(12))
 
 
 class TestVocab:
@@ -112,6 +117,16 @@ class TestConfig:
     def test_meta_roundtrip(self, config):
         assert config_from_meta(config_to_meta(config)) == config
 
+    @pytest.mark.parametrize("name", ["d_model", "n_layers", "n_heads", "d_ff", "max_len"])
+    def test_sizes_below_one_rejected(self, name):
+        with pytest.raises(ShapeError, match=f"{name} must be >= 1"):
+            EncoderConfig(vocab_size=10, **{name: 0})
+
+    @pytest.mark.parametrize("p", [-0.1, 1.0, float("nan")])
+    def test_dropout_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ShapeError, match="dropout_p"):
+            EncoderConfig(vocab_size=10, dropout_p=p)
+
 
 class TestWeights:
     def test_shape_audit(self, weights, config):
@@ -119,6 +134,11 @@ class TestWeights:
         assert set(weights.params) == set(table)
         for name, shape in table.items():
             assert weights.params[name].data.shape == shape, name
+
+    def test_mlm_head_shapes(self, head, config):
+        assert head["mlm.w"].data.shape == (config.d_model, config.vocab_size)
+        assert head["mlm.b"].data.shape == (config.vocab_size,)
+        assert not head["mlm.b"].data.any()
 
     def test_init_deterministic(self, config):
         a = EncoderWeights.init(config, np.random.default_rng(5))
@@ -139,21 +159,21 @@ class TestWeights:
 
 class TestEncode:
     def test_output_shapes_and_finite(self, weights, config, vocab):
-        pooled, hidden = encode(weights, config, [CLS_ID, SEP_ID])
+        pooled, hidden = encode_batch(weights, config, [[CLS_ID, SEP_ID]])
         assert pooled.shape == (1, config.d_model)
         assert hidden.shape == (2, config.d_model)
         assert np.isfinite(pooled.data).all()
 
     def test_deterministic_without_dropout(self, weights, config, vocab):
         ids = encode_ids(vocab, "yeh sach hai", config.max_len)
-        a, _ = encode(weights, config, ids)
-        b, _ = encode(weights, config, ids)
+        a, _ = encode_batch(weights, config, [ids])
+        b, _ = encode_batch(weights, config, [ids])
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_padding_invariance(self, weights, config, vocab):
         ids = encode_ids(vocab, "sach ka saath", config.max_len)
-        base, _ = encode(weights, config, ids)
-        padded, _ = encode(weights, config, ids + [PAD_ID] * 6)
+        base, _ = encode_batch(weights, config, [ids])
+        padded, _ = encode_batch(weights, config, [ids + [PAD_ID] * 6])
         assert np.abs(padded.data - base.data).max() <= 1e-5
 
     def test_padded_batch_matches_single_sequences(self, weights, config, vocab):
@@ -165,7 +185,7 @@ class TestEncode:
         assert pooled.shape == (3, config.d_model)
         assert hidden.shape == (3 * t, config.d_model)
         for b, ids in enumerate(batch):
-            single_pooled, single_hidden = encode(weights, config, ids)
+            single_pooled, single_hidden = encode_batch(weights, config, [ids])
             assert np.abs(pooled.data[b] - single_pooled.data[0]).max() <= 1e-5
             rows = hidden.data[b * t : b * t + len(ids)]
             assert np.abs(rows - single_hidden.data).max() <= 1e-5
@@ -173,7 +193,7 @@ class TestEncode:
     def test_attention_rows_sum_to_one(self, weights, config, vocab):
         ids = encode_ids(vocab, "jhooth khabar nafrat", config.max_len) + [PAD_ID] * 3
         sink = []
-        encode(weights, config, ids, attn_sink=sink)
+        encode_batch(weights, config, [ids], attn_sink=sink)
         assert len(sink) == config.n_layers * config.n_heads
         for attn in sink:
             np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-6)
@@ -182,11 +202,11 @@ class TestEncode:
 
     def test_id_out_of_range(self, weights, config):
         with pytest.raises(ValueError, match="out of range"):
-            encode(weights, config, [CLS_ID, config.vocab_size, SEP_ID])
+            encode_batch(weights, config, [[CLS_ID, config.vocab_size, SEP_ID]])
 
     def test_too_long(self, weights, config):
         with pytest.raises(ShapeError, match="max_len"):
-            encode(weights, config, [CLS_ID] * (config.max_len + 1))
+            encode_batch(weights, config, [[CLS_ID] * (config.max_len + 1)])
 
 
 class TestMaskTokens:
@@ -248,28 +268,28 @@ class TestMaskTokens:
 
 
 class TestMlmLoss:
-    def test_untrained_loss_near_log_vocab(self, weights, config, vocab):
+    def test_untrained_loss_near_log_vocab(self, weights, head, config, vocab):
         ids = encode_ids(vocab, "yeh sach hai sach ka saath", config.max_len)
         masked, targets = mask_tokens(ids, len(vocab), np.random.default_rng(8), p=0.9)
-        loss = mlm_loss(weights, config, [masked], [targets])
+        loss = mlm_loss(weights, head, config, [masked], [targets])
         expected = math.log(config.vocab_size)
         assert abs(loss.item() - expected) / expected < 0.15
 
-    def test_batch_loss_is_mean_of_line_losses(self, weights, config, vocab):
+    def test_batch_loss_is_mean_of_line_losses(self, weights, head, config, vocab):
         rng = np.random.default_rng(6)
         texts = ("yeh sach hai", "acha din shanti path ka")
         lines = [encode_ids(vocab, t, config.max_len) for t in texts]
         masks = [mask_tokens(ids, len(vocab), rng, p=0.7) for ids in lines]
         masked, targets = [m for m, _ in masks], [t for _, t in masks]
-        batch = mlm_loss(weights, config, masked, targets).item()
-        singles = [mlm_loss(weights, config, [m], [t]).item() for m, t in masks]
+        batch = mlm_loss(weights, head, config, masked, targets).item()
+        singles = [mlm_loss(weights, head, config, [m], [t]).item() for m, t in masks]
         assert batch == pytest.approx(sum(singles) / 2, abs=1e-5)
 
-    def test_no_targets_is_an_error(self, weights, config):
+    def test_no_targets_is_an_error(self, weights, head, config):
         with pytest.raises(ValueError, match="target"):
-            mlm_loss(weights, config, [[CLS_ID, SEP_ID]], [[IGNORE_ID, IGNORE_ID]])
+            mlm_loss(weights, head, config, [[CLS_ID, SEP_ID]], [[IGNORE_ID, IGNORE_ID]])
 
-    def test_nonnegative(self, weights, config, vocab):
+    def test_nonnegative(self, weights, head, config, vocab):
         ids = encode_ids(vocab, "nafrat gaali mat bolo", config.max_len)
         masked, targets = mask_tokens(ids, len(vocab), np.random.default_rng(4), p=0.8)
-        assert mlm_loss(weights, config, [masked], [targets]).item() >= 0
+        assert mlm_loss(weights, head, config, [masked], [targets]).item() >= 0

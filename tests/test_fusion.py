@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hostility.checkpoint import checkpoint_bytes, parse_checkpoint
 from hostility.encoder import EncoderConfig, Vocab, desk_config, paper_config
 from hostility.errors import DataError, ShapeError
 from hostility.fusion import (
@@ -15,7 +16,6 @@ from hostility.fusion import (
     model_to_bytes,
     predict,
     prob_of_positive,
-    save_model,
     text_encoder_init,
 )
 from hostility.numeric import adam_init, adam_step, backward, cross_entropy, zero_grad
@@ -184,13 +184,21 @@ class TestPersistence:
     def test_roundtrip(self, config, vocab, tmp_path):
         model = init_model(config, vocab, "hate", base_seed=6)
         path = tmp_path / "model.ckpt"
-        save_model(model, path, extra={"seed": "6"})
+        path.write_bytes(model_to_bytes(model, extra={"seed": "6"}))
         loaded, meta = load_model(path, vocab)
         assert meta["task"] == "hate" and meta["seed"] == "6"
         assert loaded.task == "hate"
         assert loaded.config == config
         for name, p in model.named_params().items():
             np.testing.assert_array_equal(p.data, loaded.named_params()[name].data)
+
+    def test_zero_heads_rejected_at_load(self, config, vocab, tmp_path):
+        meta, tensors = parse_checkpoint(model_to_bytes(init_model(config, vocab, "fake")))
+        meta["enc.n_heads"] = "0"
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(checkpoint_bytes(meta, tensors))
+        with pytest.raises(ShapeError, match="n_heads must be >= 1"):
+            load_model(path, vocab)
 
     def test_bytes_deterministic(self, config, vocab):
         a = model_to_bytes(init_model(config, vocab, "fake", base_seed=2))

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gradcheck import gradcheck
-from hostility.checkpoint import checkpoint_bytes, parse_checkpoint
+from hostility.checkpoint import VERSION, checkpoint_bytes, parse_checkpoint
 from hostility.errors import DataError, ShapeError
 from hostility.numeric import (
     Tensor,
@@ -380,6 +380,12 @@ class TestCheckpoint:
     def test_duplicate_tensor_name(self):
         # Header with no metadata, then two one-element tensors named "w".
         record = struct.pack("<I", 1) + b"w" + struct.pack("<II", 1, 1) + struct.pack("<f", 2.0)
-        blob = b"TAPTCKPT" + struct.pack("<II", 1, 0) + record + record
+        blob = b"TAPTCKPT" + struct.pack("<II", VERSION, 0) + record + record
         with pytest.raises(DataError, match="duplicate tensor name 'w'"):
             parse_checkpoint(blob)
+
+    def test_version_1_rejected(self):
+        blob = checkpoint_bytes({"kind": "encoder"}, {"w": np.ones(2, dtype=np.float32)})
+        old = blob[:8] + struct.pack("<I", 1) + blob[12:]
+        with pytest.raises(DataError, match="unsupported checkpoint version 1"):
+            parse_checkpoint(old)

@@ -5,14 +5,16 @@ import pytest
 
 import hostility.encoder
 import hostility.tapt
-from hostility.encoder import IGNORE_ID, EncoderConfig, Vocab
+from hostility.checkpoint import checkpoint_bytes
+from hostility.encoder import IGNORE_ID, EncoderConfig, EncoderWeights, Vocab, mlm_head_init
 from hostility.errors import DataError
+from hostility.fusion import text_encoder_init
 from hostility.preprocess import RawPost
 from hostility.tapt import (
     CLEANED,
     RAW,
+    TEXT_INIT_STREAM,
     TaptCorpus,
-    base_init,
     build_tapt_corpus,
     dump_corpus,
     encoder_checkpoint_bytes,
@@ -112,7 +114,28 @@ class TestRunTapt:
     def test_training_changes_weights(self, setup):
         corpus, vocab, config = setup
         result = run_tapt(config, vocab, corpus, epochs=1, lr=1e-3, batch_size=8, seed=4)
-        assert not result.weights.equals(base_init(config, 4))
+        assert not result.weights.equals(text_encoder_init(config, 4))
+
+    def test_starts_from_text_encoder_init_and_returns_body_only(self, setup, monkeypatch):
+        corpus, vocab, config = setup
+        heads = []
+        real_loss = hostility.tapt.mlm_loss
+
+        def recording_loss(weights, head, *args, **kwargs):
+            heads.append({k: p.data.copy() for k, p in head.items()})
+            return real_loss(weights, head, *args, **kwargs)
+
+        monkeypatch.setattr(hostility.tapt, "mlm_loss", recording_loss)
+        monkeypatch.setattr(hostility.tapt, "train_step", lambda *args: None)
+        result = run_tapt(config, vocab, corpus, epochs=1, lr=1e-3, batch_size=8, seed=5)
+        assert result.weights.equals(text_encoder_init(config, 5))
+        # The head is drawn right after the body, from the same generator.
+        rng = np.random.default_rng([5, TEXT_INIT_STREAM])
+        EncoderWeights.init(config, rng)
+        expected = mlm_head_init(config, rng)
+        assert heads and all(
+            np.array_equal(h[k], expected[k].data) for h in heads for k in expected
+        )
 
     def test_lines_without_targets_are_skipped(self, setup):
         _, vocab, config = setup
@@ -131,9 +154,9 @@ class TestRunTapt:
             selected.append(sum(t != IGNORE_ID for t in targets))
             return masked, targets
 
-        def recording_loss(weights, config, masked_batch, target_batch, **kwargs):
+        def recording_loss(weights, head, config, masked_batch, target_batch, **kwargs):
             targets_seen.extend(target_batch)
-            return real_loss(weights, config, masked_batch, target_batch, **kwargs)
+            return real_loss(weights, head, config, masked_batch, target_batch, **kwargs)
 
         monkeypatch.setattr(hostility.encoder, "mask_tokens", counting_mask)
         monkeypatch.setattr(hostility.tapt, "mlm_loss", recording_loss)
@@ -147,7 +170,7 @@ class TestRunTapt:
 class TestEncoderCheckpoint:
     def test_roundtrip(self, tmp_path):
         config = EncoderConfig(vocab_size=8, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_len=8)
-        weights = base_init(config, 7)
+        weights = text_encoder_init(config, 7)
         path = tmp_path / "enc.ckpt"
         path.write_bytes(encoder_checkpoint_bytes(weights, config, {"vocab_sha256": "x"}))
         loaded, loaded_config, meta = load_encoder_checkpoint(path)
@@ -156,9 +179,7 @@ class TestEncoderCheckpoint:
         assert loaded.equals(weights)
 
     def test_rejects_wrong_kind(self, tmp_path):
-        from hostility.checkpoint import write_checkpoint
-
         path = tmp_path / "bad.ckpt"
-        write_checkpoint(path, {"kind": "fusion"}, {})
+        path.write_bytes(checkpoint_bytes({"kind": "fusion"}, {}))
         with pytest.raises(DataError, match="encoder"):
             load_encoder_checkpoint(path)

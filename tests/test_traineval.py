@@ -7,7 +7,7 @@ from oracles import confusion_matrix_scores
 from hostility.encoder import EncoderConfig, Vocab
 from hostility.errors import InvariantError
 from hostility.fusion import FusionConfig, model_from_bytes, predict
-from hostility.preprocess import FeatureBundle, LabelTag, RawPost
+from hostility.preprocess import FeatureBundle, LabelTag, RawPost, extract_features
 from hostility.traineval import (
     ALL_TASKS,
     COARSE,
@@ -19,7 +19,6 @@ from hostility.traineval import (
     binary_targets,
     compute_suite_metrics,
     f1_scores,
-    make_examples,
     render_kv,
     render_table,
     split_dataset,
@@ -337,6 +336,11 @@ class TestTrainBinary:
 
 class TestMakeExamples:
     def test_targets_align(self, fixture_posts, fixture_freq, fixture_emoji_table):
-        examples = make_examples(fixture_posts, "fake", fixture_freq, fixture_emoji_table)
+        # The pairing finetune builds: one bundle and one target per post.
+        bundles = [
+            extract_features(p.text, fixture_freq, fixture_emoji_table) for p in fixture_posts
+        ]
+        examples = list(zip(bundles, binary_targets(fixture_posts, "fake")))
         assert len(examples) == len(fixture_posts)
-        assert [t for _, t in examples] == binary_targets(fixture_posts, "fake")
+        assert sum(t for _, t in examples) == 3
+        assert all(b.emoji_vec.shape == (fixture_emoji_table.dim,) for b, _ in examples)
