@@ -54,23 +54,29 @@ def parse_checkpoint(blob: bytes) -> tuple[dict[str, str], dict[str, np.ndarray]
     def take_u32() -> int:
         return struct.unpack("<I", take(4))[0]
 
+    def utf8(chunk: bytes, what: str) -> str:
+        try:
+            return chunk.decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"checkpoint {what} is not valid UTF-8") from None
+
     offset = 0
     if take(len(MAGIC)) != MAGIC:
         raise DataError("not a checkpoint file (bad magic)")
     version = take_u32()
     if version != VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
-    meta_blob = take(take_u32())
     metadata: dict[str, str] = {}
-    if meta_blob:
-        for ln, line in enumerate(meta_blob.decode("utf-8").split("\n"), start=1):
+    meta_text = utf8(take(take_u32()), "metadata")
+    if meta_text:
+        for ln, line in enumerate(meta_text.split("\n"), start=1):
             key, sep, value = line.partition("=")
             if not sep:
                 raise DataError(f"metadata line {ln} has no '='")
             metadata[key] = value
     tensors: dict[str, np.ndarray] = {}
     while offset < len(blob):
-        name = take(take_u32()).decode("utf-8")
+        name = utf8(take(take_u32()), "tensor name")
         if name in tensors:
             raise DataError(f"duplicate tensor name {name!r}")
         ndim = take_u32()
@@ -79,7 +85,10 @@ def parse_checkpoint(blob: bytes) -> tuple[dict[str, str], dict[str, np.ndarray]
         for dim in shape:
             count *= dim
         payload = take(4 * count)
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        try:
+            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        except ValueError as exc:
+            raise DataError(f"tensor {name!r} has an unusable shape: {exc}") from None
     return metadata, tensors
 
 

@@ -11,14 +11,15 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .encoder import EncoderConfig, Vocab
 from .errors import DataError, InvariantError, UsageError
-from .fusion import FusionConfig, init_model, load_model, model_to_bytes, predict
+from .fusion import FusionConfig, init_model, load_model, model_to_bytes, predict_batch
 from .preprocess import (
     EmojiTable,
     FreqDict,
@@ -237,6 +238,24 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
+def _write_artifact(path: Path, data: bytes | str | Callable[[Path], None]) -> None:
+    """Write an artifact to a temp file beside path, then rename it into
+    place, so a crash mid-write leaves the previous file whole. data is
+    the content (str as UTF-8) or a function that writes a given path."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        if isinstance(data, bytes):
+            tmp.write_bytes(data)
+        elif isinstance(data, str):
+            tmp.write_text(data, encoding="utf-8")
+        else:
+            data(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _label_histogram(posts: Sequence[RawPost]) -> dict[str, int]:
     counts = {tag.value: 0 for tag in LabelTag}
     for post in posts:
@@ -272,7 +291,7 @@ def cmd_preprocess(cfg: RunConfig) -> int:
         train, val = split_dataset(posts, SplitSpec(seed=cfg.seed))
         split_line = f"train={len(train)} val={len(val)}"
         lines.append(f"# split: {split_line}")
-    (out / "features.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_artifact(out / "features.tsv", "\n".join(lines) + "\n")
     print(f"posts: {len(posts)}")
     print(f"labels: {hist_line}")
     if split_line:
@@ -290,8 +309,8 @@ def cmd_tapt(cfg: RunConfig) -> int:
     if not train:
         raise DataError("training split is empty")
     out = _out_dir(cfg)
-    vocab.save(out / "vocab.txt")
-    dump_corpus(corpus, out / "tapt_corpus.txt")
+    _write_artifact(out / "vocab.txt", vocab.save)
+    _write_artifact(out / "tapt_corpus.txt", lambda path: dump_corpus(corpus, path))
     config = _encoder_config(cfg, len(vocab))
     result = run_tapt(
         config,
@@ -312,11 +331,11 @@ def cmd_tapt(cfg: RunConfig) -> int:
             "corpus_lines": str(len(corpus.lines)),
         }
     )
-    (out / "tapt.ckpt").write_bytes(encoder_checkpoint_bytes(result.weights, config, meta))
+    _write_artifact(out / "tapt.ckpt", encoder_checkpoint_bytes(result.weights, config, meta))
     trace = ["epoch,loss"] + [
         f"{i},{loss:.6f}" for i, loss in enumerate(result.epoch_losses, start=1)
     ]
-    (out / "tapt_loss.csv").write_text("\n".join(trace) + "\n", encoding="utf-8")
+    _write_artifact(out / "tapt_loss.csv", "\n".join(trace) + "\n")
     print(f"corpus lines: {len(corpus.lines)}")
     print(f"optimizer steps: {result.steps}")
     print(f"final loss: {result.epoch_losses[-1]:.6f}")
@@ -341,7 +360,7 @@ def cmd_finetune(cfg: RunConfig) -> int:
     freq, table = _load_aux(cfg)
     train, val, _, vocab = _derive_vocab_corpus(cfg, posts, freq)
     out = _out_dir(cfg)
-    vocab.save(out / "vocab.txt")
+    _write_artifact(out / "vocab.txt", vocab.save)
     enc_config = _encoder_config(cfg, len(vocab))
     config = FusionConfig(encoder=enc_config, emoji_dim=table.dim)
     tapt_weights = None
@@ -367,7 +386,7 @@ def cmd_finetune(cfg: RunConfig) -> int:
         init = init_model(config, vocab, task, tapt_weights, base_seed=hp.seed)
         meta = _run_meta(cfg)
         meta["tapt"] = cfg.tapt
-        (out / f"{task}.init.ckpt").write_bytes(model_to_bytes(init, extra=meta))
+        _write_artifact(out / f"{task}.init.ckpt", model_to_bytes(init, extra=meta))
         run = train_binary(
             config,
             vocab,
@@ -377,12 +396,12 @@ def cmd_finetune(cfg: RunConfig) -> int:
             tapt_weights=tapt_weights,
             hp=hp,
         )
-        (out / f"{task}.ckpt").write_bytes(run.best_checkpoint)
+        _write_artifact(out / f"{task}.ckpt", run.best_checkpoint)
         trace = ["epoch,train_loss,val_macro_f1"] + [
             f"{i},{loss:.6f},{f1:.6f}"
             for i, (loss, f1) in enumerate(zip(run.train_loss, run.val_macro_f1), start=1)
         ]
-        (out / f"{task}_trace.csv").write_text("\n".join(trace) + "\n", encoding="utf-8")
+        _write_artifact(out / f"{task}_trace.csv", "\n".join(trace) + "\n")
         print(
             f"{task}: best epoch {run.best_epoch} "
             f"val macro F1 {run.best_val_macro_f1:.4f}"
@@ -405,6 +424,8 @@ def _load_scoring_inputs(cfg: RunConfig):
         if not path.exists():
             raise DataError(f"checkpoint not found at {path}; run finetune first")
         models[task], _ = load_model(path, vocab)
+        if models[task].task != task:
+            raise DataError(f"{path} holds a {models[task].task!r} model, not {task!r}")
     posts = load_dataset(cfg.data)
     emoji_dim = models[ALL_TASKS[-1]].config.emoji_dim
     freq, table = _load_aux(cfg, emoji_dim=emoji_dim)
@@ -424,8 +445,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     except ValueError as exc:
         raise DataError(str(exc)) from None
     table_text = render_table(report)
-    (out / "metrics.txt").write_text(table_text, encoding="utf-8")
-    (out / "metrics.kv").write_text(render_kv(report), encoding="utf-8")
+    _write_artifact(out / "metrics.txt", table_text)
+    _write_artifact(out / "metrics.kv", render_kv(report))
     print(table_text, end="")
     print(f"wrote {out / 'metrics.txt'} and {out / 'metrics.kv'}")
     return 0
@@ -433,20 +454,22 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 def cmd_predict(cfg: RunConfig) -> int:
     out, models, posts, freq, table = _load_scoring_inputs(cfg)
+    bundles = [extract_features(p.text, freq, table) for p in posts]
+    coarse = predict_batch(models["coarse"], bundles)
+    # assemble_labels reads no fine prediction for a non-hostile post.
+    hostile = [b for b, (label, _) in zip(bundles, coarse) if label]
+    fine_preds = {task: iter(predict_batch(models[task], hostile)) for task in FINE_TASKS}
+    order = {name: i for i, name in enumerate(FINE_TASKS)}
     lines = []
-    for post in posts:
-        bundle = extract_features(post.text, freq, table)
-        coarse = predict(models["coarse"], bundle)
-        # assemble_labels reads no fine prediction for a non-hostile post.
-        fine = {task: predict(models[task], bundle) for task in FINE_TASKS} if coarse[0] else {}
-        tags = assemble_labels(coarse, fine)
+    for post, coarse_pred in zip(posts, coarse):
+        fine = {t: next(preds) for t, preds in fine_preds.items()} if coarse_pred[0] else {}
+        tags = assemble_labels(coarse_pred, fine)
         if LabelTag.NON_HOSTILE in tags:
             joined = LabelTag.NON_HOSTILE.value
         else:
-            order = {name: i for i, name in enumerate(FINE_TASKS)}
             joined = "|".join(sorted((t.value for t in tags), key=lambda v: order[v]))
         lines.append(f"{post.id}\t{joined}")
-    (out / "predictions.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_artifact(out / "predictions.tsv", "\n".join(lines) + "\n")
     print(f"predicted {len(lines)} posts")
     print(f"wrote {out / 'predictions.tsv'}")
     return 0

@@ -9,7 +9,7 @@ classified by a small MLP ending in two logits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .preprocess import FeatureBundle
 from .tapt import HASHTAG_INIT_STREAM, TEXT_INIT_STREAM
 
 _HEAD_INIT_STREAM = 2
+# At most this many token rows (sequences x length) per encoder graph when scoring.
+SCORE_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -167,19 +169,12 @@ def encode_post(model: FusionModel, bundle: FeatureBundle) -> EncodedPost:
 
 def _fused_input(
     model: FusionModel,
-    batch: Sequence[EncodedPost],
-    training: bool,
-    rng: np.random.Generator | None,
+    text_pooled: Tensor,
+    hash_pooled: Tensor,
+    emoji_vecs: Sequence[np.ndarray],
 ) -> Tensor:
-    enc_cfg = model.config.encoder
-    text_pooled, _ = encode_batch(
-        model.text_encoder, enc_cfg, [x.text_ids for x in batch], training, rng
-    )
-    hash_pooled, _ = encode_batch(
-        model.hashtag_encoder, enc_cfg, [x.hash_ids for x in batch], training, rng
-    )
     dtype = model.head["fusion.w"].data.dtype
-    emoji = Tensor(np.stack([x.emoji_vec for x in batch]).astype(dtype))
+    emoji = Tensor(np.stack(emoji_vecs).astype(dtype))
     return concat_rows(
         [
             _project(model.head, "text_proj", text_pooled),
@@ -189,11 +184,17 @@ def _fused_input(
     )
 
 
-def fused_vector(model: FusionModel, bundle: FeatureBundle) -> np.ndarray:
-    """The concatenated feature vector fed to the fusion layer (length
-    2*d_model + emoji_dim)."""
-    batch = [encode_post(model, bundle)]
-    return _fused_input(model, batch, training=False, rng=None).data[0].copy()
+def _classify(
+    model: FusionModel, fused_in: Tensor, training: bool, rng: np.random.Generator | None
+) -> Tensor:
+    """Fusion layer and MLP: logits [B, 2]; dropout only when training."""
+    cfg = model.config
+    head = model.head
+    x = add_bias(matmul(fused_in, head["fusion.w"]), head["fusion.b"])
+    for i in range(len(cfg.mlp_hidden)):
+        x = add_bias(matmul(x, head[f"mlp.{i}.w"]), head[f"mlp.{i}.b"])
+        x = dropout(relu(x), cfg.dropout_p, training, rng)
+    return add_bias(matmul(x, head["mlp.out.w"]), head["mlp.out.b"])
 
 
 def forward(
@@ -204,17 +205,15 @@ def forward(
 ) -> Tensor:
     """Logits [B, 2] for a batch of encoded posts, computed as one padded
     graph; dropout only when training."""
-    cfg = model.config
-    head = model.head
-    fused = add_bias(
-        matmul(_fused_input(model, batch, training, rng), head["fusion.w"]),
-        head["fusion.b"],
+    enc_cfg = model.config.encoder
+    text_pooled, _ = encode_batch(
+        model.text_encoder, enc_cfg, [x.text_ids for x in batch], training, rng
     )
-    x = fused
-    for i in range(len(cfg.mlp_hidden)):
-        x = add_bias(matmul(x, head[f"mlp.{i}.w"]), head[f"mlp.{i}.b"])
-        x = dropout(relu(x), cfg.dropout_p, training, rng)
-    return add_bias(matmul(x, head["mlp.out.w"]), head["mlp.out.b"])
+    hash_pooled, _ = encode_batch(
+        model.hashtag_encoder, enc_cfg, [x.hash_ids for x in batch], training, rng
+    )
+    fused_in = _fused_input(model, text_pooled, hash_pooled, [x.emoji_vec for x in batch])
+    return _classify(model, fused_in, training, rng)
 
 
 def prob_of_positive(logits_row: np.ndarray) -> float:
@@ -225,15 +224,70 @@ def prob_of_positive(logits_row: np.ndarray) -> float:
     return float(e[1] / e.sum())
 
 
+def _pooled_rows(
+    weights: EncoderWeights, config: EncoderConfig, seqs: Sequence[list[int]]
+) -> list[np.ndarray]:
+    """The pooled row [1, E] of each id sequence, in input order.
+
+    Each distinct sequence is encoded once. Sequences of one exact length
+    share a graph of at most SCORE_ROWS token rows, so nothing is padded
+    and every row is the one a graph of that sequence alone gives.
+    """
+    by_len: dict[int, dict[tuple[int, ...], None]] = {}
+    for ids in seqs:
+        by_len.setdefault(len(ids), {})[tuple(ids)] = None
+    rows: dict[tuple[int, ...], np.ndarray] = {}
+    for length, distinct in by_len.items():
+        group = list(distinct)
+        step = max(1, SCORE_ROWS // length)
+        for start in range(0, len(group), step):
+            chunk = group[start : start + step]
+            pooled, _ = encode_batch(weights, config, chunk)
+            for j, key in enumerate(chunk):
+                rows[key] = pooled.data[j : j + 1]
+    return [rows[tuple(ids)] for ids in seqs]
+
+
+def _fused_rows(
+    model: FusionModel, posts: Sequence[FeatureBundle | EncodedPost]
+) -> Iterator[Tensor]:
+    """The fusion-layer input [1, fused_dim] of each post, in input order,
+    built as it is consumed; both encoders go through `_pooled_rows`."""
+    encoded = [p if isinstance(p, EncodedPost) else encode_post(model, p) for p in posts]
+    enc_cfg = model.config.encoder
+    text_rows = _pooled_rows(model.text_encoder, enc_cfg, [x.text_ids for x in encoded])
+    hash_rows = _pooled_rows(model.hashtag_encoder, enc_cfg, [x.hash_ids for x in encoded])
+    for post, text_row, hash_row in zip(encoded, text_rows, hash_rows):
+        yield _fused_input(model, Tensor(text_row), Tensor(hash_row), [post.emoji_vec])
+
+
+def fused_vector(model: FusionModel, bundle: FeatureBundle) -> np.ndarray:
+    """The concatenated feature vector fed to the fusion layer (length
+    2*d_model + emoji_dim)."""
+    return next(_fused_rows(model, [bundle])).data[0].copy()
+
+
+def predict_batch(
+    model: FusionModel, posts: Sequence[FeatureBundle | EncodedPost]
+) -> list[tuple[int, float]]:
+    """(label, positive-class probability) per post, in input order; label
+    is 1 iff prob >= 0.5.
+
+    The head runs on each post's row alone: a one-row matmul and a
+    many-row matmul may round differently, and this way each result is
+    exactly that of `forward` on the post alone.
+    """
+    results = []
+    for fused_in in _fused_rows(model, posts):
+        prob = prob_of_positive(_classify(model, fused_in, training=False, rng=None).data[0])
+        results.append((1 if prob >= 0.5 else 0, prob))
+    return results
+
+
 def predict(model: FusionModel, post: FeatureBundle | EncodedPost) -> tuple[int, float]:
-    """(label, positive-class probability); label is 1 iff prob >= 0.5.
-    One post at a time: a padded batch of mixed lengths costs more than
-    it saves at inference."""
-    if not isinstance(post, EncodedPost):
-        post = encode_post(model, post)
-    logits = forward(model, [post], training=False).data[0]
-    prob = prob_of_positive(logits)
-    return (1 if prob >= 0.5 else 0, prob)
+    """(label, positive-class probability) of one post: predict_batch of
+    that post alone."""
+    return predict_batch(model, [post])[0]
 
 
 # ---------------------------------------------------------------------------

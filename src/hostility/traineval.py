@@ -23,7 +23,7 @@ from .fusion import (
     forward,
     init_model,
     model_to_bytes,
-    predict,
+    predict_batch,
 )
 from .numeric import adam_init, cross_entropy, train_step
 from .preprocess import FeatureBundle, LabelTag, RawPost
@@ -214,7 +214,7 @@ def train_binary(
             train_step(params, state, batch_loss, hp.lr)
             loss_total += float(batch_loss.data) * len(chunk)
         run.train_loss.append(loss_total / len(train))
-        val_preds = [predict(model, post)[0] for post in val_encoded]
+        val_preds = [label for label, _ in predict_batch(model, val_encoded)]
         macro = f1_scores(val_preds, val_targets).macro_f1
         run.val_macro_f1.append(macro)
         if macro > best:
@@ -280,8 +280,7 @@ def evaluate_suite(
     """Score all five models over the same posts (each task sees every
     post, with that task's binary targets)."""
     preds = {
-        task: [predict(models[task], bundle)[0] for bundle in bundles]
-        for task in ALL_TASKS
+        task: [label for label, _ in predict_batch(models[task], bundles)] for task in ALL_TASKS
     }
     golds = {task: binary_targets(posts, task) for task in ALL_TASKS}
     return compute_suite_metrics(preds, golds)

@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hostility.checkpoint import checkpoint_bytes, read_checkpoint
-from hostility.cli import main
+from hostility.cli import _write_artifact, main
 from hostility.traineval import ALL_TASKS
 
 
@@ -291,20 +293,47 @@ class TestPredict:
         import hostility.cli
 
         calls = []
-        real_predict = hostility.cli.predict
+        real_predict_batch = hostility.cli.predict_batch
 
-        def recording_predict(model, bundle):
-            result = real_predict(model, bundle)
-            calls.append((model.task, result[0]))
-            return result
+        def recording_predict_batch(model, bundles):
+            results = real_predict_batch(model, bundles)
+            calls.extend((model.task, label) for label, _ in results)
+            return results
 
-        monkeypatch.setattr(hostility.cli, "predict", recording_predict)
+        monkeypatch.setattr(hostility.cli, "predict_batch", recording_predict_batch)
         assert run("predict", *common_args(data_dir, trained_dir)) == 0
         coarse = [label for task, label in calls if task == "coarse"]
         assert len(coarse) == 12
         assert len(calls) == 12 + 4 * sum(coarse)
         lines = (trained_dir / "predictions.tsv").read_text(encoding="utf-8").splitlines()
         assert [line.endswith("\tnon-hostile") for line in lines] == [c == 0 for c in coarse]
+
+    def test_checkpoint_in_wrong_task_slot(self, data_dir, trained_dir, tmp_path, capsys):
+        run_dir = copy_run(trained_dir, tmp_path / "run")
+        meta, tensors = read_checkpoint(run_dir / "coarse.ckpt")
+        assert meta["task"] == "coarse"
+        meta["task"] = "hate"
+        (run_dir / "coarse.ckpt").write_bytes(checkpoint_bytes(meta, tensors))
+        assert run("predict", *common_args(data_dir, run_dir)) == 2
+        assert "holds a 'hate' model, not 'coarse'" in capsys.readouterr().err
+        assert not (run_dir / "predictions.tsv").exists()
+
+    def test_crash_mid_write_keeps_previous_predictions(
+        self, data_dir, trained_dir, tmp_path, monkeypatch
+    ):
+        run_dir = copy_run(trained_dir, tmp_path / "run")
+        (run_dir / "predictions.tsv").write_bytes(b"t1\tfake\n")
+        before = sorted(p.name for p in run_dir.iterdir())
+
+        def half_write_text(self, text, encoding=None):
+            with open(self, "w", encoding=encoding) as fh:
+                fh.write(text[: len(text) // 2])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", half_write_text)
+        assert run("predict", *common_args(data_dir, run_dir)) == 2
+        assert (run_dir / "predictions.tsv").read_bytes() == b"t1\tfake\n"
+        assert sorted(p.name for p in run_dir.iterdir()) == before
 
     def test_works_on_unlabeled_rows(self, data_dir, trained_dir, tmp_path):
         data = tmp_path / "unlabeled.csv"
@@ -315,3 +344,31 @@ class TestPredict:
         line = (trained_dir / "predictions.tsv").read_text(encoding="utf-8").strip()
         pid, tags = line.split("\t")
         assert pid == "u1" and tags
+
+
+class TestWriteArtifact:
+    def test_writes_bytes_text_and_through_a_writer(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        _write_artifact(path, b"\x00\xffckpt")
+        assert path.read_bytes() == b"\x00\xffckpt"
+        _write_artifact(path, "sach\n")
+        assert path.read_bytes() == "sach\n".encode("utf-8")
+        _write_artifact(path, lambda tmp: tmp.write_bytes(b"via writer"))
+        assert path.read_bytes() == b"via writer"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
+
+    def test_write_failing_halfway_leaves_old_file(self, tmp_path):
+        path = tmp_path / "coarse.ckpt"
+        old = checkpoint_bytes({"task": "coarse"}, {"w": np.ones(8, dtype=np.float32)})
+        path.write_bytes(old)
+        new = checkpoint_bytes({"task": "coarse"}, {"w": np.zeros(8, dtype=np.float32)})
+
+        def fail_halfway(tmp):
+            with open(tmp, "wb") as fh:
+                fh.write(new[: len(new) // 2])
+                raise OSError("no space left on device")
+
+        with pytest.raises(OSError, match="no space left"):
+            _write_artifact(path, fail_halfway)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["coarse.ckpt"]

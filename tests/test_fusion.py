@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import hostility.fusion
 from hostility.checkpoint import checkpoint_bytes, parse_checkpoint
-from hostility.encoder import EncoderConfig, Vocab, desk_config, paper_config
+from hostility.encoder import CLS_ID, SEP_ID, EncoderConfig, Vocab, desk_config, paper_config
 from hostility.errors import DataError, ShapeError
 from hostility.fusion import (
     FusionConfig,
@@ -15,6 +16,7 @@ from hostility.fusion import (
     model_from_bytes,
     model_to_bytes,
     predict,
+    predict_batch,
     prob_of_positive,
     text_encoder_init,
 )
@@ -178,6 +180,93 @@ class TestPredict:
         model = init_model(config, vocab, "coarse", base_seed=1)
         label, prob = predict(model, bundle())
         assert label == (1 if prob >= 0.5 else 0)
+
+
+def _mixed_posts():
+    """Posts of many text lengths (some truncated at max_len), duplicates,
+    empty hashtag flows and distinct emoji vectors."""
+    words = "yeh sach hai jhooth khabar nafrat acha din ka saath".split()
+    posts = []
+    for i in range(24):
+        text = " ".join(words[(i + j) % len(words)] for j in range(1 + (i * 7) % 20))
+        flow = "" if i % 3 else " ".join(words[i % 4 : i % 4 + 1 + i % 3])
+        posts.append(bundle(text, flow, fill=0.1 * (i % 4)))
+    posts.insert(5, posts[2])
+    posts.append(posts[0])
+    return posts
+
+
+def _alone(model, post):
+    prob = prob_of_positive(forward(model, [encode_post(model, post)]).data[0])
+    return (1 if prob >= 0.5 else 0, prob)
+
+
+@pytest.fixture
+def encoder_graphs(monkeypatch):
+    """The id sequences of every encode_batch call fusion makes."""
+    graphs = []
+    real_encode_batch = hostility.fusion.encode_batch
+
+    def recording_encode_batch(weights, enc_config, batch, *args):
+        graphs.append([tuple(ids) for ids in batch])
+        return real_encode_batch(weights, enc_config, batch, *args)
+
+    monkeypatch.setattr(hostility.fusion, "encode_batch", recording_encode_batch)
+    return graphs
+
+
+class TestPredictBatch:
+    def test_each_result_equals_the_post_alone(self, config, vocab):
+        posts = _mixed_posts()
+        for seed in range(3):
+            model = init_model(config, vocab, "coarse", base_seed=seed)
+            assert predict_batch(model, posts) == [_alone(model, p) for p in posts]
+
+    def test_input_order(self, config, vocab):
+        model = init_model(config, vocab, "coarse", base_seed=4)
+        posts = _mixed_posts()
+        assert predict_batch(model, posts[::-1]) == predict_batch(model, posts)[::-1]
+
+    def test_encoded_and_raw_posts_agree(self, config, vocab):
+        model = init_model(config, vocab, "coarse", base_seed=4)
+        posts = _mixed_posts()
+        encoded = [encode_post(model, p) for p in posts]
+        assert predict_batch(model, encoded) == predict_batch(model, posts)
+        assert predict(model, posts[3]) == predict_batch(model, posts)[3]
+
+    def test_empty(self, config, vocab):
+        assert predict_batch(init_model(config, vocab, "coarse"), []) == []
+
+    def test_distinct_inputs_in_exact_length_groups(self, config, vocab, encoder_graphs):
+        model = init_model(config, vocab, "coarse", base_seed=1)
+        posts = _mixed_posts()
+        predict_batch(model, posts)
+        encoded = [encode_post(model, p) for p in posts]
+        texts = {tuple(x.text_ids) for x in encoded}
+        hashtags = {tuple(x.hash_ids) for x in encoded}
+        assert len(texts) < len(posts) and len(hashtags) < len(posts)
+        seen = [ids for graph in encoder_graphs for ids in graph]
+        assert sorted(seen) == sorted([*texts, *hashtags])
+        assert [(CLS_ID, SEP_ID)] in encoder_graphs
+        for graph in encoder_graphs:
+            assert len({len(ids) for ids in graph}) == 1
+            assert len(graph) * len(graph[0]) <= hostility.fusion.SCORE_ROWS
+
+    def test_length_group_larger_than_score_rows(
+        self, config, vocab, monkeypatch, encoder_graphs
+    ):
+        model = init_model(config, vocab, "coarse", base_seed=2)
+        words = "yeh sach hai jhooth khabar nafrat acha din ka saath".split()
+        posts = [bundle(" ".join(words[i : i + 4] + words[:i]), "") for i in range(7)]
+        posts = [bundle(f"{w} {v} ka", "sach") for w in words for v in words[:3]] + posts
+        expected = [_alone(model, p) for p in posts]
+        encoder_graphs.clear()
+        monkeypatch.setattr(hostility.fusion, "SCORE_ROWS", 12)
+        assert predict_batch(model, posts) == expected
+        sizes = [(len(graph), len(graph[0])) for graph in encoder_graphs]
+        # 30 distinct texts of five tokens, two to a graph.
+        assert sizes.count((2, 5)) == 15
+        assert all(b * t <= 12 for b, t in sizes)
 
 
 class TestPersistence:

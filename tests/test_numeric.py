@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcheck import gradcheck
@@ -383,6 +383,51 @@ class TestCheckpoint:
         blob = b"TAPTCKPT" + struct.pack("<II", VERSION, 0) + record + record
         with pytest.raises(DataError, match="duplicate tensor name 'w'"):
             parse_checkpoint(blob)
+
+    def test_non_utf8_tensor_name(self):
+        record = struct.pack("<I", 2) + b"\xff\xfe" + struct.pack("<II", 1, 1) + struct.pack("<f", 2.0)
+        blob = b"TAPTCKPT" + struct.pack("<II", VERSION, 0) + record
+        with pytest.raises(DataError, match="tensor name is not valid UTF-8"):
+            parse_checkpoint(blob)
+
+    def test_non_utf8_metadata(self):
+        blob = b"TAPTCKPT" + struct.pack("<II", VERSION, 3) + b"a=\xff"
+        with pytest.raises(DataError, match="metadata is not valid UTF-8"):
+            parse_checkpoint(blob)
+
+    @pytest.mark.parametrize("dims", [(0, 2**32 - 1, 2**32 - 1, 2**32 - 1), (0,) * 70])
+    def test_unusable_shape(self, dims):
+        record = struct.pack("<I", 1) + b"w" + struct.pack(f"<I{len(dims)}I", len(dims), *dims)
+        blob = b"TAPTCKPT" + struct.pack("<II", VERSION, 0) + record
+        with pytest.raises(DataError, match="unusable shape"):
+            parse_checkpoint(blob)
+
+    VALID = checkpoint_bytes(
+        {"kind": "fusion", "task": "hate"},
+        {"a.w": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.array(1.5, dtype=np.float32)},
+    )
+
+    @staticmethod
+    def _parses_or_data_error(blob):
+        try:
+            parse_checkpoint(blob)
+        except DataError:
+            pass
+
+    @settings(max_examples=300, deadline=500)
+    @given(st.binary(max_size=200))
+    def test_fuzz_arbitrary_bytes(self, tail):
+        self._parses_or_data_error(tail)
+        self._parses_or_data_error(b"TAPTCKPT" + struct.pack("<I", VERSION) + tail)
+
+    @settings(max_examples=300, deadline=500)
+    @given(st.data())
+    def test_fuzz_mutated_valid_blob(self, data):
+        blob = bytearray(self.VALID)
+        at = data.draw(st.integers(0, len(blob) - 1))
+        blob[at] = data.draw(st.integers(0, 255))
+        self._parses_or_data_error(bytes(blob))
+        self._parses_or_data_error(self.VALID[:at])
 
     def test_version_1_rejected(self):
         blob = checkpoint_bytes({"kind": "encoder"}, {"w": np.ones(2, dtype=np.float32)})
