@@ -13,11 +13,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .encoder import EncoderConfig, Vocab
+from .encoder import EncoderConfig, Vocab, desk_config, paper_config
 from .errors import DataError, InvariantError, UsageError
 from .fusion import FusionConfig, init_model, load_model, model_to_bytes, predict_batch
 from .preprocess import (
@@ -53,75 +52,14 @@ from .traineval import (
     train_binary,
 )
 
+# Optimizer settings per profile, used where no flag or config key sets
+# them; the encoder sizes come from `desk_config` and `paper_config`.
 PROFILES = {
-    "desk": {
-        "d_model": 64,
-        "n_layers": 2,
-        "n_heads": 4,
-        "d_ff": 256,
-        "lr": 1e-3,
-        "tapt_lr": 1e-4,
-        "batch_size": 8,
-    },
-    "paper": {
-        "d_model": 768,
-        "n_layers": 12,
-        "n_heads": 12,
-        "d_ff": 3072,
-        "lr": 1e-5,
-        "tapt_lr": 1e-4,
-        "batch_size": 16,
-    },
+    "desk": {"lr": 1e-3, "tapt_lr": 1e-4, "batch_size": 8},
+    "paper": {"lr": 1e-5, "tapt_lr": 1e-4, "batch_size": 16},
 }
 
 COMMANDS = ("preprocess", "tapt", "finetune", "evaluate", "predict")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    profile: str = "desk"
-    seed: int = 0
-    data: str | None = None
-    emoji: str | None = None
-    dict: str | None = None
-    out: str | None = None
-    epochs: int = 10
-    lr: float | None = None
-    batch_size: int | None = None
-    max_len: int = 128
-    tapt: str = "off"
-    tapt_epochs: int = 100
-    tapt_lr: float | None = None
-    tapt_corpus: str = "train"
-    no_clean_dup: bool = False
-    fine_scope: str = "all"
-    split: str = "all"
-
-    def resolved_lr(self) -> float:
-        return self.lr if self.lr is not None else PROFILES[self.profile]["lr"]
-
-    def resolved_tapt_lr(self) -> float:
-        return self.tapt_lr if self.tapt_lr is not None else PROFILES[self.profile]["tapt_lr"]
-
-    def resolved_batch_size(self) -> int:
-        return (
-            self.batch_size
-            if self.batch_size is not None
-            else PROFILES[self.profile]["batch_size"]
-        )
-
-
-_INT_KEYS = {"seed", "epochs", "batch_size", "max_len", "tapt_epochs"}
-_FLOAT_KEYS = {"lr", "tapt_lr"}
-_BOOL_KEYS = {"no_clean_dup"}
-_CHOICE_KEYS = {
-    "profile": set(PROFILES),
-    "tapt": {"on", "off"},
-    "tapt_corpus": {"train", "all"},
-    "fine_scope": {"all", "hostile"},
-    "split": {"all", "train", "val"},
-}
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -141,34 +79,34 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _coerce(key: str, raw: str):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-    except ValueError:
-        raise UsageError(f"config key {key!r} has invalid value {raw!r}") from None
-    return raw
+def _config_tokens(path: str, args: argparse.Namespace) -> list[str]:
+    """The config file as flag tokens. A key is a flag's destination name,
+    which argparse derives from `--flag-name` as `flag_name`. A value
+    becomes `--flag-name=value`, so it parses as the flag's would; a
+    switch's true or false spelling becomes the bare flag or nothing."""
+    known = set(vars(args)) - {"command", "config"}
+    tokens = []
+    for key, raw in _parse_config_file(path).items():
+        if key not in known:
+            raise UsageError(f"unknown config key {key!r}")
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(getattr(args, key), bool):
+            tokens.append(f"{flag}={raw}")
+        elif raw.lower() in ("true", "1", "yes"):
+            tokens.append(flag)
+        elif raw.lower() not in ("false", "0", "no"):
+            raise UsageError(f"config key {key!r} has invalid value {raw!r}")
+    return tokens
 
 
-def _validate(cfg: RunConfig) -> None:
-    for key, allowed in _CHOICE_KEYS.items():
-        if getattr(cfg, key) not in allowed:
-            raise UsageError(f"{key} must be one of {sorted(allowed)}")
+def _validate(cfg: argparse.Namespace) -> None:
     if cfg.seed < 0:
         raise UsageError("seed must be >= 0")
     if cfg.epochs < 1 or cfg.tapt_epochs < 1:
         raise UsageError("epochs must be >= 1")
-    if cfg.resolved_lr() <= 0 or cfg.resolved_tapt_lr() <= 0:
+    if cfg.lr <= 0 or cfg.tapt_lr <= 0:
         raise UsageError("learning rate must be > 0")
-    if cfg.resolved_batch_size() < 1:
+    if cfg.batch_size < 1:
         raise UsageError("batch size must be >= 1")
     if cfg.max_len < 4:
         raise UsageError("max_len must be >= 4")
@@ -178,18 +116,19 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("--out is required")
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    file_values = _parse_config_file(args.config) if args.config else {}
-    known = {f.name for f in fields(RunConfig)} - {"command"}
-    for key, raw in file_values.items():
-        if key not in known:
-            raise UsageError(f"unknown config key {key!r}")
-        cfg = replace(cfg, **{key: _coerce(key, raw)})
-    for key in known:
-        value = getattr(args, key, None)
-        if value is not None and value is not False:
-            cfg = replace(cfg, **{key: value})
+def resolve_config(argv: Sequence[str] | None) -> argparse.Namespace:
+    """Parse argv, with the config file's tokens (if --config names one)
+    placed before the command-line flags so that flags win; then fill the
+    unset optimizer settings from the profile and validate."""
+    parser = build_parser()
+    cfg = parser.parse_args(argv)
+    if cfg.config:
+        argv = list(sys.argv[1:] if argv is None else argv)
+        at = argv.index(cfg.command) + 1
+        cfg = parser.parse_args(argv[:at] + _config_tokens(cfg.config, cfg) + argv[at:])
+    for key, value in PROFILES[cfg.profile].items():
+        if getattr(cfg, key) is None:
+            setattr(cfg, key, value)
     _validate(cfg)
     return cfg
 
@@ -199,13 +138,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _load_aux(cfg: RunConfig, emoji_dim: int = 300) -> tuple[FreqDict, EmojiTable]:
+def _load_aux(cfg: argparse.Namespace, emoji_dim: int = 300) -> tuple[FreqDict, EmojiTable]:
     freq = load_freq_dict(cfg.dict) if cfg.dict else FreqDict.empty()
     table = load_emoji_table(cfg.emoji) if cfg.emoji else EmojiTable(dim=emoji_dim, entries={})
     return freq, table
 
 
-def _derive_vocab_corpus(cfg: RunConfig, posts, freq):
+def _derive_vocab_corpus(cfg: argparse.Namespace, posts, freq):
     """Split, build the adaptation corpus, and derive the shared vocab.
 
     The vocab covers raw text, cleaned text, and hashtag flows of the
@@ -220,19 +159,12 @@ def _derive_vocab_corpus(cfg: RunConfig, posts, freq):
     return train, val, corpus, vocab
 
 
-def _encoder_config(cfg: RunConfig, vocab_size: int) -> EncoderConfig:
-    prof = PROFILES[cfg.profile]
-    return EncoderConfig(
-        vocab_size=vocab_size,
-        d_model=prof["d_model"],
-        n_layers=prof["n_layers"],
-        n_heads=prof["n_heads"],
-        d_ff=prof["d_ff"],
-        max_len=cfg.max_len,
-    )
+def _encoder_config(cfg: argparse.Namespace, vocab_size: int) -> EncoderConfig:
+    make = desk_config if cfg.profile == "desk" else paper_config
+    return make(vocab_size, max_len=cfg.max_len)
 
 
-def _out_dir(cfg: RunConfig) -> Path:
+def _out_dir(cfg: argparse.Namespace) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -264,7 +196,7 @@ def _label_histogram(posts: Sequence[RawPost]) -> dict[str, int]:
     return counts
 
 
-def _run_meta(cfg: RunConfig) -> dict[str, str]:
+def _run_meta(cfg: argparse.Namespace) -> dict[str, str]:
     return {"seed": str(cfg.seed), "profile": cfg.profile}
 
 
@@ -273,7 +205,7 @@ def _run_meta(cfg: RunConfig) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_preprocess(cfg: RunConfig) -> int:
+def cmd_preprocess(cfg: argparse.Namespace) -> int:
     posts = load_dataset(cfg.data)
     freq, table = _load_aux(cfg)
     out = _out_dir(cfg)
@@ -300,7 +232,7 @@ def cmd_preprocess(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_tapt(cfg: RunConfig) -> int:
+def cmd_tapt(cfg: argparse.Namespace) -> int:
     posts = load_dataset(cfg.data)
     if not posts:
         raise DataError("dataset is empty")
@@ -317,8 +249,8 @@ def cmd_tapt(cfg: RunConfig) -> int:
         vocab,
         corpus,
         epochs=cfg.tapt_epochs,
-        lr=cfg.resolved_tapt_lr(),
-        batch_size=cfg.resolved_batch_size(),
+        lr=cfg.tapt_lr,
+        batch_size=cfg.batch_size,
         seed=cfg.seed,
     )
     meta = _run_meta(cfg)
@@ -327,7 +259,7 @@ def cmd_tapt(cfg: RunConfig) -> int:
             "role": "tapt",
             "vocab_sha256": vocab.sha256(),
             "tapt_epochs": str(cfg.tapt_epochs),
-            "tapt_lr": repr(cfg.resolved_tapt_lr()),
+            "tapt_lr": repr(cfg.tapt_lr),
             "corpus_lines": str(len(corpus.lines)),
         }
     )
@@ -343,7 +275,7 @@ def cmd_tapt(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_tapt_weights(cfg: RunConfig, out: Path, vocab: Vocab, config: EncoderConfig):
+def _load_tapt_weights(cfg: argparse.Namespace, out: Path, vocab: Vocab, config: EncoderConfig):
     path = out / "tapt.ckpt"
     if not path.exists():
         raise DataError(f"TAPT checkpoint not found at {path}; run the tapt command first")
@@ -355,7 +287,7 @@ def _load_tapt_weights(cfg: RunConfig, out: Path, vocab: Vocab, config: EncoderC
     return weights
 
 
-def cmd_finetune(cfg: RunConfig) -> int:
+def cmd_finetune(cfg: argparse.Namespace) -> int:
     posts = load_dataset(cfg.data)
     freq, table = _load_aux(cfg)
     train, val, _, vocab = _derive_vocab_corpus(cfg, posts, freq)
@@ -379,8 +311,8 @@ def cmd_finetune(cfg: RunConfig) -> int:
             train_examples = [train_examples[i] for i in hostile]
         hp = Hyperparams(
             epochs=cfg.epochs,
-            lr=cfg.resolved_lr(),
-            batch_size=cfg.resolved_batch_size(),
+            lr=cfg.lr,
+            batch_size=cfg.batch_size,
             seed=cfg.seed + index,
         )
         init = init_model(config, vocab, task, tapt_weights, base_seed=hp.seed)
@@ -410,7 +342,7 @@ def cmd_finetune(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_scoring_inputs(cfg: RunConfig):
+def _load_scoring_inputs(cfg: argparse.Namespace):
     """What evaluate and predict read: the five task models, the posts,
     and the frequency dictionary and emoji table the models expect."""
     out = _out_dir(cfg)
@@ -434,7 +366,7 @@ def _load_scoring_inputs(cfg: RunConfig):
     return out, models, posts, freq, table
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
+def cmd_evaluate(cfg: argparse.Namespace) -> int:
     out, models, posts, freq, table = _load_scoring_inputs(cfg)
     if cfg.split != "all":
         train, val = split_dataset(posts, SplitSpec(seed=cfg.seed))
@@ -452,7 +384,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_predict(cfg: RunConfig) -> int:
+def cmd_predict(cfg: argparse.Namespace) -> int:
     out, models, posts, freq, table = _load_scoring_inputs(cfg)
     bundles = [extract_features(p.text, freq, table) for p in posts]
     coarse = predict_batch(models["coarse"], bundles)
@@ -491,23 +423,23 @@ def build_parser() -> argparse.ArgumentParser:
     for command in COMMANDS:
         p = sub.add_parser(command)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--profile", choices=sorted(PROFILES))
-        p.add_argument("--seed", type=int)
+        p.add_argument("--profile", choices=sorted(PROFILES), default="desk")
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--data", help="dataset file (id,text,labels)")
         p.add_argument("--emoji", help="emoji embedding file")
         p.add_argument("--dict", help="word frequency file for hashtag segmentation")
         p.add_argument("--out", help="artifact directory")
-        p.add_argument("--epochs", type=int)
+        p.add_argument("--epochs", type=int, default=10)
         p.add_argument("--lr", type=float)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--max-len", dest="max_len", type=int)
-        p.add_argument("--tapt", choices=("on", "off"))
-        p.add_argument("--tapt-epochs", dest="tapt_epochs", type=int)
-        p.add_argument("--tapt-lr", dest="tapt_lr", type=float)
-        p.add_argument("--tapt-corpus", dest="tapt_corpus", choices=("train", "all"))
-        p.add_argument("--no-clean-dup", dest="no_clean_dup", action="store_true", default=None)
-        p.add_argument("--fine-scope", dest="fine_scope", choices=("all", "hostile"))
-        p.add_argument("--split", choices=("all", "train", "val"))
+        p.add_argument("--batch-size", type=int)
+        p.add_argument("--max-len", type=int, default=128)
+        p.add_argument("--tapt", choices=("on", "off"), default="off")
+        p.add_argument("--tapt-epochs", type=int, default=100)
+        p.add_argument("--tapt-lr", type=float)
+        p.add_argument("--tapt-corpus", choices=("train", "all"), default="train")
+        p.add_argument("--no-clean-dup", action="store_true")
+        p.add_argument("--fine-scope", choices=("all", "hostile"), default="all")
+        p.add_argument("--split", choices=("all", "train", "val"), default="all")
     return parser
 
 
@@ -522,8 +454,7 @@ _DISPATCH = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        cfg = resolve_config(args)
+        cfg = resolve_config(argv)
         return _DISPATCH[cfg.command](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -151,6 +151,25 @@ def init_array(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> n
     return rng.uniform(-0.05, 0.05, size=shape).astype(np.float32)
 
 
+def params_from_arrays(
+    table: Mapping[str, tuple[int, ...]], arrays: Mapping[str, np.ndarray], what: str
+) -> dict[str, Tensor]:
+    """Trainable float32 copies of arrays, in the order of table, whose
+    names and shapes must be exactly the table's; what names the tensor
+    set in the error."""
+    if set(arrays) != set(table):
+        missing = sorted(set(table) - set(arrays))
+        extra = sorted(set(arrays) - set(table))
+        raise ShapeError(f"{what} tensors mismatch: missing {missing}, extra {extra}")
+    params = {}
+    for name, shape in table.items():
+        arr = arrays[name]
+        if tuple(arr.shape) != shape:
+            raise ShapeError(f"{name}: shape {tuple(arr.shape)} != expected {shape}")
+        params[name] = Tensor(np.array(arr, dtype=np.float32), requires_grad=True)
+    return params
+
+
 class EncoderWeights:
     """Named parameter tensors of one encoder body, in a fixed order."""
 
@@ -192,18 +211,7 @@ class EncoderWeights:
 
     @classmethod
     def from_arrays(cls, config: EncoderConfig, arrays: Mapping[str, np.ndarray]) -> "EncoderWeights":
-        table = cls.shape_table(config)
-        if set(arrays) != set(table):
-            missing = sorted(set(table) - set(arrays))
-            extra = sorted(set(arrays) - set(table))
-            raise ShapeError(f"encoder tensors mismatch: missing {missing}, extra {extra}")
-        params = {}
-        for name, shape in table.items():
-            arr = arrays[name]
-            if tuple(arr.shape) != shape:
-                raise ShapeError(f"{name}: shape {tuple(arr.shape)} != expected {shape}")
-            params[name] = Tensor(np.array(arr, dtype=np.float32), requires_grad=True)
-        return cls(params)
+        return cls(params_from_arrays(cls.shape_table(config), arrays, "encoder"))
 
     def copy(self) -> "EncoderWeights":
         return EncoderWeights(

@@ -23,6 +23,7 @@ from .encoder import (
     encode_batch,
     encode_ids,
     init_array,
+    params_from_arrays,
 )
 from .errors import DataError, ShapeError
 from .numeric import Tensor, add_bias, concat_rows, dropout, matmul, relu
@@ -120,12 +121,7 @@ def init_model(
     if enc_cfg.vocab_size != len(vocab):
         raise ShapeError(f"config vocab_size {enc_cfg.vocab_size} != vocab size {len(vocab)}")
     if tapt_weights is not None:
-        expected = EncoderWeights.shape_table(enc_cfg)
-        for name, shape in expected.items():
-            got = tapt_weights.params.get(name)
-            if got is None or tuple(got.data.shape) != shape:
-                raise ShapeError(f"adapted weights do not match encoder config at {name}")
-        text_encoder = tapt_weights.copy()
+        text_encoder = EncoderWeights.from_arrays(enc_cfg, tapt_weights.arrays())
     else:
         text_encoder = text_encoder_init(enc_cfg, base_seed)
     hashtag_encoder = hashtag_encoder_init(enc_cfg, base_seed)
@@ -345,15 +341,7 @@ def _model_from_parsed(
             head_arrays[name] = arr
     text_encoder = EncoderWeights.from_arrays(enc_cfg, text_arrays)
     hashtag_encoder = EncoderWeights.from_arrays(enc_cfg, hash_arrays)
-    expected = head_shape_table(config)
-    if set(head_arrays) != set(expected):
-        raise ShapeError("fusion head tensors do not match the configuration")
-    head = {}
-    for name, shape in expected.items():
-        arr = head_arrays[name]
-        if tuple(arr.shape) != shape:
-            raise ShapeError(f"{name}: shape {tuple(arr.shape)} != expected {shape}")
-        head[name] = Tensor(np.array(arr, dtype=np.float32), requires_grad=True)
+    head = params_from_arrays(head_shape_table(config), head_arrays, "fusion head")
     task = metadata.get("task", "")
     model = FusionModel(config, vocab, task, text_encoder, hashtag_encoder, head)
     return model, metadata

@@ -393,9 +393,12 @@ def load_emoji_table(path) -> EmojiTable:
         if len(fields) != dim + 1:
             raise DataError(f"{path}: line {ln}: expected {dim} floats, got {len(fields) - 1}")
         try:
-            vec = np.array([float(x) for x in fields[1:]], dtype=np.float32)
+            with np.errstate(over="ignore"):
+                vec = np.array([float(x) for x in fields[1:]], dtype=np.float32)
         except ValueError:
             raise DataError(f"{path}: line {ln}: malformed float") from None
+        if not np.isfinite(vec).all():
+            raise DataError(f"{path}: line {ln}: value not finite in float32")
         entries[fields[0]] = vec
     if len(entries) != count:
         raise DataError(f"{path}: header declares {count} entries, found {len(entries)}")
@@ -446,18 +449,16 @@ def load_dataset(path) -> list[RawPost]:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            if header != ["id", "text", "labels"]:
+                raise DataError("header must be id,text,labels")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise DataError(f"expected 3 fields, got {len(row)}")
+                posts.append(RawPost(id=row[0], text=row[1], labels=parse_labels(row[2])))
         except StopIteration:
             raise DataError(f"{path}: empty dataset file") from None
-        if header != ["id", "text", "labels"]:
-            raise DataError(f"{path}: line 1: header must be id,text,labels")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}: line {reader.line_num}: expected 3 fields, got {len(row)}")
-            try:
-                labels = parse_labels(row[2])
-            except DataError as exc:
-                raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-            posts.append(RawPost(id=row[0], text=row[1], labels=labels))
+        except (DataError, csv.Error) as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     return posts

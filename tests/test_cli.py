@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hostility.checkpoint import checkpoint_bytes, read_checkpoint
-from hostility.cli import _write_artifact, main
+from hostility.cli import _encoder_config, _write_artifact, main, resolve_config
+from hostility.encoder import desk_config, paper_config
 from hostility.traineval import ALL_TASKS
 
 
@@ -81,6 +82,12 @@ class TestPreprocess:
         assert run("preprocess", "--data", data, "--out", tmp_path) == 2
         assert "line 2: unknown label" in capsys.readouterr().err
 
+    def test_field_over_csv_limit_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "long.csv"
+        data.write_text(f'id,text,labels\nx,"{"w" * 200_000}",\n', encoding="utf-8")
+        assert run("preprocess", "--data", data, "--out", tmp_path / "out") == 2
+        assert "line 2: field larger than field limit" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_missing_data_flag(self, tmp_path):
@@ -124,6 +131,79 @@ class TestUsageErrors:
 
         monkeypatch.setitem(cli._DISPATCH, "preprocess", boom)
         assert run("preprocess", *common_args(data_dir, tmp_path)) == 3
+
+
+def write_config(tmp_path, *lines):
+    path = tmp_path / "run.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def resolve_with(config, *flags):
+    return resolve_config(["tapt", "--config", str(config), *flags])
+
+
+class TestConfigFile:
+    def test_seed_lands_in_checkpoint_and_flag_wins(self, data_dir, tmp_path):
+        config = write_config(tmp_path, "seed=42", "tapt_epochs=1")
+        args = common_args(data_dir, tmp_path / "out")
+        del args[args.index("--seed") : args.index("--seed") + 2]
+        assert run("tapt", "--config", config, *args) == 0
+        meta, _ = read_checkpoint(tmp_path / "out" / "tapt.ckpt")
+        assert meta["seed"] == "42" and meta["tapt_epochs"] == "1"
+        assert run("tapt", "--config", config, *args, "--seed", "7") == 0
+        meta, _ = read_checkpoint(tmp_path / "out" / "tapt.ckpt")
+        assert meta["seed"] == "7"
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("true", True), ("1", True), ("yes", True), ("YES", True),
+         ("false", False), ("0", False), ("no", False), ("No", False)],
+    )
+    def test_switch_spellings(self, tmp_path, value, expected):
+        config = write_config(tmp_path, "data=d.csv", "out=o", f"no_clean_dup={value}")
+        assert resolve_with(config).no_clean_dup is expected
+        assert resolve_with(config, "--no-clean-dup").no_clean_dup is True
+
+    @pytest.mark.parametrize("value", ["maybe", ""])
+    def test_switch_bad_value(self, tmp_path, value):
+        config = write_config(tmp_path, "data=d.csv", "out=o", f"no_clean_dup={value}")
+        assert run("tapt", "--config", config) == 1
+
+    @pytest.mark.parametrize("key", ["config", "command", "help", "max-len"])
+    def test_keys_that_are_not_destinations(self, tmp_path, key):
+        config = write_config(tmp_path, "data=d.csv", "out=o", f"{key}=1")
+        assert run("tapt", "--config", config) == 1
+
+    def test_value_starting_with_dash(self, tmp_path):
+        config = write_config(tmp_path, "data=-d.csv", "out=-x")
+        cfg = resolve_with(config)
+        assert (cfg.data, cfg.out) == ("-d.csv", "-x")
+
+    @pytest.mark.parametrize("flags", [(), ("--profile", "desk")])
+    def test_value_outside_choices(self, tmp_path, flags):
+        config = write_config(tmp_path, "data=d.csv", "out=o", "profile=bogus")
+        assert run("tapt", "--config", config, *flags) == 1
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("profile", "paper"), ("seed", "5"), ("epochs", "3"), ("lr", "0.5"),
+         ("batch_size", "2"), ("max_len", "16"), ("tapt", "on"), ("tapt_epochs", "4"),
+         ("tapt_lr", "0.25"), ("tapt_corpus", "all"), ("fine_scope", "hostile"),
+         ("split", "val"), ("emoji", "e.txt"), ("dict", "f.tsv")],
+    )
+    def test_key_resolves_as_its_flag(self, tmp_path, key, value):
+        config = write_config(tmp_path, "data=d.csv", "out=o", f"{key}={value}")
+        by_file = resolve_with(config)
+        by_flag = resolve_with(config, f"--{key.replace('_', '-')}", value)
+        default = resolve_config(["tapt", "--data", "d.csv", "--out", "o"])
+        assert vars(by_file) == vars(by_flag)
+        assert getattr(by_file, key) != getattr(default, key)
+
+    @pytest.mark.parametrize("profile, make", [("desk", desk_config), ("paper", paper_config)])
+    def test_profile_sizes_are_the_encoder_configs(self, tmp_path, profile, make):
+        config = write_config(tmp_path, "data=d.csv", "out=o", f"profile={profile}", "max_len=40")
+        assert _encoder_config(resolve_with(config), 57) == make(57, max_len=40)
 
 
 class TestTapt:
@@ -172,6 +252,19 @@ class TestFinetune:
             trace = (out / f"{task}_trace.csv").read_text(encoding="utf-8").splitlines()
             assert trace[0] == "epoch,train_loss,val_macro_f1"
             assert len(trace) == 1 + 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e39"])
+    def test_non_finite_emoji_table_is_data_error(self, data_dir, tmp_path, capsys, value):
+        lines = (data_dir / "emoji_300d.txt").read_text(encoding="utf-8").splitlines()
+        fields = lines[1].split(" ")
+        fields[5] = value
+        lines[1] = " ".join(fields)
+        emoji = tmp_path / "emoji.txt"
+        emoji.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        args = common_args(data_dir, tmp_path / "out")
+        args[args.index("--emoji") + 1] = str(emoji)
+        assert run("finetune", *args, "--epochs", "1") == 2
+        assert "line 2: value not finite" in capsys.readouterr().err
 
     def test_missing_tapt_checkpoint(self, data_dir, tmp_path):
         out = tmp_path / "out"

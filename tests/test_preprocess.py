@@ -321,6 +321,14 @@ class TestLoaders:
         with pytest.raises(DataError, match="declares 2"):
             load_emoji_table(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e39"])
+    def test_emoji_table_non_finite_value(self, tmp_path, value):
+        # 1e39 parses as a float but overflows to inf in float32.
+        path = tmp_path / "emoji.txt"
+        path.write_text(f"2 3\n\U0001F602 1.0 2.0 3.0\n\U0001F621 -1.0 {value} 0\n", encoding="utf-8")
+        with pytest.raises(DataError, match="line 3: .*not finite"):
+            load_emoji_table(path)
+
     def test_freq_dict(self, tmp_path):
         path = tmp_path / "freq.tsv"
         path.write_text("sach\t50\nka\t10\n", encoding="utf-8")
@@ -368,6 +376,12 @@ class TestDataset:
         path = tmp_path / "bad.csv"
         path.write_text("id,text,labels\nx,y,non-hostile|hate\n", encoding="utf-8")
         with pytest.raises(DataError, match="non-hostile"):
+            load_dataset(path)
+
+    def test_field_over_csv_limit(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text(f'id,text,labels\nx,y,\nz,"{"w" * 200_000}",\n', encoding="utf-8")
+        with pytest.raises(DataError, match="line 3: field larger than field limit"):
             load_dataset(path)
 
     def test_unlabeled_rows_allowed(self, tmp_path):
