@@ -43,20 +43,25 @@ def checkpoint_bytes(metadata: Mapping[str, str], tensors: Mapping[str, np.ndarr
 
 
 def parse_checkpoint(blob: bytes) -> tuple[dict[str, str], dict[str, np.ndarray]]:
-    def take(n: int) -> bytes:
+    """Metadata and tensors of a checkpoint blob. Each tensor is a
+    read-only little-endian float32 view into blob, not a copy; callers
+    that train or keep the values copy them (`params_from_arrays`)."""
+    view = memoryview(blob)
+
+    def take(n: int) -> memoryview:
         nonlocal offset
         if offset + n > len(blob):
             raise DataError("truncated checkpoint")
-        chunk = blob[offset : offset + n]
+        chunk = view[offset : offset + n]
         offset += n
         return chunk
 
     def take_u32() -> int:
         return struct.unpack("<I", take(4))[0]
 
-    def utf8(chunk: bytes, what: str) -> str:
+    def utf8(chunk: memoryview, what: str) -> str:
         try:
-            return chunk.decode("utf-8")
+            return str(chunk, "utf-8")
         except UnicodeDecodeError:
             raise DataError(f"checkpoint {what} is not valid UTF-8") from None
 
@@ -86,7 +91,7 @@ def parse_checkpoint(blob: bytes) -> tuple[dict[str, str], dict[str, np.ndarray]
             count *= dim
         payload = take(4 * count)
         try:
-            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape)
         except ValueError as exc:
             raise DataError(f"tensor {name!r} has an unusable shape: {exc}") from None
     return metadata, tensors

@@ -11,6 +11,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -66,7 +67,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -104,8 +105,8 @@ def _validate(cfg: argparse.Namespace) -> None:
         raise UsageError("seed must be >= 0")
     if cfg.epochs < 1 or cfg.tapt_epochs < 1:
         raise UsageError("epochs must be >= 1")
-    if cfg.lr <= 0 or cfg.tapt_lr <= 0:
-        raise UsageError("learning rate must be > 0")
+    if not all(math.isfinite(lr) and lr > 0 for lr in (cfg.lr, cfg.tapt_lr)):
+        raise UsageError("learning rate must be finite and > 0")
     if cfg.batch_size < 1:
         raise UsageError("batch size must be >= 1")
     if cfg.max_len < 4:

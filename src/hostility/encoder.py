@@ -140,15 +140,28 @@ def config_from_meta(meta: Mapping[str, str]) -> EncoderConfig:
     return EncoderConfig(**kwargs)
 
 
+# Values drawn per rng.uniform call when initialising a weight tensor.
+INIT_BLOCK = 65536
+
+
 def init_array(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Uniform(-0.05, 0.05) for weights and embeddings; layer-norm gains
-    start at 1 and every bias at 0."""
+    start at 1 and every bias at 0.
+
+    Weights are drawn INIT_BLOCK values at a time into the float32
+    result, so no float64 temporary is as large as the tensor. The draws
+    and the values are those of one rng.uniform(..., size=shape) call."""
     leaf = name.rsplit(".", 1)[-1]
     if leaf == "gain":
         return np.ones(shape, dtype=np.float32)
     if leaf.startswith("b"):
         return np.zeros(shape, dtype=np.float32)
-    return rng.uniform(-0.05, 0.05, size=shape).astype(np.float32)
+    out = np.empty(shape, dtype=np.float32)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, INIT_BLOCK):
+        block = flat[start : start + INIT_BLOCK]
+        block[...] = rng.uniform(-0.05, 0.05, size=block.size)
+    return out
 
 
 def params_from_arrays(

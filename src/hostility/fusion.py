@@ -257,10 +257,29 @@ def _fused_rows(
         yield _fused_input(model, Tensor(text_row), Tensor(hash_row), [post.emoji_vec])
 
 
+def _scoring_view(model: FusionModel) -> FusionModel:
+    """The model over new Tensors that wrap its own parameter arrays, with
+    no copy and requires_grad off. Ops on them record no tape, so each
+    intermediate is freed as soon as the next op is done with it, and
+    the model's own parameters are left as they were."""
+
+    def frozen(params: Mapping[str, Tensor]) -> dict[str, Tensor]:
+        return {name: Tensor(p.data) for name, p in params.items()}
+
+    return FusionModel(
+        model.config,
+        model.vocab,
+        model.task,
+        EncoderWeights(frozen(model.text_encoder.params)),
+        EncoderWeights(frozen(model.hashtag_encoder.params)),
+        frozen(model.head),
+    )
+
+
 def fused_vector(model: FusionModel, bundle: FeatureBundle) -> np.ndarray:
     """The concatenated feature vector fed to the fusion layer (length
     2*d_model + emoji_dim)."""
-    return next(_fused_rows(model, [bundle])).data[0].copy()
+    return next(_fused_rows(_scoring_view(model), [bundle])).data[0].copy()
 
 
 def predict_batch(
@@ -273,9 +292,10 @@ def predict_batch(
     many-row matmul may round differently, and this way each result is
     exactly that of `forward` on the post alone.
     """
+    view = _scoring_view(model)
     results = []
-    for fused_in in _fused_rows(model, posts):
-        prob = prob_of_positive(_classify(model, fused_in, training=False, rng=None).data[0])
+    for fused_in in _fused_rows(view, posts):
+        prob = prob_of_positive(_classify(view, fused_in, training=False, rng=None).data[0])
         results.append((1 if prob >= 0.5 else 0, prob))
     return results
 

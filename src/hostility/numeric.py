@@ -168,12 +168,13 @@ def scale(x: Tensor, factor: float) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
+    """max(x, 0); NaN propagates. The gradient mask is built only when
+    backward reaches the op."""
 
     def bp(g):
-        _accum(x, g * mask)
+        _accum(x, g * (x.data > 0))
 
-    return _result(np.where(mask, x.data, 0), (x,), bp)
+    return _result(np.maximum(x.data, 0), (x,), bp)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -297,9 +298,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"layer_norm affine mismatch: x {x.data.shape}, "
             f"gain {gain.data.shape}, bias {bias.data.shape}"
         )
-    mu = x.data.mean(axis=1, keepdims=True)
-    sd = np.sqrt(x.data.var(axis=1, keepdims=True) + x.data.dtype.type(eps))
-    yhat = (x.data - mu) / sd
+    # The same sums and divisions as x.mean() and x.var(), with the mean
+    # and the centred rows computed once.
+    centred = x.data - x.data.mean(axis=1, keepdims=True)
+    var = (centred * centred).sum(axis=1, keepdims=True) / n
+    sd = np.sqrt(var + x.data.dtype.type(eps))
+    yhat = centred / sd
 
     def bp(g):
         gdy = g * gain.data

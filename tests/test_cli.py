@@ -89,6 +89,15 @@ class TestPreprocess:
         assert "line 2: field larger than field limit" in capsys.readouterr().err
 
 
+NON_FINITE = ["nan", "NaN", "-nan", "inf", "-inf", "Infinity"]
+
+
+def config_lines(data_dir, out):
+    """common_args as config-file lines."""
+    args = common_args(data_dir, out)
+    return [f"{flag[2:].replace('-', '_')}={value}" for flag, value in zip(args[::2], args[1::2])]
+
+
 class TestUsageErrors:
     def test_missing_data_flag(self, tmp_path):
         assert run("preprocess", "--out", tmp_path) == 1
@@ -121,6 +130,28 @@ class TestUsageErrors:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus=1\n", encoding="utf-8")
         assert run("preprocess", "--config", cfg) == 1
+
+    @pytest.mark.parametrize("flag", ["--lr", "--tapt-lr"])
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_rate_flag(self, data_dir, tmp_path, capsys, flag, value):
+        args = common_args(data_dir, tmp_path / "out")
+        assert run("finetune", *args, "--epochs", "1", f"{flag}={value}") == 1
+        assert "learning rate must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["lr", "tapt_lr"])
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_rate_config_key(self, data_dir, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, *config_lines(data_dir, tmp_path / "out"), f"{key}={value}")
+        assert run("finetune", "--config", cfg, "--epochs", "1") == 1
+        assert "learning rate must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed=\xff\n")
+        assert run("preprocess", "--config", cfg) == 1
+        assert "cannot read config file" in capsys.readouterr().err
 
     def test_invariant_violation_exits_3(self, data_dir, tmp_path, monkeypatch):
         import hostility.cli as cli

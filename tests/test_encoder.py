@@ -6,6 +6,7 @@ import pytest
 from hostility.encoder import (
     CLS_ID,
     IGNORE_ID,
+    INIT_BLOCK,
     MASK_ID,
     N_SPECIALS,
     PAD_ID,
@@ -20,10 +21,12 @@ from hostility.encoder import (
     desk_config,
     encode_batch,
     encode_ids,
+    init_array,
     mask_tokens,
     mlm_head_init,
     mlm_loss,
     paper_config,
+    params_from_arrays,
 )
 from hostility.errors import DataError, ShapeError
 
@@ -144,6 +147,28 @@ class TestWeights:
         a = EncoderWeights.init(config, np.random.default_rng(5))
         b = EncoderWeights.init(config, np.random.default_rng(5))
         assert a.equals(b)
+
+    @pytest.mark.parametrize(
+        "shape", [(7,), (3, 5), (INIT_BLOCK,), (2, INIT_BLOCK // 2), (INIT_BLOCK * 2 + 13,), (0, 4)]
+    )
+    def test_init_array_is_one_uniform_draw(self, shape):
+        drawn, reference = np.random.default_rng(11), np.random.default_rng(11)
+        arr = init_array("layers.0.ffn.w1", shape, drawn)
+        expected = reference.uniform(-0.05, 0.05, size=shape).astype(np.float32)
+        assert arr.dtype == np.float32 and arr.shape == shape
+        assert arr.tobytes() == expected.tobytes()
+        assert drawn.random() == reference.random()
+
+    def test_params_from_read_only_views_are_writable_copies(self, weights, config):
+        views = {}
+        for name, p in weights.params.items():
+            views[name] = p.data.view()
+            views[name].flags.writeable = False
+        params = params_from_arrays(EncoderWeights.shape_table(config), views, "encoder")
+        for name, p in params.items():
+            assert p.data.flags.writeable and p.data.flags.owndata and p.requires_grad
+            assert not np.shares_memory(p.data, views[name])
+            np.testing.assert_array_equal(p.data, views[name])
 
     def test_copy_is_deep(self, weights):
         clone = weights.copy()

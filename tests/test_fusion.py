@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import hostility.fusion
+import hostility.numeric
 from hostility.checkpoint import checkpoint_bytes, parse_checkpoint
 from hostility.encoder import CLS_ID, SEP_ID, EncoderConfig, Vocab, desk_config, paper_config
 from hostility.errors import DataError, ShapeError
 from hostility.fusion import (
+    EncodedPost,
     FusionConfig,
     encode_post,
     forward,
@@ -269,6 +273,75 @@ class TestPredictBatch:
         assert all(b * t <= 12 for b, t in sizes)
 
 
+@pytest.fixture
+def op_outputs(monkeypatch):
+    """Every Tensor a numeric op returns."""
+    outputs = []
+    real_result = hostility.numeric._result
+
+    def recording_result(data, parents, backprop):
+        out = real_result(data, parents, backprop)
+        outputs.append(out)
+        return out
+
+    monkeypatch.setattr(hostility.numeric, "_result", recording_result)
+    return outputs
+
+
+def _peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestScoringRecordsNoTape:
+    def test_scoring_ops_have_no_grad_and_no_parents(self, config, vocab, op_outputs):
+        model = init_model(config, vocab, "coarse", base_seed=3)
+        forward(model, [encode_post(model, bundle())])
+        assert any(t.requires_grad and t._parents for t in op_outputs)
+        op_outputs.clear()
+        predict_batch(model, _mixed_posts())
+        fused_vector(model, bundle())
+        assert len(op_outputs) > 100
+        for t in op_outputs:
+            assert not t.requires_grad and t._parents == () and t._backprop is None
+
+    def test_parameters_keep_grad_and_values(self, config, vocab):
+        model = init_model(config, vocab, "coarse", base_seed=3)
+        before = {name: p.data.copy() for name, p in model.named_params().items()}
+        predict_batch(model, _mixed_posts())
+        fused_vector(model, bundle())
+        for name, p in model.named_params().items():
+            assert p.requires_grad and p.grad is None
+            np.testing.assert_array_equal(p.data, before[name])
+
+    def test_view_wraps_the_parameter_arrays(self, config, vocab):
+        model = init_model(config, vocab, "coarse", base_seed=3)
+        view = hostility.fusion._scoring_view(model).named_params()
+        params = model.named_params()
+        assert list(view) == list(params)
+        for name, p in params.items():
+            assert view[name].data is p.data and view[name] is not p
+            assert not view[name].requires_grad
+
+    def test_peak_memory_below_a_quarter_of_forward(self, vocab):
+        # 16 distinct posts of 32 tokens: one 512-row group per encoder.
+        model = init_model(FusionConfig(encoder=desk_config(len(vocab), max_len=32)), vocab, "coarse")
+        rng = np.random.default_rng(0)
+
+        def ids():
+            return [CLS_ID, *rng.integers(5, len(vocab), size=30).tolist(), SEP_ID]
+
+        posts = [EncodedPost(ids(), ids(), np.zeros(300, dtype=np.float32)) for _ in range(16)]
+        assert len({tuple(x.text_ids) for x in posts}) == 16
+        scoring = _peak_bytes(lambda: predict_batch(model, posts))
+        taped = _peak_bytes(lambda: forward(model, posts))
+        assert scoring < 0.25 * taped
+
+
 class TestPersistence:
     def test_roundtrip(self, config, vocab, tmp_path):
         model = init_model(config, vocab, "hate", base_seed=6)
@@ -280,6 +353,17 @@ class TestPersistence:
         assert loaded.config == config
         for name, p in model.named_params().items():
             np.testing.assert_array_equal(p.data, loaded.named_params()[name].data)
+
+    def test_loaded_parameters_are_writable(self, config, vocab):
+        model = model_from_bytes(model_to_bytes(init_model(config, vocab, "hate")), vocab)
+        params = model.named_params()
+        for p in params.values():
+            assert p.data.flags.writeable and p.requires_grad
+        before = params["fusion.w"].data.copy()
+        loss = cross_entropy(forward(model, [encode_post(model, bundle())]), [1])
+        backward(loss)
+        adam_step(params, adam_init(params), 1e-2)
+        assert not np.array_equal(params["fusion.w"].data, before)
 
     def test_zero_heads_rejected_at_load(self, config, vocab, tmp_path):
         meta, tensors = parse_checkpoint(model_to_bytes(init_model(config, vocab, "fake")))

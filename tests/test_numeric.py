@@ -62,6 +62,38 @@ class TestForwardSemantics:
         out = relu(Tensor(np.array([[-1.0, 2.0]])))
         np.testing.assert_array_equal(out.data, [[0.0, 2.0]])
 
+    def test_relu_negative_zero_is_positive_zero(self):
+        out = relu(Tensor(np.array([[-0.0, 0.0, -1.5]], dtype=np.float32)))
+        assert out.data.dtype == np.float32
+        assert out.data.tobytes() == np.zeros((1, 3), dtype=np.float32).tobytes()
+
+    def test_relu_propagates_nan(self):
+        out = relu(Tensor(np.array([[np.nan, -1.0, 2.0]], dtype=np.float32)))
+        assert np.isnan(out.data[0, 0]) and out.data[0, 1:].tolist() == [0.0, 2.0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_matches_mask_formula(self, dtype):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 7, 64, 199):
+            for at in {0, n // 2, n - 1}:
+                x = rng.standard_normal((1, n)).astype(dtype)
+                x[0, at] = -0.0
+                expected = np.where(x > 0, x, 0).astype(dtype)
+                assert relu(Tensor(x)).data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm_matches_mean_var_formula(self, dtype):
+        rng = np.random.default_rng(6)
+        for rows, n in ((1, 1), (3, 2), (280, 64), (4, 768), (2, 3072), (9, 7)):
+            x = (rng.standard_normal((rows, n)) * rng.uniform(0.01, 100) + 3).astype(dtype)
+            gain = rng.standard_normal(n).astype(dtype)
+            bias = rng.standard_normal(n).astype(dtype)
+            sd = np.sqrt(x.var(axis=1, keepdims=True) + dtype(1e-5))
+            expected = (x - x.mean(axis=1, keepdims=True)) / sd * gain + bias
+            out = layer_norm(Tensor(x), Tensor(gain), Tensor(bias))
+            assert out.data.dtype == dtype
+            assert out.data.tobytes() == expected.tobytes()
+
     def test_concat_rows(self):
         out = concat_rows([Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 3)))])
         assert out.shape == (2, 5)
@@ -361,6 +393,13 @@ class TestCheckpoint:
         assert set(loaded) == {"a.w", "b"}
         np.testing.assert_array_equal(loaded["a.w"], tensors["a.w"])
         assert loaded["b"].shape == ()
+
+    def test_tensors_are_read_only_views_of_the_blob(self):
+        blob = checkpoint_bytes({}, {"w": np.arange(6, dtype=np.float32).reshape(2, 3)})
+        _, loaded = parse_checkpoint(blob)
+        w = loaded["w"]
+        assert w.dtype == np.dtype("<f4") and not w.flags.writeable and not w.flags.owndata
+        assert np.shares_memory(w, np.frombuffer(blob, dtype=np.uint8))
 
     def test_deterministic_bytes(self):
         tensors = {"w": np.ones((2, 2), dtype=np.float32)}
