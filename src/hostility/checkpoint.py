@@ -20,6 +20,9 @@ VERSION = 2
 
 
 def checkpoint_bytes(metadata: Mapping[str, str], tensors: Mapping[str, np.ndarray]) -> bytes:
+    """The checkpoint blob. Tensor payloads are joined from buffer views
+    of the arrays (a copy only where one is not C-ordered little-endian
+    float32), so the blob is the one buffer as large as the model."""
     parts = [MAGIC, struct.pack("<I", VERSION)]
     lines = []
     for key in sorted(metadata):
@@ -38,14 +41,15 @@ def checkpoint_bytes(metadata: Mapping[str, str], tensors: Mapping[str, np.ndarr
         parts.append(struct.pack("<I", arr.ndim))
         for dim in arr.shape:
             parts.append(struct.pack("<I", dim))
-        parts.append(arr.tobytes(order="C"))
+        parts.append(np.ascontiguousarray(arr).reshape(-1).view(np.uint8))
     return b"".join(parts)
 
 
 def parse_checkpoint(blob: bytes) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     """Metadata and tensors of a checkpoint blob. Each tensor is a
     read-only little-endian float32 view into blob, not a copy; callers
-    that train or keep the values copy them (`params_from_arrays`)."""
+    that train or keep the values copy them (`params_from_arrays`). A
+    tensor holding NaN or an infinity raises DataError."""
     view = memoryview(blob)
 
     def take(n: int) -> memoryview:
@@ -94,6 +98,8 @@ def parse_checkpoint(blob: bytes) -> tuple[dict[str, str], dict[str, np.ndarray]
             tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape)
         except ValueError as exc:
             raise DataError(f"tensor {name!r} has an unusable shape: {exc}") from None
+        if not np.isfinite(tensors[name]).all():
+            raise DataError(f"tensor {name!r} holds a non-finite value")
     return metadata, tensors
 
 

@@ -19,7 +19,14 @@ from typing import Callable, Sequence
 
 from .encoder import EncoderConfig, Vocab, desk_config, paper_config
 from .errors import DataError, InvariantError, UsageError
-from .fusion import FusionConfig, init_model, load_model, model_to_bytes, predict_batch
+from .fusion import (
+    FusionConfig,
+    encode_for_models,
+    init_model,
+    load_model,
+    model_to_bytes,
+    predict_batch,
+)
 from .preprocess import (
     EmojiTable,
     FreqDict,
@@ -316,19 +323,13 @@ def cmd_finetune(cfg: argparse.Namespace) -> int:
             batch_size=cfg.batch_size,
             seed=cfg.seed + index,
         )
-        init = init_model(config, vocab, task, tapt_weights, base_seed=hp.seed)
+        model = init_model(config, vocab, task, tapt_weights, base_seed=hp.seed)
         meta = _run_meta(cfg)
         meta["tapt"] = cfg.tapt
-        _write_artifact(out / f"{task}.init.ckpt", model_to_bytes(init, extra=meta))
-        run = train_binary(
-            config,
-            vocab,
-            task,
-            train_examples,
-            list(zip(val_bundles, val_targets)),
-            tapt_weights=tapt_weights,
-            hp=hp,
-        )
+        _write_artifact(out / f"{task}.init.ckpt", model_to_bytes(model, extra=meta))
+        run = train_binary(model, train_examples, list(zip(val_bundles, val_targets)), hp=hp)
+        # Free the trained parameters before the next task draws its own.
+        del model
         _write_artifact(out / f"{task}.ckpt", run.best_checkpoint)
         trace = ["epoch,train_loss,val_macro_f1"] + [
             f"{i},{loss:.6f},{f1:.6f}"
@@ -388,10 +389,14 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
 def cmd_predict(cfg: argparse.Namespace) -> int:
     out, models, posts, freq, table = _load_scoring_inputs(cfg)
     bundles = [extract_features(p.text, freq, table) for p in posts]
-    coarse = predict_batch(models["coarse"], bundles)
+    encoded = encode_for_models(models, bundles)
+    coarse = predict_batch(models["coarse"], encoded["coarse"])
     # assemble_labels reads no fine prediction for a non-hostile post.
-    hostile = [b for b, (label, _) in zip(bundles, coarse) if label]
-    fine_preds = {task: iter(predict_batch(models[task], hostile)) for task in FINE_TASKS}
+    hostile = [i for i, (label, _) in enumerate(coarse) if label]
+    fine_preds = {
+        task: iter(predict_batch(models[task], [encoded[task][i] for i in hostile]))
+        for task in FINE_TASKS
+    }
     order = {name: i for i, name in enumerate(FINE_TASKS)}
     lines = []
     for post, coarse_pred in zip(posts, coarse):

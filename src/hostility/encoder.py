@@ -1,7 +1,8 @@
 """Compact transformer encoder with learned positions, and the MLM loss.
 
 Pre-norm residual blocks, CLS pooling, word-level vocabulary with five
-fixed specials. A batch of sequences runs as one padded graph. Two
+fixed specials. A training batch of sequences runs as one padded graph;
+scoring runs sequences packed end to end, unpadded. Two
 named profiles: "desk" (small, exercised by tests) and "paper"
 (768-dim, 12 layers). EncoderWeights is the encoder body only; the MLM
 output head is a separate parameter dict that exists while TAPT runs.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -240,6 +242,66 @@ class EncoderWeights:
         )
 
 
+def _check_lengths(seqs: Sequence[Sequence[int]], config: EncoderConfig) -> list[int]:
+    if not seqs:
+        raise ShapeError("encode needs at least one sequence")
+    lengths = [len(ids) for ids in seqs]
+    if min(lengths) == 0:
+        raise ShapeError("encode needs at least one token id")
+    if max(lengths) > config.max_len:
+        raise ShapeError(f"sequence length {max(lengths)} exceeds max_len {config.max_len}")
+    return lengths
+
+
+def _check_ids(ids: np.ndarray, config: EncoderConfig) -> None:
+    bad = (ids < 0) | (ids >= config.vocab_size)
+    if bad.any():
+        raise ValueError(
+            f"token id {int(ids[bad][0])} out of range for vocab of {config.vocab_size}"
+        )
+
+
+def _encode_rows(
+    weights: EncoderWeights,
+    config: EncoderConfig,
+    ids: np.ndarray,
+    positions: np.ndarray,
+    blocks: Sequence[np.ndarray],
+    training: bool,
+    rng: np.random.Generator | None,
+    attn_sink: list | None,
+) -> Tensor:
+    """The encoder stack over one graph of token rows: ids and positions
+    per row, laid out in attention blocks (see numeric.attention).
+    Returns the final hidden rows [R, E]."""
+    params = weights.params
+    tok = embedding_lookup(params["tok_emb"], ids)
+    pos = embedding_lookup(params["pos_emb"], positions)
+    x = dropout(add(tok, pos), config.dropout_p, training, rng)
+    for i in range(config.n_layers):
+        p = f"layers.{i}"
+        normed = layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
+        q, k, v = (
+            add_bias(matmul(normed, params[f"{p}.attn.w{n}"]), params[f"{p}.attn.b{n}"])
+            for n in "qkv"
+        )
+        heads = attention(
+            q, k, v, config.n_heads, blocks, config.dropout_p, training, rng, attn_sink
+        )
+        attn_out = add_bias(matmul(heads, params[f"{p}.attn.wo"]), params[f"{p}.attn.bo"])
+        x = add(x, dropout(attn_out, config.dropout_p, training, rng))
+        normed = layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
+        ff = add_bias(
+            matmul(
+                relu(add_bias(matmul(normed, params[f"{p}.ffn.w1"]), params[f"{p}.ffn.b1"])),
+                params[f"{p}.ffn.w2"],
+            ),
+            params[f"{p}.ffn.b2"],
+        )
+        x = add(x, dropout(ff, config.dropout_p, training, rng))
+    return layer_norm(x, params["ln_f.gain"], params["ln_f.bias"])
+
+
 def encode_batch(
     weights: EncoderWeights,
     config: EncoderConfig,
@@ -255,50 +317,39 @@ def encode_batch(
     other positions. Returns (pooled CLS rows [B,E], hidden [B*T,E]);
     row b*T + t of hidden is position t of sequence b.
     """
-    if not batch:
-        raise ShapeError("encode needs at least one sequence")
-    t = max(len(ids) for ids in batch)
-    if min(len(ids) for ids in batch) == 0:
-        raise ShapeError("encode needs at least one token id")
-    if t > config.max_len:
-        raise ShapeError(f"sequence length {t} exceeds max_len {config.max_len}")
+    t = max(_check_lengths(batch, config))
     padded = np.full((len(batch), t), PAD_ID, dtype=np.intp)
     for row, ids in zip(padded, batch):
         row[: len(ids)] = ids
-    bad = (padded < 0) | (padded >= config.vocab_size)
-    if bad.any():
-        raise ValueError(
-            f"token id {int(padded[bad][0])} out of range for vocab of {config.vocab_size}"
-        )
-    params = weights.params
-    tok = embedding_lookup(params["tok_emb"], padded.reshape(-1))
-    pos = embedding_lookup(params["pos_emb"], np.tile(np.arange(t), len(batch)))
-    x = dropout(add(tok, pos), config.dropout_p, training, rng)
-    key_pad = padded == PAD_ID
-    for i in range(config.n_layers):
-        p = f"layers.{i}"
-        normed = layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
-        q, k, v = (
-            add_bias(matmul(normed, params[f"{p}.attn.w{n}"]), params[f"{p}.attn.b{n}"])
-            for n in "qkv"
-        )
-        heads = attention(
-            q, k, v, config.n_heads, key_pad, config.dropout_p, training, rng, attn_sink
-        )
-        attn_out = add_bias(matmul(heads, params[f"{p}.attn.wo"]), params[f"{p}.attn.bo"])
-        x = add(x, dropout(attn_out, config.dropout_p, training, rng))
-        normed = layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
-        ff = add_bias(
-            matmul(
-                relu(add_bias(matmul(normed, params[f"{p}.ffn.w1"]), params[f"{p}.ffn.b1"])),
-                params[f"{p}.ffn.w2"],
-            ),
-            params[f"{p}.ffn.b2"],
-        )
-        x = add(x, dropout(ff, config.dropout_p, training, rng))
-    hidden = layer_norm(x, params["ln_f.gain"], params["ln_f.bias"])
+    _check_ids(padded, config)
+    positions = np.tile(np.arange(t), len(batch))
+    hidden = _encode_rows(
+        weights, config, padded.reshape(-1), positions, [padded == PAD_ID],
+        training, rng, attn_sink,
+    )
     pooled = gather_rows(hidden, range(0, len(batch) * t, t))
     return pooled, hidden
+
+
+def encode_packed(
+    weights: EncoderWeights, config: EncoderConfig, seqs: Sequence[Sequence[int]]
+) -> Tensor:
+    """Pooled CLS rows [N, E] of N id sequences, encoded without dropout
+    as one unpadded graph of sum(len) token rows.
+
+    The sequences sit one after another. Each run of consecutive
+    sequences of one length is one attention block, so every row-wise op
+    runs once over the whole graph and attention works per block, with
+    no mask. Each pooled row is the one a graph of that sequence alone
+    gives, as far as a matmul row does not depend on the rows around it.
+    """
+    lengths = _check_lengths(seqs, config)
+    ids = np.fromiter((i for seq in seqs for i in seq), dtype=np.intp, count=sum(lengths))
+    _check_ids(ids, config)
+    blocks = [np.zeros((len(list(run)), t), dtype=bool) for t, run in groupby(lengths)]
+    positions = np.concatenate([np.arange(t) for t in lengths])
+    hidden = _encode_rows(weights, config, ids, positions, blocks, False, None, None)
+    return gather_rows(hidden, np.cumsum([0] + lengths[:-1]))
 
 
 def _corrupt(tid: int, vocab_size: int, rng: np.random.Generator) -> int:

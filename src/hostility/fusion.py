@@ -9,7 +9,7 @@ classified by a small MLP ending in two logits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .encoder import (
     config_to_meta,
     encode_batch,
     encode_ids,
+    encode_packed,
     init_array,
     params_from_arrays,
 )
@@ -31,7 +32,8 @@ from .preprocess import FeatureBundle
 from .tapt import HASHTAG_INIT_STREAM, TEXT_INIT_STREAM
 
 _HEAD_INIT_STREAM = 2
-# At most this many token rows (sequences x length) per encoder graph when scoring.
+# At most this many token rows (the sum of sequence lengths) per encoder
+# graph when scoring; a longer sequence runs alone.
 SCORE_ROWS = 512
 
 
@@ -163,14 +165,34 @@ def encode_post(model: FusionModel, bundle: FeatureBundle) -> EncodedPost:
     )
 
 
+def encode_for_models(
+    models: Mapping[str, FusionModel], bundles: Sequence[FeatureBundle]
+) -> dict[str, list[EncodedPost]]:
+    """Each model's bundles in its input form, under the model's key.
+    Models that read the same vocab object, max_len and emoji width share
+    one encoding, so the five task models of a run encode each post once."""
+    shared: dict[tuple, list[EncodedPost]] = {}
+    out = {}
+    for key, model in models.items():
+        cfg = model.config
+        reads = (model.vocab, cfg.encoder.max_len, cfg.emoji_dim)
+        if reads not in shared:
+            shared[reads] = [encode_post(model, b) for b in bundles]
+        out[key] = shared[reads]
+    return out
+
+
 def _fused_input(
     model: FusionModel,
     text_pooled: Tensor,
     hash_pooled: Tensor,
     emoji_vecs: Sequence[np.ndarray],
 ) -> Tensor:
+    """The fusion-layer input of a batch: [B, fused_dim] from pooled rows
+    [B, E], or a stack [B, 1, fused_dim] from pooled rows [B, 1, E]."""
     dtype = model.head["fusion.w"].data.dtype
-    emoji = Tensor(np.stack(emoji_vecs).astype(dtype))
+    emoji = np.stack(emoji_vecs).astype(dtype)
+    emoji = Tensor(emoji.reshape(text_pooled.shape[:-1] + emoji.shape[-1:]))
     return concat_rows(
         [
             _project(model.head, "text_proj", text_pooled),
@@ -183,7 +205,8 @@ def _fused_input(
 def _classify(
     model: FusionModel, fused_in: Tensor, training: bool, rng: np.random.Generator | None
 ) -> Tensor:
-    """Fusion layer and MLP: logits [B, 2]; dropout only when training."""
+    """Fusion layer and MLP: logits [B, 2], or [B, 1, 2] for a stacked
+    input; dropout only when training."""
     cfg = model.config
     head = model.head
     x = add_bias(matmul(fused_in, head["fusion.w"]), head["fusion.b"])
@@ -220,41 +243,46 @@ def prob_of_positive(logits_row: np.ndarray) -> float:
     return float(e[1] / e.sum())
 
 
+def _packed_graphs(distinct: Sequence[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
+    """distinct sequences sorted by length and cut into graphs of at most
+    SCORE_ROWS token rows; a sequence longer than that is a graph alone."""
+    graphs: list[list[tuple[int, ...]]] = []
+    rows = SCORE_ROWS
+    for ids in sorted(distinct, key=len):
+        if rows + len(ids) > SCORE_ROWS:
+            graphs.append([])
+            rows = 0
+        graphs[-1].append(ids)
+        rows += len(ids)
+    return graphs
+
+
 def _pooled_rows(
     weights: EncoderWeights, config: EncoderConfig, seqs: Sequence[list[int]]
-) -> list[np.ndarray]:
-    """The pooled row [1, E] of each id sequence, in input order.
+) -> np.ndarray:
+    """The pooled rows [N, 1, E] of N id sequences, in input order.
 
-    Each distinct sequence is encoded once. Sequences of one exact length
-    share a graph of at most SCORE_ROWS token rows, so nothing is padded
-    and every row is the one a graph of that sequence alone gives.
+    Each distinct sequence is encoded once, packed with others of any
+    length into unpadded graphs (see encode_packed and _packed_graphs),
+    so every row is the one a graph of that sequence alone gives.
     """
-    by_len: dict[int, dict[tuple[int, ...], None]] = {}
-    for ids in seqs:
-        by_len.setdefault(len(ids), {})[tuple(ids)] = None
     rows: dict[tuple[int, ...], np.ndarray] = {}
-    for length, distinct in by_len.items():
-        group = list(distinct)
-        step = max(1, SCORE_ROWS // length)
-        for start in range(0, len(group), step):
-            chunk = group[start : start + step]
-            pooled, _ = encode_batch(weights, config, chunk)
-            for j, key in enumerate(chunk):
-                rows[key] = pooled.data[j : j + 1]
-    return [rows[tuple(ids)] for ids in seqs]
+    for graph in _packed_graphs(list(dict.fromkeys(tuple(ids) for ids in seqs))):
+        pooled = encode_packed(weights, config, graph)
+        rows.update(zip(graph, pooled.data))
+    return np.stack([rows[tuple(ids)] for ids in seqs])[:, None, :]
 
 
-def _fused_rows(
-    model: FusionModel, posts: Sequence[FeatureBundle | EncodedPost]
-) -> Iterator[Tensor]:
-    """The fusion-layer input [1, fused_dim] of each post, in input order,
-    built as it is consumed; both encoders go through `_pooled_rows`."""
+def _fused_rows(model: FusionModel, posts: Sequence[FeatureBundle | EncodedPost]) -> Tensor:
+    """The fusion-layer inputs of the posts as a stack [N, 1, fused_dim],
+    in input order; both encoders go through `_pooled_rows`."""
     encoded = [p if isinstance(p, EncodedPost) else encode_post(model, p) for p in posts]
     enc_cfg = model.config.encoder
     text_rows = _pooled_rows(model.text_encoder, enc_cfg, [x.text_ids for x in encoded])
     hash_rows = _pooled_rows(model.hashtag_encoder, enc_cfg, [x.hash_ids for x in encoded])
-    for post, text_row, hash_row in zip(encoded, text_rows, hash_rows):
-        yield _fused_input(model, Tensor(text_row), Tensor(hash_row), [post.emoji_vec])
+    return _fused_input(
+        model, Tensor(text_rows), Tensor(hash_rows), [x.emoji_vec for x in encoded]
+    )
 
 
 def _scoring_view(model: FusionModel) -> FusionModel:
@@ -279,7 +307,7 @@ def _scoring_view(model: FusionModel) -> FusionModel:
 def fused_vector(model: FusionModel, bundle: FeatureBundle) -> np.ndarray:
     """The concatenated feature vector fed to the fusion layer (length
     2*d_model + emoji_dim)."""
-    return next(_fused_rows(_scoring_view(model), [bundle])).data[0].copy()
+    return _fused_rows(_scoring_view(model), [bundle]).data[0, 0].copy()
 
 
 def predict_batch(
@@ -288,16 +316,17 @@ def predict_batch(
     """(label, positive-class probability) per post, in input order; label
     is 1 iff prob >= 0.5.
 
-    The head runs on each post's row alone: a one-row matmul and a
-    many-row matmul may round differently, and this way each result is
-    exactly that of `forward` on the post alone.
+    The head runs once, on the posts' fusion inputs stacked as
+    [N, 1, fused_dim]: each [1, F] @ W of the stack gets the BLAS kernel
+    of a one-row matmul, where a [N, F] matmul may round differently. So
+    each result is exactly that of `forward` on the post alone.
     """
+    if not posts:
+        return []
     view = _scoring_view(model)
-    results = []
-    for fused_in in _fused_rows(view, posts):
-        prob = prob_of_positive(_classify(view, fused_in, training=False, rng=None).data[0])
-        results.append((1 if prob >= 0.5 else 0, prob))
-    return results
+    logits = _classify(view, _fused_rows(view, posts), training=False, rng=None).data
+    probs = [prob_of_positive(row[0]) for row in logits]
+    return [(1 if prob >= 0.5 else 0, prob) for prob in probs]
 
 
 def predict(model: FusionModel, post: FeatureBundle | EncodedPost) -> tuple[int, float]:

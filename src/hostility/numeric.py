@@ -115,13 +115,16 @@ def zero_grad(params: Iterable[Tensor]) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    """a @ b for a matrix b and a matrix or stack of matrices a: [M, K]
+    or [N, M, K] times [K, P]. A stack runs each [M, K] @ b with the BLAS
+    kernel that matrix alone would get."""
+    if a.data.ndim not in (2, 3) or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul mismatch: {a.data.shape} @ {b.data.shape}")
     ad, bd = a.data, b.data
 
     def bp(g):
         _accum(a, g @ bd.T)
-        _accum(b, ad.T @ g)
+        _accum(b, ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
     return _result(ad @ bd, (a, b), bp)
 
@@ -138,13 +141,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """Add a length-n vector to every row of an m*n matrix."""
-    if x.data.ndim != 2 or bias.data.shape != (x.data.shape[1],):
+    """Add a length-n vector to every row of an m*n matrix or of a stack
+    of them."""
+    if x.data.ndim not in (2, 3) or bias.data.shape != (x.data.shape[-1],):
         raise ShapeError(f"add_bias mismatch: {x.data.shape} + {bias.data.shape}")
 
     def bp(g):
         _accum(x, g)
-        _accum(bias, g.sum(axis=0))
+        _accum(bias, g.reshape(-1, g.shape[-1]).sum(axis=0))
 
     return _result(x.data + bias.data, (x, bias), bp)
 
@@ -200,23 +204,24 @@ def transpose(x: Tensor) -> Tensor:
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate matrices row-wise along the feature axis."""
+    """Concatenate matrices, or stacks of matrices, row-wise along the
+    feature (last) axis."""
     if not parts:
         raise ShapeError("concat_rows needs at least one tensor")
-    rows = parts[0].data.shape[0]
+    rows = parts[0].data.shape[:-1]
     for p in parts:
-        if p.data.ndim != 2 or p.data.shape[0] != rows:
+        if p.data.ndim not in (2, 3) or p.data.shape[:-1] != rows:
             raise ShapeError(
                 f"concat_rows mismatch: {[tuple(q.data.shape) for q in parts]}"
             )
-    widths = [p.data.shape[1] for p in parts]
+    widths = [p.data.shape[-1] for p in parts]
     offsets = np.cumsum([0] + widths)
 
     def bp(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[:, lo:hi])
+            _accum(p, g[..., lo:hi])
 
-    return _result(np.concatenate([p.data for p in parts], axis=1), tuple(parts), bp)
+    return _result(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), bp)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -336,41 +341,18 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
     return _result(x.data * factor, (x,), bp)
 
 
-def attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    n_heads: int,
-    key_pad: np.ndarray,
-    p: float,
-    training: bool,
-    rng: np.random.Generator | None,
-    attn_sink: list | None = None,
-) -> Tensor:
-    """Multi-head scaled dot-product attention over a padded batch.
+def _join_rows(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    q, k and v are [B*T, E], row b*T + t holding position t of sequence
-    b; each is viewed as [B, H, T, E/H]. key_pad is a [B, T] bool array,
-    True at keys to mask out (PAD). Attention probabilities get
-    inverted dropout with probability p when training, drawn as one
-    rng.random((B, H, T, T)). Returns the heads merged back to [B*T, E].
-    attn_sink, when given, receives each (sequence, head) pre-dropout
-    probability matrix [T, T].
-    """
-    if not 0 <= p < 1:
-        raise ValueError(f"dropout probability must satisfy 0 <= p < 1, got {p}")
-    if q.data.ndim != 2 or q.data.shape != k.data.shape or q.data.shape != v.data.shape:
-        raise ShapeError(
-            f"attention mismatch: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}"
-        )
-    bt, e = q.data.shape
-    if n_heads < 1 or e % n_heads:
-        raise ShapeError(f"width {e} not divisible into {n_heads} heads")
-    if key_pad.ndim != 2 or key_pad.size != bt:
-        raise ShapeError(f"key_pad shape {key_pad.shape} does not cover {bt} rows")
-    b = key_pad.shape[0]
-    t, h, dh = bt // b, n_heads, e // n_heads
-    dtype = q.data.dtype
+
+def _attend_block(qd, kd, vd, key_pad, n_heads, p, training, rng, attn_sink):
+    """Forward of one block of B sequences of T positions (see attention):
+    the merged heads [B*T, E] and a closure that maps their gradient to
+    those of qd, kd and vd."""
+    b, t = key_pad.shape
+    e = qd.shape[1]
+    h, dh = n_heads, e // n_heads
+    dtype = qd.dtype
 
     # Contiguous [T, dh] and [dh, T] blocks make BLAS compute each head
     # exactly as a 2-D matmul of that head's columns would; strided views
@@ -378,7 +360,10 @@ def attention(
     def heads(x):  # [B*T, E] -> [B, H, T, dh]
         return np.ascontiguousarray(x.reshape(b, t, h, dh).transpose(0, 2, 1, 3))
 
-    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    def merge(x):  # [B, H, T, dh] -> [B*T, E]
+        return x.transpose(0, 2, 1, 3).reshape(b * t, e)
+
+    qh, kh, vh = heads(qd), heads(kd), heads(vd)
     c = dtype.type(1.0 / math.sqrt(dh))
     scores = (qh @ np.ascontiguousarray(kh.transpose(0, 1, 3, 2))) * c
     if key_pad.any():
@@ -394,19 +379,75 @@ def attention(
         keep = rng.random((b, h, t, t)) >= p
         factor = keep.astype(dtype) / dtype.type(1 - p)
     dropped = probs if factor is None else probs * factor
-    out = (dropped @ vh).transpose(0, 2, 1, 3).reshape(bt, e)
 
-    def bp(g):
+    def block_bp(g):
         gh = heads(g)
-        _accum(v, (dropped.transpose(0, 1, 3, 2) @ gh).transpose(0, 2, 1, 3).reshape(bt, e))
+        gv = merge(dropped.transpose(0, 1, 3, 2) @ gh)
         g_probs = gh @ vh.transpose(0, 1, 3, 2)
         if factor is not None:
             g_probs = g_probs * factor
         g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * c
-        _accum(q, (g_scores @ kh).transpose(0, 2, 1, 3).reshape(bt, e))
-        _accum(k, (g_scores.transpose(0, 1, 3, 2) @ qh).transpose(0, 2, 1, 3).reshape(bt, e))
+        return merge(g_scores @ kh), merge(g_scores.transpose(0, 1, 3, 2) @ qh), gv
 
-    return _result(out, (q, k, v), bp)
+    return merge(dropped @ vh), block_bp
+
+
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    n_heads: int,
+    blocks: Sequence[np.ndarray],
+    p: float,
+    training: bool,
+    rng: np.random.Generator | None,
+    attn_sink: list | None = None,
+) -> Tensor:
+    """Multi-head scaled dot-product attention within each sequence of a
+    row layout.
+
+    q, k and v are [R, E]. blocks lays the R rows out in order as blocks
+    of equal-length sequences: a [B, T] bool array, True at keys to mask
+    out (PAD), covers the next B*T rows, row b*T + t holding position t
+    of sequence b, viewed as [B, H, T, E/H]. A padded batch is one block;
+    packed sequences of several lengths are one unmasked block per
+    length. Attention probabilities get inverted dropout with probability
+    p when training, drawn per block in order as one
+    rng.random((B, H, T, T)). Returns the heads merged back to [R, E].
+    attn_sink, when given, receives each (sequence, head) pre-dropout
+    probability matrix [T, T].
+    """
+    if not 0 <= p < 1:
+        raise ValueError(f"dropout probability must satisfy 0 <= p < 1, got {p}")
+    if q.data.ndim != 2 or q.data.shape != k.data.shape or q.data.shape != v.data.shape:
+        raise ShapeError(
+            f"attention mismatch: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}"
+        )
+    rows, e = q.data.shape
+    if n_heads < 1 or e % n_heads:
+        raise ShapeError(f"width {e} not divisible into {n_heads} heads")
+    if not blocks or any(key_pad.ndim != 2 or key_pad.size == 0 for key_pad in blocks):
+        raise ShapeError("attention needs non-empty [B, T] key_pad blocks")
+    offsets = np.cumsum([0] + [key_pad.size for key_pad in blocks])
+    if offsets[-1] != rows:
+        raise ShapeError(f"key_pad blocks cover {offsets[-1]} rows, not {rows}")
+    spans = list(zip(offsets[:-1], offsets[1:]))
+    outs, block_bps = [], []
+    for key_pad, (lo, hi) in zip(blocks, spans):
+        out, block_bp = _attend_block(
+            q.data[lo:hi], k.data[lo:hi], v.data[lo:hi],
+            key_pad, n_heads, p, training, rng, attn_sink,
+        )
+        outs.append(out)
+        block_bps.append(block_bp)
+
+    def bp(g):
+        gq, gk, gv = zip(*(block_bp(g[lo:hi]) for block_bp, (lo, hi) in zip(block_bps, spans)))
+        _accum(v, _join_rows(list(gv)))
+        _accum(q, _join_rows(list(gq)))
+        _accum(k, _join_rows(list(gk)))
+
+    return _result(_join_rows(outs), (q, k, v), bp)
 
 
 def cross_entropy(

@@ -102,40 +102,21 @@ SMILEYS = frozenset({":)", ":(", ":D", ";)", ":P", ":/"})
 
 # Emoticons, Misc Symbols & Pictographs, Supplemental Symbols, Transport,
 # plus the U+2600 and U+2700 blocks.
-_EMOJI_RANGES = (
-    (0x1F300, 0x1F5FF),
-    (0x1F600, 0x1F64F),
-    (0x1F680, 0x1F6FF),
-    (0x1F900, 0x1F9FF),
-    (0x2600, 0x26FF),
-    (0x2700, 0x27BF),
+_EMOJI_BASES = (
+    "\U0001F300-\U0001F5FF"
+    "\U0001F600-\U0001F64F"
+    "\U0001F680-\U0001F6FF"
+    "\U0001F900-\U0001F9FF"
+    "\u2600-\u26FF"
+    "\u2700-\u27BF"
 )
-_ZWJ = 0x200D
-_VARIATION_SELECTOR = 0xFE0F
-_SKIN_TONES = (0x1F3FB, 0x1F3FF)
-
-
-def _is_emoji_base(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _EMOJI_RANGES)
-
-
-def _is_emoji_modifier(ch: str) -> bool:
-    cp = ord(ch)
-    return cp == _VARIATION_SELECTOR or _SKIN_TONES[0] <= cp <= _SKIN_TONES[1]
-
-
-def _take_emoji_grapheme(text: str, start: int) -> int:
-    """Return the end index of the emoji grapheme starting at text[start]."""
-    i = start + 1
-    while i < len(text) and _is_emoji_modifier(text[i]):
-        i += 1
-    # ZWJ sequences (e.g. family emoji) stay one grapheme.
-    while i + 1 < len(text) and ord(text[i]) == _ZWJ and _is_emoji_base(text[i + 1]):
-        i += 2
-        while i < len(text) and _is_emoji_modifier(text[i]):
-            i += 1
-    return i
+# U+FE0F and the skin tones.
+_EMOJI_MODIFIERS = "\uFE0F\U0001F3FB-\U0001F3FF"
+# One emoji grapheme: a base and its modifiers, then any ZWJ-joined bases
+# with theirs (e.g. family emoji stay one grapheme).
+_EMOJI = re.compile(
+    f"[{_EMOJI_BASES}][{_EMOJI_MODIFIERS}]*(?:\u200D[{_EMOJI_BASES}][{_EMOJI_MODIFIERS}]*)*"
+)
 
 
 def _classify_plain(segment: str) -> TokenKind:
@@ -149,18 +130,12 @@ def _classify_plain(segment: str) -> TokenKind:
 def _scan_segment(segment: str, out: list[ClassifiedToken]) -> None:
     """Split emoji graphemes out of a segment and classify the rest."""
     buf_start = 0
-    i = 0
-    while i < len(segment):
-        if _is_emoji_base(segment[i]):
-            if buf_start < i:
-                word = segment[buf_start:i]
-                out.append(ClassifiedToken(word, _classify_plain(word)))
-            end = _take_emoji_grapheme(segment, i)
-            out.append(ClassifiedToken(segment[i:end], TokenKind.EMOJI))
-            i = end
-            buf_start = i
-        else:
-            i += 1
+    for match in _EMOJI.finditer(segment):
+        if buf_start < match.start():
+            word = segment[buf_start : match.start()]
+            out.append(ClassifiedToken(word, _classify_plain(word)))
+        out.append(ClassifiedToken(match.group(), TokenKind.EMOJI))
+        buf_start = match.end()
     if buf_start < len(segment):
         word = segment[buf_start:]
         out.append(ClassifiedToken(word, _classify_plain(word)))

@@ -14,14 +14,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .encoder import EncoderWeights, Vocab
 from .errors import InvariantError
 from .fusion import (
-    FusionConfig,
     FusionModel,
+    encode_for_models,
     encode_post,
     forward,
-    init_model,
     model_to_bytes,
     predict_batch,
 )
@@ -175,28 +173,26 @@ def best_epoch_of(trace: Sequence[float]) -> int:
 
 
 def train_binary(
-    config: FusionConfig,
-    vocab: Vocab,
-    task: str,
+    model: FusionModel,
     train: Sequence[Example],
     val: Sequence[Example],
-    tapt_weights: EncoderWeights | None = None,
     hp: Hyperparams = Hyperparams(),
 ) -> TrainRun:
-    """End-to-end cross-entropy training of one fusion model, one padded
-    batch graph and one optimizer step per mini-batch.
+    """End-to-end cross-entropy training of one fusion model in place,
+    one padded batch graph and one optimizer step per mini-batch.
 
-    Both encoders are tuned jointly. The training split must contain
-    both classes; a single-class validation split is tolerated (its
-    absent class simply scores zero).
+    model is the freshly drawn init_model(..., base_seed=hp.seed); its
+    task names the run. Both encoders are tuned jointly. The training
+    split must contain both classes; a single-class validation split is
+    tolerated (its absent class simply scores zero).
     """
+    task = model.task
     if not train or not val:
         raise ValueError("both splits must be non-empty")
     train_targets = [t for _, t in train]
     if len(set(train_targets)) < 2:
         raise ValueError(f"training split for task {task!r} has a single class")
     val_targets = [t for _, t in val]
-    model = init_model(config, vocab, task, tapt_weights, base_seed=hp.seed)
     encoded = [encode_post(model, bundle) for bundle, _ in train]
     val_encoded = [encode_post(model, bundle) for bundle, _ in val]
     params = model.named_params()
@@ -279,8 +275,10 @@ def evaluate_suite(
 ) -> MetricsReport:
     """Score all five models over the same posts (each task sees every
     post, with that task's binary targets)."""
+    encoded = encode_for_models(models, bundles)
     preds = {
-        task: [label for label, _ in predict_batch(models[task], bundles)] for task in ALL_TASKS
+        task: [label for label, _ in predict_batch(models[task], encoded[task])]
+        for task in ALL_TASKS
     }
     golds = {task: binary_targets(posts, task) for task in ALL_TASKS}
     return compute_suite_metrics(preds, golds)

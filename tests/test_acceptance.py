@@ -157,7 +157,7 @@ def _check_op_grads():
             lambda: sum_all(
                 mul(
                     attention(
-                        qkv["q"], qkv["k"], qkv["v"], 2, key_pad, p,
+                        qkv["q"], qkv["k"], qkv["v"], 2, [key_pad], p,
                         training=True, rng=np.random.default_rng(78),
                     ),
                     w_attn,
@@ -166,10 +166,42 @@ def _check_op_grads():
             qkv,
         )
 
+    # Packed rows: two unmasked sequences of T=2, then one of T=3 with a
+    # PAD key, as two attention blocks on 7 rows.
+    qkv7 = {n: t64(rng.normal(size=(7, 4)), requires_grad=True) for n in "qkv"}
+    blocks = [np.zeros((2, 2), dtype=bool), np.array([[False, False, True]])]
+    w7 = t64(rng.normal(size=(7, 4)))
+    for p in (0.0, 0.3):
+        check(
+            lambda: sum_all(
+                mul(
+                    attention(
+                        qkv7["q"], qkv7["k"], qkv7["v"], 2, blocks, p,
+                        training=True, rng=np.random.default_rng(79),
+                    ),
+                    w7,
+                )
+            ),
+            qkv7,
+        )
+
+    # A stack [N, 1, K] through matmul, add_bias and concat_rows, as the
+    # scoring head runs it.
+    sx = t64(rng.normal(size=(3, 1, 4)), requires_grad=True)
+    sw = t64(rng.normal(size=(4, 3)), requires_grad=True)
+    sb = t64(rng.normal(size=3), requires_grad=True)
+
+    def stacked_build():
+        out = concat_rows([add_bias(matmul(sx, sw), sb), sx])
+        return sum_all(mul(out, out))
+
+    check(stacked_build, {"x": sx, "w": sw, "b": sb})
+
 
 def test_c01_gradient_integrity():
     """Analytic gradients match central finite differences (h=1e-4,
-    float64) for every op and for three random end-to-end fusion graphs
+    float64) for every op, including attention over several row blocks
+    and matmul, add_bias and concat_rows on a stack, and for three random end-to-end fusion graphs
     at reduced widths (all dims <= 8)."""
     with criterion(1, "gradient integrity", max_seconds=60):
         _check_op_grads()
@@ -360,7 +392,8 @@ def test_c08_learning_sanity():
         toy_vocab = Vocab.build([b.cleaned_text for b, _ in examples])
         toy_config = FusionConfig(encoder=desk_config(len(toy_vocab), max_len=16))
         hp = Hyperparams(epochs=50, lr=1e-3, batch_size=8, seed=0)
-        run = train_binary(toy_config, toy_vocab, COARSE, examples, examples, hp=hp)
+        model = init_model(toy_config, toy_vocab, COARSE, base_seed=hp.seed)
+        run = train_binary(model, examples, examples, hp=hp)
         assert max(run.val_macro_f1) >= 0.99
 
 

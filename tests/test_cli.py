@@ -1,3 +1,4 @@
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,23 @@ class TestFinetune:
         assert run("finetune", *args, "--epochs", "1") == 2
         assert "line 2: value not finite" in capsys.readouterr().err
 
+    def test_draws_each_task_model_once(self, data_dir, tmp_path, monkeypatch):
+        import hostility.cli
+        import hostility.traineval
+
+        seeds = []
+        for module in (hostility.cli, hostility.traineval):
+            if hasattr(module, "init_model"):
+                real = getattr(module, "init_model")
+
+                def counting(*args, real=real, **kwargs):
+                    seeds.append(kwargs["base_seed"])
+                    return real(*args, **kwargs)
+
+                monkeypatch.setattr(module, "init_model", counting)
+        assert run("finetune", *common_args(data_dir, tmp_path / "out"), "--epochs", "1") == 0
+        assert seeds == [0, 1, 2, 3, 4]
+
     def test_missing_tapt_checkpoint(self, data_dir, tmp_path):
         out = tmp_path / "out"
         assert run("finetune", *common_args(data_dir, out), "--tapt", "on") == 2
@@ -325,6 +343,35 @@ class TestFinetune:
         stdout = capsys.readouterr().out
         for task in ALL_TASKS:
             assert f"{task}: best epoch" in stdout
+
+
+def plant_in_last_value(path, value):
+    """Overwrite the last float32 of a checkpoint file, the last value of
+    its last tensor."""
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-4] + struct.pack("<f", value))
+
+
+class TestNonFiniteCheckpoint:
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_task_checkpoint(self, data_dir, trained_dir, tmp_path, capsys, command, value):
+        run_dir = copy_run(trained_dir, tmp_path / "run")
+        plant_in_last_value(run_dir / "offensive.ckpt", value)
+        assert run(command, *common_args(data_dir, run_dir)) == 2
+        assert "holds a non-finite value" in capsys.readouterr().err
+        assert not (run_dir / "metrics.kv").exists()
+        assert not (run_dir / "predictions.tsv").exists()
+
+    def test_tapt_checkpoint(self, data_dir, trained_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "tapt.ckpt").write_bytes((trained_dir / "tapt.ckpt").read_bytes())
+        plant_in_last_value(out / "tapt.ckpt", float("nan"))
+        args = common_args(data_dir, out)
+        assert run("finetune", *args, "--tapt", "on", "--epochs", "1") == 2
+        assert "holds a non-finite value" in capsys.readouterr().err
+        assert not (out / "coarse.init.ckpt").exists()
 
 
 class TestEvaluate:

@@ -20,6 +20,7 @@ from hostility.encoder import (
     config_to_meta,
     desk_config,
     encode_batch,
+    encode_packed,
     encode_ids,
     init_array,
     mask_tokens,
@@ -225,6 +226,18 @@ class TestEncode:
             # PAD keys receive no attention mass from real positions
             assert attn[0, -3:].max() < 1e-8
 
+    def test_packed_rows_equal_each_sequence_alone(self, weights, config, vocab):
+        texts = ["sach", "acha din", "yeh sach hai", "jhooth khabar", "", "sach ka saath din"]
+        seqs = sorted((encode_ids(vocab, text, config.max_len) for text in texts), key=len)
+        pooled = encode_packed(weights, config, seqs)
+        assert pooled.shape == (len(seqs), config.d_model)
+        for row, ids in zip(pooled.data, seqs):
+            alone, _ = encode_batch(weights, config, [ids])
+            np.testing.assert_array_equal(row, alone.data[0])
+        # Lengths need not be sorted: each run of one length is a block.
+        unsorted = encode_packed(weights, config, seqs[::-1])
+        np.testing.assert_array_equal(unsorted.data, pooled.data[::-1])
+
     def test_id_out_of_range(self, weights, config):
         with pytest.raises(ValueError, match="out of range"):
             encode_batch(weights, config, [[CLS_ID, config.vocab_size, SEP_ID]])
@@ -232,6 +245,17 @@ class TestEncode:
     def test_too_long(self, weights, config):
         with pytest.raises(ShapeError, match="max_len"):
             encode_batch(weights, config, [[CLS_ID] * (config.max_len + 1)])
+
+    def test_packed_checks_ids_and_lengths(self, weights, config):
+        with pytest.raises(ValueError, match="out of range"):
+            encode_packed(weights, config, [[CLS_ID, SEP_ID], [CLS_ID, config.vocab_size, SEP_ID]])
+        with pytest.raises(ShapeError, match="max_len"):
+            encode_packed(weights, config, [[CLS_ID, SEP_ID], [CLS_ID] * (config.max_len + 1)])
+
+    @pytest.mark.parametrize("seqs", [[], [[CLS_ID], []]])
+    def test_packed_needs_tokens(self, weights, config, seqs):
+        with pytest.raises(ShapeError, match="at least one"):
+            encode_packed(weights, config, seqs)
 
 
 class TestMaskTokens:

@@ -15,6 +15,7 @@ from hostility.fusion import (
     forward,
     fused_vector,
     hashtag_encoder_init,
+    head_shape_table,
     init_model,
     load_model,
     model_from_bytes,
@@ -24,7 +25,7 @@ from hostility.fusion import (
     prob_of_positive,
     text_encoder_init,
 )
-from hostility.numeric import adam_init, adam_step, backward, cross_entropy, zero_grad
+from hostility.numeric import Tensor, adam_init, adam_step, backward, cross_entropy, zero_grad
 from hostility.preprocess import FeatureBundle
 from hostility.tapt import TaptCorpus, run_tapt
 
@@ -207,16 +208,20 @@ def _alone(model, post):
 
 @pytest.fixture
 def encoder_graphs(monkeypatch):
-    """The id sequences of every encode_batch call fusion makes."""
+    """The id sequences of every encoder graph fusion scores."""
     graphs = []
-    real_encode_batch = hostility.fusion.encode_batch
+    real_encode_packed = hostility.fusion.encode_packed
 
-    def recording_encode_batch(weights, enc_config, batch, *args):
-        graphs.append([tuple(ids) for ids in batch])
-        return real_encode_batch(weights, enc_config, batch, *args)
+    def recording_encode_packed(weights, enc_config, seqs):
+        graphs.append([tuple(ids) for ids in seqs])
+        return real_encode_packed(weights, enc_config, seqs)
 
-    monkeypatch.setattr(hostility.fusion, "encode_batch", recording_encode_batch)
+    monkeypatch.setattr(hostility.fusion, "encode_packed", recording_encode_packed)
     return graphs
+
+
+def _graph_rows(graph):
+    return sum(len(ids) for ids in graph)
 
 
 class TestPredictBatch:
@@ -241,7 +246,7 @@ class TestPredictBatch:
     def test_empty(self, config, vocab):
         assert predict_batch(init_model(config, vocab, "coarse"), []) == []
 
-    def test_distinct_inputs_in_exact_length_groups(self, config, vocab, encoder_graphs):
+    def test_distinct_inputs_in_packed_graphs(self, config, vocab, encoder_graphs):
         model = init_model(config, vocab, "coarse", base_seed=1)
         posts = _mixed_posts()
         predict_batch(model, posts)
@@ -249,12 +254,19 @@ class TestPredictBatch:
         texts = {tuple(x.text_ids) for x in encoded}
         hashtags = {tuple(x.hash_ids) for x in encoded}
         assert len(texts) < len(posts) and len(hashtags) < len(posts)
+        # Every distinct sequence is encoded exactly once.
         seen = [ids for graph in encoder_graphs for ids in graph]
         assert sorted(seen) == sorted([*texts, *hashtags])
-        assert [(CLS_ID, SEP_ID)] in encoder_graphs
+        assert (CLS_ID, SEP_ID) in seen
+        # Both encoders' sequences fit one graph of SCORE_ROWS rows each,
+        # so the 24 distinct text lengths share one graph.
+        assert _graph_rows(texts) <= hostility.fusion.SCORE_ROWS
+        assert len(encoder_graphs) == 2
+        assert [set(graph) for graph in encoder_graphs] == [texts, hashtags]
+        assert len({len(ids) for ids in encoder_graphs[0]}) > 5
         for graph in encoder_graphs:
-            assert len({len(ids) for ids in graph}) == 1
-            assert len(graph) * len(graph[0]) <= hostility.fusion.SCORE_ROWS
+            assert _graph_rows(graph) <= hostility.fusion.SCORE_ROWS
+            assert [len(ids) for ids in graph] == sorted(len(ids) for ids in graph)
 
     def test_length_group_larger_than_score_rows(
         self, config, vocab, monkeypatch, encoder_graphs
@@ -263,14 +275,64 @@ class TestPredictBatch:
         words = "yeh sach hai jhooth khabar nafrat acha din ka saath".split()
         posts = [bundle(" ".join(words[i : i + 4] + words[:i]), "") for i in range(7)]
         posts = [bundle(f"{w} {v} ka", "sach") for w in words for v in words[:3]] + posts
+        posts.append(bundle(" ".join(words + words[:3]), "sach"))
         expected = [_alone(model, p) for p in posts]
         encoder_graphs.clear()
         monkeypatch.setattr(hostility.fusion, "SCORE_ROWS", 12)
         assert predict_batch(model, posts) == expected
-        sizes = [(len(graph), len(graph[0])) for graph in encoder_graphs]
-        # 30 distinct texts of five tokens, two to a graph.
-        assert sizes.count((2, 5)) == 15
-        assert all(b * t <= 12 for b, t in sizes)
+        seen = [ids for graph in encoder_graphs for ids in graph]
+        assert len(seen) == len(set(seen)) == 30 + 7 + 1 + 2
+        # 30 texts of five tokens go two to a graph, those of 6 to 12
+        # tokens one to a graph, the 15-token text alone; the hashtag
+        # flows share one.
+        rows = [[len(ids) for ids in graph] for graph in encoder_graphs]
+        assert rows == [[5, 5]] * 15 + [[n] for n in (6, 7, 8, 9, 10, 11, 12, 15)] + [[2, 3]]
+
+
+def _head_widths():
+    """(K, P) of every weight matrix of the desk and paper fusion heads."""
+    shapes = set()
+    for make in (desk_config, paper_config):
+        table = head_shape_table(FusionConfig(encoder=make(100)))
+        shapes.update(shape for shape in table.values() if len(shape) == 2)
+    return sorted(shapes)
+
+
+def _encoder_widths():
+    """(K, P) of every weight matrix of a desk and a paper encoder layer."""
+    shapes = set()
+    for make in (desk_config, paper_config):
+        enc = make(100)
+        shapes.update({(enc.d_model, enc.d_model), (enc.d_model, enc.d_ff), (enc.d_ff, enc.d_model)})
+    return sorted(shapes)
+
+
+class TestBlasRowInvariance:
+    """Packed scoring is bit-identical to scoring each post alone only
+    while these hold for the BLAS numpy is linked against."""
+
+    @pytest.mark.parametrize("shape", _head_widths())
+    def test_stacked_one_row_matmul_equals_each_row_alone(self, shape):
+        k, p = shape
+        rng = np.random.default_rng(k * 7 + p)
+        w = Tensor(rng.uniform(-0.05, 0.05, size=(k, p)).astype(np.float32))
+        x = rng.standard_normal((9, 1, k)).astype(np.float32)
+        stacked = hostility.numeric.matmul(Tensor(x), w).data
+        for i in range(len(x)):
+            alone = hostility.numeric.matmul(Tensor(x[i]), w).data
+            np.testing.assert_array_equal(stacked[i], alone)
+
+    @pytest.mark.parametrize("shape", _encoder_widths())
+    def test_sequence_rows_independent_of_graph_height_and_offset(self, shape):
+        k, p = shape
+        rng = np.random.default_rng(k * 11 + p)
+        w = Tensor(rng.uniform(-0.05, 0.05, size=(k, p)).astype(np.float32))
+        graph = rng.standard_normal((512, k)).astype(np.float32)
+        tall = hostility.numeric.matmul(Tensor(graph), w).data
+        for offset, length in ((0, 2), (0, 64), (3, 5), (131, 17), (255, 33), (510, 2)):
+            rows = np.ascontiguousarray(graph[offset : offset + length])
+            alone = hostility.numeric.matmul(Tensor(rows), w).data
+            np.testing.assert_array_equal(tall[offset : offset + length], alone)
 
 
 @pytest.fixture

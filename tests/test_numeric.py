@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,18 @@ class TestGradcheckPerOp:
         b = t64(rng.normal(size=4), requires_grad=True)
         self._check(lambda: sum_all(mul(add_bias(x, b), add_bias(x, b))), {"x": x, "b": b})
 
+    def test_stacked_matmul_bias_concat(self):
+        rng = np.random.default_rng(17)
+        x = t64(rng.normal(size=(3, 2, 4)), requires_grad=True)
+        w = t64(rng.normal(size=(4, 3)), requires_grad=True)
+        b = t64(rng.normal(size=3), requires_grad=True)
+
+        def build():
+            out = concat_rows([add_bias(matmul(x, w), b), x])
+            return sum_all(mul(out, out))
+
+        self._check(build, {"x": x, "w": w, "b": b})
+
     def test_relu_away_from_kink(self):
         rng = np.random.default_rng(4)
         vals = rng.normal(size=(3, 3))
@@ -311,7 +324,7 @@ class TestAttention:
     @pytest.mark.parametrize("p", [0.0, 0.25])
     def test_one_sequence_matches_per_head_ops(self, p):
         q, k, v = self._qkv(np.float32)
-        fused = attention(q, k, v, 4, self.KEY_PAD, p, True, np.random.default_rng(5))
+        fused = attention(q, k, v, 4, [self.KEY_PAD], p, True, np.random.default_rng(5))
         ref = _per_head_attention(q, k, v, 4, self.KEY_PAD[0], p, np.random.default_rng(5))
         np.testing.assert_array_equal(fused.data, ref.data)
 
@@ -322,7 +335,7 @@ class TestAttention:
             qkv = self._qkv(np.float64)
             rng = np.random.default_rng(5)
             if fused:
-                out = attention(*qkv, 4, self.KEY_PAD, 0.25, True, rng)
+                out = attention(*qkv, 4, [self.KEY_PAD], 0.25, True, rng)
             else:
                 out = _per_head_attention(*qkv, 4, self.KEY_PAD[0], 0.25, rng)
             backward(sum_all(mul(out, w)))
@@ -333,7 +346,54 @@ class TestAttention:
     def test_key_pad_must_cover_rows(self):
         q, k, v = self._qkv(np.float32)
         with pytest.raises(ShapeError, match="key_pad"):
-            attention(q, k, v, 4, np.zeros((2, 3), dtype=bool), 0.0, False, None)
+            attention(q, k, v, 4, [np.zeros((2, 3), dtype=bool)], 0.0, False, None)
+        with pytest.raises(ShapeError, match="key_pad"):
+            attention(q, k, v, 4, [np.zeros((2, 3), dtype=bool)] * 2, 0.0, False, None)
+        with pytest.raises(ShapeError, match="key_pad"):
+            attention(q, k, v, 4, [], 0.0, False, None)
+
+    # Sequences of lengths 3, 3, 5 and 2 packed on 13 rows: one unmasked
+    # block per run of one length. SPANS are the sequences' rows.
+    PACKED = [np.zeros((2, 3), dtype=bool), np.zeros((1, 5), dtype=bool), np.zeros((1, 2), dtype=bool)]
+    SPANS = [(0, 3), (3, 6), (6, 11), (11, 13)]
+
+    def test_blocks_give_each_sequence_alone(self):
+        rng = np.random.default_rng(13)
+        q, k, v = (Tensor(rng.normal(size=(13, 16)).astype(np.float32)) for _ in "qkv")
+        packed = attention(q, k, v, 4, self.PACKED, 0.0, False, None)
+        for lo, hi in self.SPANS:
+            alone = attention(
+                *(Tensor(x.data[lo:hi]) for x in (q, k, v)), 4,
+                [np.zeros((1, hi - lo), dtype=bool)], 0.0, False, None,
+            )
+            np.testing.assert_array_equal(packed.data[lo:hi], alone.data)
+
+    def test_blocks_draw_dropout_per_block_in_order(self):
+        rng = np.random.default_rng(14)
+        q, k, v = (Tensor(rng.normal(size=(13, 16)).astype(np.float32)) for _ in "qkv")
+        packed = attention(q, k, v, 4, self.PACKED, 0.25, True, np.random.default_rng(3))
+        draws = np.random.default_rng(3)
+        for key_pad, (lo, hi) in zip(self.PACKED, [(0, 6), (6, 11), (11, 13)]):
+            block = attention(
+                *(Tensor(x.data[lo:hi]) for x in (q, k, v)), 4, [key_pad], 0.25, True, draws
+            )
+            np.testing.assert_array_equal(packed.data[lo:hi], block.data)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_block_grads(self, p):
+        rng = np.random.default_rng(15)
+        qkv = {n: t64(rng.normal(size=(13, 4)), requires_grad=True) for n in "qkv"}
+        w = t64(rng.normal(size=(13, 4)))
+        # The middle block as a padded sequence of 3 tokens in 5 rows.
+        blocks = [self.PACKED[0], np.array([[False, False, False, True, True]]), self.PACKED[2]]
+
+        def build():
+            out = attention(
+                qkv["q"], qkv["k"], qkv["v"], 2, blocks, p, True, np.random.default_rng(16)
+            )
+            return sum_all(mul(out, w))
+
+        assert gradcheck(build, qkv) < 1e-4
 
 
 class TestAdam:
@@ -393,6 +453,26 @@ class TestCheckpoint:
         assert set(loaded) == {"a.w", "b"}
         np.testing.assert_array_equal(loaded["a.w"], tensors["a.w"])
         assert loaded["b"].shape == ()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_is_data_error(self, value):
+        w = np.arange(6, dtype=np.float32).reshape(2, 3)
+        w[1, 2] = value
+        blob = checkpoint_bytes({}, {"a": np.ones(2, dtype=np.float32), "w": w})
+        with pytest.raises(DataError, match="'w' holds a non-finite value"):
+            parse_checkpoint(blob)
+
+    def test_blob_is_the_only_model_sized_allocation(self):
+        rng = np.random.default_rng(0)
+        tensors = {f"t{i}": rng.standard_normal((256, 512)).astype(np.float32) for i in range(8)}
+        tracemalloc.start()
+        try:
+            blob = checkpoint_bytes({"task": "coarse"}, tensors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(blob) > 8 * 256 * 512 * 4
+        assert peak < 1.3 * len(blob)
 
     def test_tensors_are_read_only_views_of_the_blob(self):
         blob = checkpoint_bytes({}, {"w": np.arange(6, dtype=np.float32).reshape(2, 3)})

@@ -1,6 +1,7 @@
 import random
 import time
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import best_segmentation_bruteforce, segment_hashtag_quadratic
+from hostility import preprocess
 from hostility.errors import DataError
 from hostility.preprocess import (
+    ClassifiedToken,
     EmojiTable,
     FreqDict,
     LabelTag,
@@ -81,6 +84,90 @@ class TestTokenize:
     def test_reserved_markers(self):
         got = kinds_and_surfaces("RT FAV rt")
         assert [k for k, _ in got] == [TokenKind.RESERVED, TokenKind.RESERVED, TokenKind.WORD]
+
+
+# The character-by-character emoji scanner tokenize_raw used before its
+# regex, kept as the oracle.
+_EMOJI_RANGES = (
+    (0x1F300, 0x1F5FF),
+    (0x1F600, 0x1F64F),
+    (0x1F680, 0x1F6FF),
+    (0x1F900, 0x1F9FF),
+    (0x2600, 0x26FF),
+    (0x2700, 0x27BF),
+)
+_SKIN_TONES = (0x1F3FB, 0x1F3FF)
+
+
+def _is_emoji_base(ch):
+    return any(lo <= ord(ch) <= hi for lo, hi in _EMOJI_RANGES)
+
+
+def _is_emoji_modifier(ch):
+    return ord(ch) == 0xFE0F or _SKIN_TONES[0] <= ord(ch) <= _SKIN_TONES[1]
+
+
+def _take_emoji_grapheme(text, start):
+    i = start + 1
+    while i < len(text) and _is_emoji_modifier(text[i]):
+        i += 1
+    while i + 1 < len(text) and ord(text[i]) == 0x200D and _is_emoji_base(text[i + 1]):
+        i += 2
+        while i < len(text) and _is_emoji_modifier(text[i]):
+            i += 1
+    return i
+
+
+def _scan_segment_by_char(segment, out):
+    buf_start = 0
+    i = 0
+    while i < len(segment):
+        if _is_emoji_base(segment[i]):
+            if buf_start < i:
+                word = segment[buf_start:i]
+                out.append(ClassifiedToken(word, preprocess._classify_plain(word)))
+            end = _take_emoji_grapheme(segment, i)
+            out.append(ClassifiedToken(segment[i:end], TokenKind.EMOJI))
+            i = end
+            buf_start = i
+        else:
+            i += 1
+    if buf_start < len(segment):
+        word = segment[buf_start:]
+        out.append(ClassifiedToken(word, preprocess._classify_plain(word)))
+
+
+# ASCII (separators included), Devanagari, emoji from each range, and
+# ZWJ, U+FE0F, skin tones, whitespace and the chars at each range edge.
+_TWEET_CHARS = st.one_of(
+    st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+    st.characters(min_codepoint=0x0900, max_codepoint=0x097F),
+    st.one_of(*(st.characters(min_codepoint=lo, max_codepoint=hi) for lo, hi in _EMOJI_RANGES)),
+    st.sampled_from(
+        ["\u200d", "\ufe0f", " ", "\t"]
+        + [chr(c) for c in range(_SKIN_TONES[0], _SKIN_TONES[1] + 1)]
+        + [chr(c) for lo, hi in _EMOJI_RANGES for c in (lo - 1, lo, hi, hi + 1)]
+    ),
+)
+
+
+class TestEmojiRegex:
+    @given(st.text(alphabet=_TWEET_CHARS, max_size=80))
+    @settings(max_examples=500, deadline=200)
+    def test_same_tokens_as_the_char_scanner(self, text):
+        got = tokenize_raw(text)
+        with mock.patch.object(preprocess, "_scan_segment", _scan_segment_by_char):
+            expected = tokenize_raw(text)
+        assert got == expected
+
+    def test_zwj_sequence_is_one_grapheme(self):
+        family = "\U0001F468\u200d\U0001F469\U0001F3FD\u200d\U0001F467"
+        got = kinds_and_surfaces(f"ghar{family}\u200d!\ufe0f")
+        assert got == [
+            (TokenKind.WORD, "ghar"),
+            (TokenKind.EMOJI, family),
+            (TokenKind.WORD, "\u200d!\ufe0f"),
+        ]
 
 
 class TestCleanText:

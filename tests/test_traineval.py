@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from oracles import confusion_matrix_scores
 from hostility.encoder import EncoderConfig, Vocab
 from hostility.errors import InvariantError
-from hostility.fusion import FusionConfig, model_from_bytes, predict
+from hostility.fusion import FusionConfig, init_model, model_from_bytes, predict
 from hostility.preprocess import FeatureBundle, LabelTag, RawPost, extract_features
 from hostility.traineval import (
     ALL_TASKS,
@@ -285,7 +285,8 @@ class TestTrainBinary:
         examples, vocab, config = toy_setup
         ones = [e for e in examples if e[1] == 1]
         with pytest.raises(ValueError, match="single class"):
-            train_binary(config, vocab, COARSE, ones, examples, hp=Hyperparams(epochs=1, lr=1e-3))
+            model = init_model(config, vocab, COARSE)
+            train_binary(model, ones, examples, hp=Hyperparams(epochs=1, lr=1e-3))
 
     def test_nan_batch_loss_raises(self, toy_setup, monkeypatch):
         import hostility.traineval
@@ -299,12 +300,14 @@ class TestTrainBinary:
         )
         hp = Hyperparams(epochs=1, lr=1e-3)
         with pytest.raises(InvariantError, match="non-finite"):
-            train_binary(config, vocab, COARSE, examples, examples, hp=hp)
+            model = init_model(config, vocab, COARSE, base_seed=hp.seed)
+            train_binary(model, examples, examples, hp=hp)
 
     def test_overfits_separable_toy_set(self, toy_setup):
         examples, vocab, config = toy_setup
         hp = Hyperparams(epochs=30, lr=1e-3, batch_size=8, seed=0)
-        run = train_binary(config, vocab, COARSE, examples, examples, hp=hp)
+        model = init_model(config, vocab, COARSE, base_seed=hp.seed)
+        run = train_binary(model, examples, examples, hp=hp)
         assert run.best_val_macro_f1 >= 0.99
         assert run.best_val_macro_f1 == max(run.val_macro_f1)
         assert run.best_epoch == best_epoch_of(run.val_macro_f1)
@@ -312,15 +315,18 @@ class TestTrainBinary:
     def test_deterministic_checkpoints(self, toy_setup):
         examples, vocab, config = toy_setup
         hp = Hyperparams(epochs=2, lr=1e-3, batch_size=8, seed=5)
-        a = train_binary(config, vocab, "fake", examples, examples, hp=hp)
-        b = train_binary(config, vocab, "fake", examples, examples, hp=hp)
+        a, b = (
+            train_binary(init_model(config, vocab, "fake", base_seed=hp.seed), examples, examples, hp=hp)
+            for _ in range(2)
+        )
         assert a.best_checkpoint == b.best_checkpoint
         assert a.val_macro_f1 == b.val_macro_f1
 
     def test_best_checkpoint_reproduces_trace_value(self, toy_setup):
         examples, vocab, config = toy_setup
         hp = Hyperparams(epochs=3, lr=1e-3, batch_size=8, seed=1)
-        run = train_binary(config, vocab, COARSE, examples, examples, hp=hp)
+        model = init_model(config, vocab, COARSE, base_seed=hp.seed)
+        run = train_binary(model, examples, examples, hp=hp)
         model = model_from_bytes(run.best_checkpoint, vocab)
         preds = [predict(model, bundle)[0] for bundle, _ in examples]
         macro = f1_scores(preds, [t for _, t in examples]).macro_f1
@@ -329,7 +335,8 @@ class TestTrainBinary:
     def test_trace_lengths(self, toy_setup):
         examples, vocab, config = toy_setup
         hp = Hyperparams(epochs=4, lr=1e-3, batch_size=8, seed=2)
-        run = train_binary(config, vocab, COARSE, examples, examples, hp=hp)
+        model = init_model(config, vocab, COARSE, base_seed=hp.seed)
+        run = train_binary(model, examples, examples, hp=hp)
         assert len(run.val_macro_f1) == 4
         assert len(run.train_loss) == 4
 
