@@ -21,7 +21,7 @@ from .encoder import EncoderConfig, Vocab, desk_config, paper_config
 from .errors import DataError, InvariantError, UsageError
 from .fusion import (
     FusionConfig,
-    encode_for_models,
+    encode_post,
     init_model,
     load_model,
     model_to_bytes,
@@ -163,7 +163,7 @@ def _derive_vocab_corpus(cfg: argparse.Namespace, posts, freq):
     corpus = build_tapt_corpus(corpus_posts, include_cleaned=not cfg.no_clean_dup)
     vocab_lines = list(corpus.lines)
     vocab_lines.extend(hashtag_flow(tokenize_raw(p.text), freq) for p in corpus_posts)
-    vocab = Vocab.build(vocab_lines, min_count=1)
+    vocab = Vocab.build(vocab_lines)
     return train, val, corpus, vocab
 
 
@@ -346,7 +346,9 @@ def cmd_finetune(cfg: argparse.Namespace) -> int:
 
 def _load_scoring_inputs(cfg: argparse.Namespace):
     """What evaluate and predict read: the five task models, the posts,
-    and the frequency dictionary and emoji table the models expect."""
+    and the frequency dictionary and emoji table the models expect. The
+    five checkpoints must hold one model configuration, so that each
+    post is encoded once for all of them."""
     out = _out_dir(cfg)
     vocab_path = out / "vocab.txt"
     if not vocab_path.exists():
@@ -360,12 +362,22 @@ def _load_scoring_inputs(cfg: argparse.Namespace):
         models[task], _ = load_model(path, vocab)
         if models[task].task != task:
             raise DataError(f"{path} holds a {models[task].task!r} model, not {task!r}")
+        if models[task].config != models[ALL_TASKS[0]].config:
+            raise DataError(
+                f"{path} holds a model configured unlike {ALL_TASKS[0]}.ckpt; "
+                "the checkpoints come from different runs"
+            )
     posts = load_dataset(cfg.data)
-    emoji_dim = models[ALL_TASKS[-1]].config.emoji_dim
+    emoji_dim = models[ALL_TASKS[0]].config.emoji_dim
     freq, table = _load_aux(cfg, emoji_dim=emoji_dim)
     if table.dim != emoji_dim:
         raise DataError(f"emoji table dimension {table.dim} != model emoji dimension {emoji_dim}")
     return out, models, posts, freq, table
+
+
+def _encode(models, posts: Sequence[RawPost], freq: FreqDict, table: EmojiTable) -> list:
+    """The posts in the input form that all five models read."""
+    return [encode_post(models["coarse"], extract_features(p.text, freq, table)) for p in posts]
 
 
 def cmd_evaluate(cfg: argparse.Namespace) -> int:
@@ -374,8 +386,7 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
         train, val = split_dataset(posts, SplitSpec(seed=cfg.seed))
         posts = train if cfg.split == "train" else val
     try:
-        bundles = [extract_features(p.text, freq, table) for p in posts]
-        report = evaluate_suite(models, posts, bundles)
+        report = evaluate_suite(models, posts, _encode(models, posts, freq, table))
     except ValueError as exc:
         raise DataError(str(exc)) from None
     table_text = render_table(report)
@@ -388,13 +399,12 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
 
 def cmd_predict(cfg: argparse.Namespace) -> int:
     out, models, posts, freq, table = _load_scoring_inputs(cfg)
-    bundles = [extract_features(p.text, freq, table) for p in posts]
-    encoded = encode_for_models(models, bundles)
-    coarse = predict_batch(models["coarse"], encoded["coarse"])
+    encoded = _encode(models, posts, freq, table)
+    coarse = predict_batch(models["coarse"], encoded)
     # assemble_labels reads no fine prediction for a non-hostile post.
     hostile = [i for i, (label, _) in enumerate(coarse) if label]
     fine_preds = {
-        task: iter(predict_batch(models[task], [encoded[task][i] for i in hostile]))
+        task: iter(predict_batch(models[task], [encoded[i] for i in hostile]))
         for task in FINE_TASKS
     }
     order = {name: i for i, name in enumerate(FINE_TASKS)}
@@ -406,8 +416,8 @@ def cmd_predict(cfg: argparse.Namespace) -> int:
             joined = LabelTag.NON_HOSTILE.value
         else:
             joined = "|".join(sorted((t.value for t in tags), key=lambda v: order[v]))
-        lines.append(f"{post.id}\t{joined}")
-    _write_artifact(out / "predictions.tsv", "\n".join(lines) + "\n")
+        lines.append(f"{post.id}\t{joined}\n")
+    _write_artifact(out / "predictions.tsv", "".join(lines))
     print(f"predicted {len(lines)} posts")
     print(f"wrote {out / 'predictions.tsv'}")
     return 0

@@ -4,8 +4,10 @@ Pre-norm residual blocks, CLS pooling, word-level vocabulary with five
 fixed specials. A training batch of sequences runs as one padded graph;
 scoring runs sequences packed end to end, unpadded. Two
 named profiles: "desk" (small, exercised by tests) and "paper"
-(768-dim, 12 layers). EncoderWeights is the encoder body only; the MLM
-output head is a separate parameter dict that exists while TAPT runs.
+(768-dim, 12 layers). A parameter set is a plain name -> Tensor dict
+drawn by `init_params` from a shape table: `encoder_shape_table` for
+the encoder body, `mlm_head_shape_table` for the MLM output head that
+exists only while TAPT runs.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ SPECIALS = ("<pad>", "<unk>", "<cls>", "<sep>", "<mask>")
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
 N_SPECIALS = len(SPECIALS)
 IGNORE_ID = -1
+# A word enters the vocab once it occurs this many times.
+VOCAB_MIN_COUNT = 1
 
 
 class Vocab:
@@ -50,15 +54,15 @@ class Vocab:
             raise DataError("vocab contains duplicate tokens")
 
     @classmethod
-    def build(cls, lines: Iterable[str], min_count: int = 1) -> "Vocab":
+    def build(cls, lines: Iterable[str]) -> "Vocab":
         """Count case-folded whitespace tokens and keep those seen at
-        least min_count times, most frequent first."""
+        least VOCAB_MIN_COUNT times, most frequent first."""
         counts: dict[str, int] = {}
         for line in lines:
             for word in line.casefold().split():
                 counts[word] = counts.get(word, 0) + 1
         words = sorted(
-            (w for w, c in counts.items() if c >= min_count and w not in SPECIALS),
+            (w for w, c in counts.items() if c >= VOCAB_MIN_COUNT and w not in SPECIALS),
             key=lambda w: (-counts[w], w),
         )
         return cls(list(SPECIALS) + words)
@@ -145,6 +149,15 @@ def config_from_meta(meta: Mapping[str, str]) -> EncoderConfig:
 # Values drawn per rng.uniform call when initialising a weight tensor.
 INIT_BLOCK = 65536
 
+# Seed streams of the initial draws: a model with base seed s draws its
+# cleaned-text encoder from default_rng([s, TEXT_INIT_STREAM]), its
+# hashtag encoder from [s, HASHTAG_INIT_STREAM] and its fusion head from
+# [s, HEAD_INIT_STREAM]. TAPT draws the body and then the MLM head from
+# the text stream, so its starting body is the text encoder's.
+TEXT_INIT_STREAM = 0
+HASHTAG_INIT_STREAM = 1
+HEAD_INIT_STREAM = 2
+
 
 def init_array(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Uniform(-0.05, 0.05) for weights and embeddings; layer-norm gains
@@ -166,6 +179,17 @@ def init_array(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> n
     return out
 
 
+def init_params(
+    table: Mapping[str, tuple[int, ...]], rng: np.random.Generator
+) -> dict[str, Tensor]:
+    """A fresh trainable parameter set: init_array of each name of
+    table, drawn from rng in table order."""
+    return {
+        name: Tensor(init_array(name, shape, rng), requires_grad=True)
+        for name, shape in table.items()
+    }
+
+
 def params_from_arrays(
     table: Mapping[str, tuple[int, ...]], arrays: Mapping[str, np.ndarray], what: str
 ) -> dict[str, Tensor]:
@@ -185,61 +209,35 @@ def params_from_arrays(
     return params
 
 
-class EncoderWeights:
-    """Named parameter tensors of one encoder body, in a fixed order."""
+def encoder_shape_table(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Names and shapes of the encoder body's parameters, in draw order."""
+    e, v = config.d_model, config.vocab_size
+    table: dict[str, tuple[int, ...]] = {
+        "tok_emb": (v, e),
+        "pos_emb": (config.max_len, e),
+    }
+    for i in range(config.n_layers):
+        p = f"layers.{i}"
+        table[f"{p}.ln1.gain"] = (e,)
+        table[f"{p}.ln1.bias"] = (e,)
+        for mat in ("wq", "wk", "wv", "wo"):
+            table[f"{p}.attn.{mat}"] = (e, e)
+        for vec in ("bq", "bk", "bv", "bo"):
+            table[f"{p}.attn.{vec}"] = (e,)
+        table[f"{p}.ln2.gain"] = (e,)
+        table[f"{p}.ln2.bias"] = (e,)
+        table[f"{p}.ffn.w1"] = (e, config.d_ff)
+        table[f"{p}.ffn.b1"] = (config.d_ff,)
+        table[f"{p}.ffn.w2"] = (config.d_ff, e)
+        table[f"{p}.ffn.b2"] = (e,)
+    table["ln_f.gain"] = (e,)
+    table["ln_f.bias"] = (e,)
+    return table
 
-    def __init__(self, params: dict[str, Tensor]):
-        self.params = params
 
-    @staticmethod
-    def shape_table(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
-        e, v = config.d_model, config.vocab_size
-        table: dict[str, tuple[int, ...]] = {
-            "tok_emb": (v, e),
-            "pos_emb": (config.max_len, e),
-        }
-        for i in range(config.n_layers):
-            p = f"layers.{i}"
-            table[f"{p}.ln1.gain"] = (e,)
-            table[f"{p}.ln1.bias"] = (e,)
-            for mat in ("wq", "wk", "wv", "wo"):
-                table[f"{p}.attn.{mat}"] = (e, e)
-            for vec in ("bq", "bk", "bv", "bo"):
-                table[f"{p}.attn.{vec}"] = (e,)
-            table[f"{p}.ln2.gain"] = (e,)
-            table[f"{p}.ln2.bias"] = (e,)
-            table[f"{p}.ffn.w1"] = (e, config.d_ff)
-            table[f"{p}.ffn.b1"] = (config.d_ff,)
-            table[f"{p}.ffn.w2"] = (config.d_ff, e)
-            table[f"{p}.ffn.b2"] = (e,)
-        table["ln_f.gain"] = (e,)
-        table["ln_f.bias"] = (e,)
-        return table
-
-    @classmethod
-    def init(cls, config: EncoderConfig, rng: np.random.Generator) -> "EncoderWeights":
-        params = {
-            name: Tensor(init_array(name, shape, rng), requires_grad=True)
-            for name, shape in cls.shape_table(config).items()
-        }
-        return cls(params)
-
-    @classmethod
-    def from_arrays(cls, config: EncoderConfig, arrays: Mapping[str, np.ndarray]) -> "EncoderWeights":
-        return cls(params_from_arrays(cls.shape_table(config), arrays, "encoder"))
-
-    def copy(self) -> "EncoderWeights":
-        return EncoderWeights(
-            {k: Tensor(p.data.copy(), requires_grad=True) for k, p in self.params.items()}
-        )
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {k: p.data for k, p in self.params.items()}
-
-    def equals(self, other: "EncoderWeights") -> bool:
-        return set(self.params) == set(other.params) and all(
-            np.array_equal(p.data, other.params[k].data) for k, p in self.params.items()
-        )
+def mlm_head_shape_table(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """The masked-LM output layer: mlm.w [E, V] and mlm.b [V]."""
+    return {"mlm.w": (config.d_model, config.vocab_size), "mlm.b": (config.vocab_size,)}
 
 
 def _check_lengths(seqs: Sequence[Sequence[int]], config: EncoderConfig) -> list[int]:
@@ -262,19 +260,17 @@ def _check_ids(ids: np.ndarray, config: EncoderConfig) -> None:
 
 
 def _encode_rows(
-    weights: EncoderWeights,
+    params: Mapping[str, Tensor],
     config: EncoderConfig,
     ids: np.ndarray,
     positions: np.ndarray,
     blocks: Sequence[np.ndarray],
     training: bool,
     rng: np.random.Generator | None,
-    attn_sink: list | None,
 ) -> Tensor:
     """The encoder stack over one graph of token rows: ids and positions
     per row, laid out in attention blocks (see numeric.attention).
     Returns the final hidden rows [R, E]."""
-    params = weights.params
     tok = embedding_lookup(params["tok_emb"], ids)
     pos = embedding_lookup(params["pos_emb"], positions)
     x = dropout(add(tok, pos), config.dropout_p, training, rng)
@@ -285,9 +281,7 @@ def _encode_rows(
             add_bias(matmul(normed, params[f"{p}.attn.w{n}"]), params[f"{p}.attn.b{n}"])
             for n in "qkv"
         )
-        heads = attention(
-            q, k, v, config.n_heads, blocks, config.dropout_p, training, rng, attn_sink
-        )
+        heads = attention(q, k, v, config.n_heads, blocks, config.dropout_p, training, rng)
         attn_out = add_bias(matmul(heads, params[f"{p}.attn.wo"]), params[f"{p}.attn.bo"])
         x = add(x, dropout(attn_out, config.dropout_p, training, rng))
         normed = layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
@@ -303,12 +297,11 @@ def _encode_rows(
 
 
 def encode_batch(
-    weights: EncoderWeights,
+    params: Mapping[str, Tensor],
     config: EncoderConfig,
     batch: Sequence[Sequence[int]],
     training: bool = False,
     rng: np.random.Generator | None = None,
-    attn_sink: list | None = None,
 ) -> tuple[Tensor, Tensor]:
     """Run the encoder stack over B id sequences as one padded graph.
 
@@ -324,15 +317,14 @@ def encode_batch(
     _check_ids(padded, config)
     positions = np.tile(np.arange(t), len(batch))
     hidden = _encode_rows(
-        weights, config, padded.reshape(-1), positions, [padded == PAD_ID],
-        training, rng, attn_sink,
+        params, config, padded.reshape(-1), positions, [padded == PAD_ID], training, rng
     )
     pooled = gather_rows(hidden, range(0, len(batch) * t, t))
     return pooled, hidden
 
 
 def encode_packed(
-    weights: EncoderWeights, config: EncoderConfig, seqs: Sequence[Sequence[int]]
+    params: Mapping[str, Tensor], config: EncoderConfig, seqs: Sequence[Sequence[int]]
 ) -> Tensor:
     """Pooled CLS rows [N, E] of N id sequences, encoded without dropout
     as one unpadded graph of sum(len) token rows.
@@ -348,7 +340,7 @@ def encode_packed(
     _check_ids(ids, config)
     blocks = [np.zeros((len(list(run)), t), dtype=bool) for t, run in groupby(lengths)]
     positions = np.concatenate([np.arange(t) for t in lengths])
-    hidden = _encode_rows(weights, config, ids, positions, blocks, False, None, None)
+    hidden = _encode_rows(params, config, ids, positions, blocks, False, None)
     return gather_rows(hidden, np.cumsum([0] + lengths[:-1]))
 
 
@@ -407,28 +399,17 @@ def mask_with_target(
     return masked, targets
 
 
-def mlm_head_init(config: EncoderConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    """The masked-LM output layer: mlm.w [E, V] and mlm.b [V]. TAPT draws
-    it from the generator that drew the encoder body, right after the body."""
-    shapes = {"mlm.w": (config.d_model, config.vocab_size), "mlm.b": (config.vocab_size,)}
-    return {
-        name: Tensor(init_array(name, shape, rng), requires_grad=True)
-        for name, shape in shapes.items()
-    }
-
-
 def mlm_loss(
-    weights: EncoderWeights,
-    head: Mapping[str, Tensor],
+    params: Mapping[str, Tensor],
     config: EncoderConfig,
     masked_batch: Sequence[Sequence[int]],
     target_batch: Sequence[Sequence[int]],
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Masked-LM loss of a batch of lines under the given head: the mean
-    over lines of each line's mean vocab cross-entropy at its target
-    positions."""
+    """Masked-LM loss of a batch of lines under params, which hold the
+    encoder body and the MLM head: the mean over lines of each line's
+    mean vocab cross-entropy at its target positions."""
     if len(masked_batch) != len(target_batch) or any(
         len(m) != len(t) for m, t in zip(masked_batch, target_batch)
     ):
@@ -436,7 +417,7 @@ def mlm_loss(
     per_line = [[i for i, t in enumerate(targets) if t != IGNORE_ID] for targets in target_batch]
     if not all(per_line):
         raise ValueError("mlm_loss needs at least one target position per line")
-    _, hidden = encode_batch(weights, config, masked_batch, training, rng)
+    _, hidden = encode_batch(params, config, masked_batch, training, rng)
     t = hidden.shape[0] // len(masked_batch)
     rows, labels, row_weights = [], [], []
     for b, (positions, targets) in enumerate(zip(per_line, target_batch)):
@@ -444,5 +425,5 @@ def mlm_loss(
         labels.extend(int(targets[i]) for i in positions)
         row_weights.extend([1.0 / (len(positions) * len(per_line))] * len(positions))
     selected = gather_rows(hidden, rows)
-    logits = add_bias(matmul(selected, head["mlm.w"]), head["mlm.b"])
+    logits = add_bias(matmul(selected, params["mlm.w"]), params["mlm.b"])
     return cross_entropy(logits, labels, row_weights)

@@ -15,23 +15,24 @@ import numpy as np
 
 from .checkpoint import checkpoint_bytes, parse_checkpoint, read_checkpoint
 from .encoder import (
+    HASHTAG_INIT_STREAM,
+    HEAD_INIT_STREAM,
+    TEXT_INIT_STREAM,
     EncoderConfig,
-    EncoderWeights,
     Vocab,
     config_from_meta,
     config_to_meta,
     encode_batch,
     encode_ids,
     encode_packed,
-    init_array,
+    encoder_shape_table,
+    init_params,
     params_from_arrays,
 )
 from .errors import DataError, ShapeError
 from .numeric import Tensor, add_bias, concat_rows, dropout, matmul, relu
 from .preprocess import FeatureBundle
-from .tapt import HASHTAG_INIT_STREAM, TEXT_INIT_STREAM
 
-_HEAD_INIT_STREAM = 2
 # At most this many token rows (the sum of sequence lengths) per encoder
 # graph when scoring; a longer sequence runs alone.
 SCORE_ROWS = 512
@@ -71,15 +72,16 @@ def head_shape_table(config: FusionConfig) -> dict[str, tuple[int, ...]]:
 
 
 class FusionModel:
-    """Two distinct encoder parameter sets plus the fusion head."""
+    """Two distinct encoder parameter sets plus the fusion head, each a
+    name -> Tensor dict."""
 
     def __init__(
         self,
         config: FusionConfig,
         vocab: Vocab,
         task: str,
-        text_encoder: EncoderWeights,
-        hashtag_encoder: EncoderWeights,
+        text_encoder: dict[str, Tensor],
+        hashtag_encoder: dict[str, Tensor],
         head: dict[str, Tensor],
     ):
         if text_encoder is hashtag_encoder:
@@ -92,25 +94,27 @@ class FusionModel:
         self.head = head
 
     def named_params(self) -> dict[str, Tensor]:
-        params = {f"text_enc.{k}": p for k, p in self.text_encoder.params.items()}
-        params.update({f"hash_enc.{k}": p for k, p in self.hashtag_encoder.params.items()})
+        params = {f"text_enc.{k}": p for k, p in self.text_encoder.items()}
+        params.update({f"hash_enc.{k}": p for k, p in self.hashtag_encoder.items()})
         params.update(self.head)
         return params
 
 
-def text_encoder_init(config: EncoderConfig, base_seed: int) -> EncoderWeights:
-    return EncoderWeights.init(config, np.random.default_rng([base_seed, TEXT_INIT_STREAM]))
+def text_encoder_init(config: EncoderConfig, base_seed: int) -> dict[str, Tensor]:
+    rng = np.random.default_rng([base_seed, TEXT_INIT_STREAM])
+    return init_params(encoder_shape_table(config), rng)
 
 
-def hashtag_encoder_init(config: EncoderConfig, base_seed: int) -> EncoderWeights:
-    return EncoderWeights.init(config, np.random.default_rng([base_seed, HASHTAG_INIT_STREAM]))
+def hashtag_encoder_init(config: EncoderConfig, base_seed: int) -> dict[str, Tensor]:
+    rng = np.random.default_rng([base_seed, HASHTAG_INIT_STREAM])
+    return init_params(encoder_shape_table(config), rng)
 
 
 def init_model(
     config: FusionConfig,
     vocab: Vocab,
     task: str,
-    tapt_weights: EncoderWeights | None = None,
+    tapt_weights: Mapping[str, Tensor] | None = None,
     base_seed: int = 0,
 ) -> FusionModel:
     """Fresh model; the cleaned-text encoder takes the adapted weights
@@ -123,15 +127,13 @@ def init_model(
     if enc_cfg.vocab_size != len(vocab):
         raise ShapeError(f"config vocab_size {enc_cfg.vocab_size} != vocab size {len(vocab)}")
     if tapt_weights is not None:
-        text_encoder = EncoderWeights.from_arrays(enc_cfg, tapt_weights.arrays())
+        arrays = {name: p.data for name, p in tapt_weights.items()}
+        text_encoder = params_from_arrays(encoder_shape_table(enc_cfg), arrays, "encoder")
     else:
         text_encoder = text_encoder_init(enc_cfg, base_seed)
     hashtag_encoder = hashtag_encoder_init(enc_cfg, base_seed)
-    rng = np.random.default_rng([base_seed, _HEAD_INIT_STREAM])
-    head = {
-        name: Tensor(init_array(name, shape, rng), requires_grad=True)
-        for name, shape in head_shape_table(config).items()
-    }
+    rng = np.random.default_rng([base_seed, HEAD_INIT_STREAM])
+    head = init_params(head_shape_table(config), rng)
     return FusionModel(config, vocab, task, text_encoder, hashtag_encoder, head)
 
 
@@ -151,8 +153,9 @@ class EncodedPost:
 
 
 def encode_post(model: FusionModel, bundle: FeatureBundle) -> EncodedPost:
-    """The bundle in model input form; training encodes each example
-    once per run."""
+    """The bundle in model input form. It depends only on the model's
+    vocab and config, so training encodes each example once per run and
+    scoring each post once for all five task models."""
     cfg = model.config
     vec = np.asarray(bundle.emoji_vec)
     if vec.shape != (cfg.emoji_dim,):
@@ -163,23 +166,6 @@ def encode_post(model: FusionModel, bundle: FeatureBundle) -> EncodedPost:
         encode_ids(model.vocab, bundle.hashtag_flow, max_len),
         vec,
     )
-
-
-def encode_for_models(
-    models: Mapping[str, FusionModel], bundles: Sequence[FeatureBundle]
-) -> dict[str, list[EncodedPost]]:
-    """Each model's bundles in its input form, under the model's key.
-    Models that read the same vocab object, max_len and emoji width share
-    one encoding, so the five task models of a run encode each post once."""
-    shared: dict[tuple, list[EncodedPost]] = {}
-    out = {}
-    for key, model in models.items():
-        cfg = model.config
-        reads = (model.vocab, cfg.encoder.max_len, cfg.emoji_dim)
-        if reads not in shared:
-            shared[reads] = [encode_post(model, b) for b in bundles]
-        out[key] = shared[reads]
-    return out
 
 
 def _fused_input(
@@ -258,7 +244,7 @@ def _packed_graphs(distinct: Sequence[tuple[int, ...]]) -> list[list[tuple[int, 
 
 
 def _pooled_rows(
-    weights: EncoderWeights, config: EncoderConfig, seqs: Sequence[list[int]]
+    params: Mapping[str, Tensor], config: EncoderConfig, seqs: Sequence[list[int]]
 ) -> np.ndarray:
     """The pooled rows [N, 1, E] of N id sequences, in input order.
 
@@ -268,15 +254,14 @@ def _pooled_rows(
     """
     rows: dict[tuple[int, ...], np.ndarray] = {}
     for graph in _packed_graphs(list(dict.fromkeys(tuple(ids) for ids in seqs))):
-        pooled = encode_packed(weights, config, graph)
+        pooled = encode_packed(params, config, graph)
         rows.update(zip(graph, pooled.data))
     return np.stack([rows[tuple(ids)] for ids in seqs])[:, None, :]
 
 
-def _fused_rows(model: FusionModel, posts: Sequence[FeatureBundle | EncodedPost]) -> Tensor:
+def _fused_rows(model: FusionModel, encoded: Sequence[EncodedPost]) -> Tensor:
     """The fusion-layer inputs of the posts as a stack [N, 1, fused_dim],
     in input order; both encoders go through `_pooled_rows`."""
-    encoded = [p if isinstance(p, EncodedPost) else encode_post(model, p) for p in posts]
     enc_cfg = model.config.encoder
     text_rows = _pooled_rows(model.text_encoder, enc_cfg, [x.text_ids for x in encoded])
     hash_rows = _pooled_rows(model.hashtag_encoder, enc_cfg, [x.hash_ids for x in encoded])
@@ -298,8 +283,8 @@ def _scoring_view(model: FusionModel) -> FusionModel:
         model.config,
         model.vocab,
         model.task,
-        EncoderWeights(frozen(model.text_encoder.params)),
-        EncoderWeights(frozen(model.hashtag_encoder.params)),
+        frozen(model.text_encoder),
+        frozen(model.hashtag_encoder),
         frozen(model.head),
     )
 
@@ -307,14 +292,12 @@ def _scoring_view(model: FusionModel) -> FusionModel:
 def fused_vector(model: FusionModel, bundle: FeatureBundle) -> np.ndarray:
     """The concatenated feature vector fed to the fusion layer (length
     2*d_model + emoji_dim)."""
-    return _fused_rows(_scoring_view(model), [bundle]).data[0, 0].copy()
+    return _fused_rows(_scoring_view(model), [encode_post(model, bundle)]).data[0, 0].copy()
 
 
-def predict_batch(
-    model: FusionModel, posts: Sequence[FeatureBundle | EncodedPost]
-) -> list[tuple[int, float]]:
-    """(label, positive-class probability) per post, in input order; label
-    is 1 iff prob >= 0.5.
+def predict_batch(model: FusionModel, posts: Sequence[EncodedPost]) -> list[tuple[int, float]]:
+    """(label, positive-class probability) per encoded post (see
+    encode_post), in input order; label is 1 iff prob >= 0.5.
 
     The head runs once, on the posts' fusion inputs stacked as
     [N, 1, fused_dim]: each [1, F] @ W of the stack gets the BLAS kernel
@@ -329,10 +312,10 @@ def predict_batch(
     return [(1 if prob >= 0.5 else 0, prob) for prob in probs]
 
 
-def predict(model: FusionModel, post: FeatureBundle | EncodedPost) -> tuple[int, float]:
+def predict(model: FusionModel, bundle: FeatureBundle) -> tuple[int, float]:
     """(label, positive-class probability) of one post: predict_batch of
     that post alone."""
-    return predict_batch(model, [post])[0]
+    return predict_batch(model, [encode_post(model, bundle)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +371,8 @@ def _model_from_parsed(
             hash_arrays[name[len("hash_enc.") :]] = arr
         else:
             head_arrays[name] = arr
-    text_encoder = EncoderWeights.from_arrays(enc_cfg, text_arrays)
-    hashtag_encoder = EncoderWeights.from_arrays(enc_cfg, hash_arrays)
+    text_encoder = params_from_arrays(encoder_shape_table(enc_cfg), text_arrays, "encoder")
+    hashtag_encoder = params_from_arrays(encoder_shape_table(enc_cfg), hash_arrays, "encoder")
     head = params_from_arrays(head_shape_table(config), head_arrays, "fusion head")
     task = metadata.get("task", "")
     model = FusionModel(config, vocab, task, text_encoder, hashtag_encoder, head)

@@ -237,20 +237,26 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     return _result(x.data[:, start:stop].copy(), (x,), bp)
 
 
+def _scatter_rows(t: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
+    """Add row i of g into row idx[i] of t's gradient, in place; repeated
+    indices sum."""
+    if t.requires_grad:
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        np.add.at(t.grad, idx, g)
+
+
 def gather_rows(x: Tensor, rows: Sequence[int]) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"gather_rows expects a matrix, got shape {x.data.shape}")
-    idx = np.asarray(list(rows), dtype=np.intp)
+    idx = np.asarray(rows, dtype=np.intp)
     if idx.size == 0:
         raise ShapeError("gather_rows needs at least one row index")
     if (idx < 0).any() or (idx >= x.data.shape[0]).any():
         raise ShapeError(f"row index out of range for {x.data.shape[0]} rows")
 
     def bp(g):
-        if x.requires_grad:
-            z = np.zeros_like(x.data)
-            np.add.at(z, idx, g)
-            _accum(x, z)
+        _scatter_rows(x, idx, g)
 
     return _result(x.data[idx], (x,), bp)
 
@@ -258,17 +264,14 @@ def gather_rows(x: Tensor, rows: Sequence[int]) -> Tensor:
 def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
     if table.data.ndim != 2:
         raise ShapeError(f"embedding table must be a matrix, got {table.data.shape}")
-    idx = np.asarray(list(ids), dtype=np.intp)
+    idx = np.asarray(ids, dtype=np.intp)
     if idx.ndim != 1 or idx.size == 0:
         raise ShapeError("embedding_lookup needs a non-empty 1-d id sequence")
     if (idx < 0).any() or (idx >= table.data.shape[0]).any():
         raise ValueError(f"token id out of range for table of {table.data.shape[0]} rows")
 
     def bp(g):
-        if table.requires_grad:
-            z = np.zeros_like(table.data)
-            np.add.at(z, idx, g)
-            _accum(table, z)
+        _scatter_rows(table, idx, g)
 
     return _result(table.data[idx], (table,), bp)
 
@@ -345,7 +348,7 @@ def _join_rows(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _attend_block(qd, kd, vd, key_pad, n_heads, p, training, rng, attn_sink):
+def _attend_block(qd, kd, vd, key_pad, n_heads, p, training, rng):
     """Forward of one block of B sequences of T positions (see attention):
     the merged heads [B*T, E] and a closure that maps their gradient to
     those of qd, kd and vd."""
@@ -370,8 +373,6 @@ def _attend_block(qd, kd, vd, key_pad, n_heads, p, training, rng, attn_sink):
         scores = scores + np.where(key_pad, _ATTN_MASK_VALUE, 0.0).astype(dtype)[:, None, None, :]
     e_scores = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs = e_scores / e_scores.sum(axis=-1, keepdims=True)
-    if attn_sink is not None:
-        attn_sink.extend(probs.reshape(-1, t, t).copy())
     factor = None
     if training and p > 0:
         if rng is None:
@@ -401,7 +402,6 @@ def attention(
     p: float,
     training: bool,
     rng: np.random.Generator | None,
-    attn_sink: list | None = None,
 ) -> Tensor:
     """Multi-head scaled dot-product attention within each sequence of a
     row layout.
@@ -414,8 +414,6 @@ def attention(
     length. Attention probabilities get inverted dropout with probability
     p when training, drawn per block in order as one
     rng.random((B, H, T, T)). Returns the heads merged back to [R, E].
-    attn_sink, when given, receives each (sequence, head) pre-dropout
-    probability matrix [T, T].
     """
     if not 0 <= p < 1:
         raise ValueError(f"dropout probability must satisfy 0 <= p < 1, got {p}")
@@ -435,8 +433,7 @@ def attention(
     outs, block_bps = [], []
     for key_pad, (lo, hi) in zip(blocks, spans):
         out, block_bp = _attend_block(
-            q.data[lo:hi], k.data[lo:hi], v.data[lo:hi],
-            key_pad, n_heads, p, training, rng, attn_sink,
+            q.data[lo:hi], k.data[lo:hi], v.data[lo:hi], key_pad, n_heads, p, training, rng
         )
         outs.append(out)
         block_bps.append(block_bp)
@@ -491,6 +488,12 @@ def cross_entropy(
 # ---------------------------------------------------------------------------
 
 
+# Adam's moment decay rates and denominator term.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment buffers keyed like the parameter dict."""
@@ -498,9 +501,6 @@ class AdamState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_init(params: Mapping[str, Tensor]) -> AdamState:
@@ -514,8 +514,8 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState, lr: float) -> None
     """One bias-corrected update in place; params with grad None are skipped."""
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -524,11 +524,11 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState, lr: float) -> None
             raise ShapeError(f"grad shape {g.shape} != param shape {p.data.shape} for {name}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def train_step(params: Mapping[str, Tensor], state: AdamState, loss: Tensor, lr: float) -> None:

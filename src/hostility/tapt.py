@@ -15,26 +15,27 @@ import numpy as np
 
 from .checkpoint import checkpoint_bytes, read_checkpoint
 from .encoder import (
+    N_SPECIALS,
+    TEXT_INIT_STREAM,
     EncoderConfig,
-    EncoderWeights,
     Vocab,
     config_from_meta,
     config_to_meta,
-    N_SPECIALS,
     encode_ids,
+    encoder_shape_table,
+    init_params,
     mask_with_target,
-    mlm_head_init,
+    mlm_head_shape_table,
     mlm_loss,
+    params_from_arrays,
 )
 from .errors import DataError, InvariantError
-from .numeric import adam_init, train_step
+from .numeric import Tensor, adam_init, train_step
 from .preprocess import RawPost, clean_text, tokenize_raw
 
 RAW = "raw"
 CLEANED = "cleaned"
 
-TEXT_INIT_STREAM = 0
-HASHTAG_INIT_STREAM = 1
 _TRAIN_STREAM = 5
 _MASK_STREAM = 6
 
@@ -73,7 +74,7 @@ def dump_corpus(corpus: TaptCorpus, path) -> None:
 
 @dataclass
 class TaptResult:
-    weights: EncoderWeights
+    weights: dict[str, Tensor]
     epoch_losses: list[float]
     steps: int
 
@@ -91,9 +92,10 @@ def run_tapt(
     """Continued MLM pretraining over shuffled corpus lines, one padded
     batch graph and one optimizer step per mini-batch.
 
-    The encoder body starts from fusion.text_encoder_init(config, seed),
-    and the MLM head is drawn next from the same generator. Adam steps
-    both; only the body is returned.
+    One init_params call draws the encoder body and then the MLM head
+    from the [seed, TEXT_INIT_STREAM] generator, so the body starts as
+    fusion.text_encoder_init(config, seed). Adam steps both; weights
+    holds only the body's parameters.
 
     Deterministic given the seed. Each epoch masks every line once, in
     corpus order, from its own seed stream, so what is masked does not
@@ -112,10 +114,10 @@ def run_tapt(
     maskable = [j for j, ids in enumerate(encoded) if any(t >= N_SPECIALS for t in ids)]
     if not maskable:
         raise ValueError("corpus has no maskable tokens under this vocab")
-    init_rng = np.random.default_rng([seed, TEXT_INIT_STREAM])
-    weights = EncoderWeights.init(config, init_rng)
-    head = mlm_head_init(config, init_rng)
-    params = {**weights.params, **head}
+    body = encoder_shape_table(config)
+    params = init_params(
+        {**body, **mlm_head_shape_table(config)}, np.random.default_rng([seed, TEXT_INIT_STREAM])
+    )
     rng = np.random.default_rng([seed, _TRAIN_STREAM])
     mask_rng = np.random.default_rng([seed, _MASK_STREAM])
     state = adam_init(params)
@@ -134,18 +136,19 @@ def run_tapt(
                 continue
             masked_batch, target_batch = zip(*batch)
             batch_loss = mlm_loss(
-                weights, head, config, masked_batch, target_batch, training=True, rng=rng
+                params, config, masked_batch, target_batch, training=True, rng=rng
             )
             train_step(params, state, batch_loss, lr)
             steps += 1
             loss_total += float(batch_loss.data) * len(batch)
             n_seqs += len(batch)
         epoch_losses.append(loss_total / n_seqs)
+    weights = {name: params[name] for name in body}
     return TaptResult(weights=weights, epoch_losses=epoch_losses, steps=steps)
 
 
 def encoder_checkpoint_bytes(
-    weights: EncoderWeights,
+    weights: Mapping[str, Tensor],
     config: EncoderConfig,
     extra: Mapping[str, str] | None = None,
 ) -> bytes:
@@ -153,12 +156,12 @@ def encoder_checkpoint_bytes(
     meta.update(config_to_meta(config))
     if extra:
         meta.update(extra)
-    return checkpoint_bytes(meta, weights.arrays())
+    return checkpoint_bytes(meta, {name: p.data for name, p in weights.items()})
 
 
-def load_encoder_checkpoint(path) -> tuple[EncoderWeights, EncoderConfig, dict[str, str]]:
+def load_encoder_checkpoint(path) -> tuple[dict[str, Tensor], EncoderConfig, dict[str, str]]:
     metadata, arrays = read_checkpoint(path)
     if metadata.get("kind") != "encoder":
         raise DataError(f"{path}: checkpoint does not hold encoder weights")
     config = config_from_meta(metadata)
-    return EncoderWeights.from_arrays(config, arrays), config, metadata
+    return params_from_arrays(encoder_shape_table(config), arrays, "encoder"), config, metadata

@@ -15,14 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InvariantError
-from .fusion import (
-    FusionModel,
-    encode_for_models,
-    encode_post,
-    forward,
-    model_to_bytes,
-    predict_batch,
-)
+from .fusion import EncodedPost, FusionModel, encode_post, forward, model_to_bytes, predict_batch
 from .numeric import adam_init, cross_entropy, train_step
 from .preprocess import FeatureBundle, LabelTag, RawPost
 
@@ -48,10 +41,12 @@ FINE_AGGREGATE_NAME = "Weighted (Fine)"
 
 Example = tuple[FeatureBundle, int]
 
+# The share of each coarse stratum that goes to the training split.
+TRAIN_FRACTION = 0.8
+
 
 @dataclass(frozen=True)
 class SplitSpec:
-    train_fraction: float = 0.8
     seed: int = 0
 
 
@@ -71,7 +66,7 @@ def split_dataset(posts: Sequence[RawPost], spec: SplitSpec) -> tuple[list[RawPo
         [i for i, p in enumerate(posts) if not _is_hostile(p)],
     ):
         perm = rng.permutation(len(stratum))
-        k = int(math.floor(spec.train_fraction * len(stratum) + 0.5))
+        k = int(math.floor(TRAIN_FRACTION * len(stratum) + 0.5))
         train_idx.extend(stratum[j] for j in perm[:k])
     chosen = set(train_idx)
     train = [p for i, p in enumerate(posts) if i in chosen]
@@ -271,14 +266,12 @@ def compute_suite_metrics(
 def evaluate_suite(
     models: Mapping[str, FusionModel],
     posts: Sequence[RawPost],
-    bundles: Sequence[FeatureBundle],
+    encoded: Sequence[EncodedPost],
 ) -> MetricsReport:
-    """Score all five models over the same posts (each task sees every
-    post, with that task's binary targets)."""
-    encoded = encode_for_models(models, bundles)
+    """Score all five models over the same encoded posts (each task sees
+    every post, with that task's binary targets)."""
     preds = {
-        task: [label for label, _ in predict_batch(models[task], encoded[task])]
-        for task in ALL_TASKS
+        task: [label for label, _ in predict_batch(models[task], encoded)] for task in ALL_TASKS
     }
     golds = {task: binary_targets(posts, task) for task in ALL_TASKS}
     return compute_suite_metrics(preds, golds)

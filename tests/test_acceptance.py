@@ -10,6 +10,7 @@ import pytest
 
 from gradcheck import analytic_grads, finite_difference_grads, max_rel_error
 from oracles import best_segmentation_bruteforce, confusion_matrix_scores
+from param_sets import same_params
 from hostility.cli import main
 from hostility.encoder import (
     IGNORE_ID,
@@ -337,12 +338,12 @@ def test_c06_weight_transfer_asymmetry():
         adapted = run_tapt(enc, vocab, corpus, epochs=3, lr=1e-3, batch_size=4, seed=11).weights
         config = FusionConfig(encoder=enc, emoji_dim=4, mlp_hidden=(4,))
         model = init_model(config, vocab, "coarse", tapt_weights=adapted, base_seed=11)
-        for name, p in model.text_encoder.params.items():
-            assert np.array_equal(p.data, adapted.params[name].data), name
+        for name, p in model.text_encoder.items():
+            assert np.array_equal(p.data, adapted[name].data), name
         base = hashtag_encoder_init(enc, 11)
-        for name, p in model.hashtag_encoder.params.items():
-            assert np.array_equal(p.data, base.params[name].data), name
-        assert not model.hashtag_encoder.equals(adapted)
+        for name, p in model.hashtag_encoder.items():
+            assert np.array_equal(p.data, base[name].data), name
+        assert not same_params(model.hashtag_encoder, adapted)
 
 
 def test_c07_dimension_law():

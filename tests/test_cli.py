@@ -36,6 +36,16 @@ def trained_dir(tmp_path_factory, data_dir):
     return out
 
 
+@pytest.fixture(scope="session")
+def short_run_dir(tmp_path_factory, data_dir):
+    """A finetune run on the same data as trained_dir, at --max-len 16."""
+    out = tmp_path_factory.mktemp("short")
+    args = common_args(data_dir, out)
+    args[args.index("--max-len") + 1] = "16"
+    assert run("finetune", *args, "--epochs", "1") == 0
+    return out
+
+
 def copy_run(trained_dir, dest):
     """The files evaluate and predict read: vocab.txt and the task checkpoints."""
     dest.mkdir()
@@ -445,6 +455,19 @@ class TestEvaluate:
         assert "!= model emoji dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_checkpoints_of_mixed_configs_are_data_error(
+    command, data_dir, trained_dir, short_run_dir, tmp_path, capsys
+):
+    run_dir = copy_run(trained_dir, tmp_path / "run")
+    assert (short_run_dir / "vocab.txt").read_bytes() == (run_dir / "vocab.txt").read_bytes()
+    (run_dir / "coarse.ckpt").write_bytes((short_run_dir / "coarse.ckpt").read_bytes())
+    assert run(command, *common_args(data_dir, run_dir)) == 2
+    assert "fake.ckpt holds a model configured unlike coarse.ckpt" in capsys.readouterr().err
+    written = {"metrics.txt", "metrics.kv", "predictions.tsv"} & {p.name for p in run_dir.iterdir()}
+    assert not written
+
+
 class TestPredict:
     def test_output_format(self, data_dir, trained_dir):
         args = common_args(data_dir, trained_dir)
@@ -515,6 +538,15 @@ class TestPredict:
         line = (trained_dir / "predictions.tsv").read_text(encoding="utf-8").strip()
         pid, tags = line.split("\t")
         assert pid == "u1" and tags
+
+    def test_no_posts_give_an_empty_file(self, data_dir, trained_dir, tmp_path):
+        run_dir = copy_run(trained_dir, tmp_path / "run")
+        data = tmp_path / "header_only.csv"
+        data.write_text("id,text,labels\n", encoding="utf-8")
+        args = common_args(data_dir, run_dir)
+        args[1] = str(data)
+        assert run("predict", *args) == 0
+        assert (run_dir / "predictions.tsv").read_bytes() == b""
 
 
 class TestWriteArtifact:

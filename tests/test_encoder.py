@@ -14,7 +14,6 @@ from hostility.encoder import (
     SPECIALS,
     UNK_ID,
     EncoderConfig,
-    EncoderWeights,
     Vocab,
     config_from_meta,
     config_to_meta,
@@ -22,14 +21,18 @@ from hostility.encoder import (
     encode_batch,
     encode_packed,
     encode_ids,
+    encoder_shape_table,
     init_array,
+    init_params,
     mask_tokens,
-    mlm_head_init,
+    mlm_head_shape_table,
     mlm_loss,
     paper_config,
     params_from_arrays,
 )
 from hostility.errors import DataError, ShapeError
+from hostility.numeric import Tensor, attention
+from param_sets import same_params
 
 
 @pytest.fixture(scope="module")
@@ -50,12 +53,12 @@ def config(vocab):
 
 @pytest.fixture(scope="module")
 def weights(config):
-    return EncoderWeights.init(config, np.random.default_rng(11))
+    return init_params(encoder_shape_table(config), np.random.default_rng(11))
 
 
 @pytest.fixture(scope="module")
 def head(config):
-    return mlm_head_init(config, np.random.default_rng(12))
+    return init_params(mlm_head_shape_table(config), np.random.default_rng(12))
 
 
 class TestVocab:
@@ -134,10 +137,10 @@ class TestConfig:
 
 class TestWeights:
     def test_shape_audit(self, weights, config):
-        table = EncoderWeights.shape_table(config)
-        assert set(weights.params) == set(table)
+        table = encoder_shape_table(config)
+        assert set(weights) == set(table)
         for name, shape in table.items():
-            assert weights.params[name].data.shape == shape, name
+            assert weights[name].data.shape == shape, name
 
     def test_mlm_head_shapes(self, head, config):
         assert head["mlm.w"].data.shape == (config.d_model, config.vocab_size)
@@ -145,9 +148,19 @@ class TestWeights:
         assert not head["mlm.b"].data.any()
 
     def test_init_deterministic(self, config):
-        a = EncoderWeights.init(config, np.random.default_rng(5))
-        b = EncoderWeights.init(config, np.random.default_rng(5))
-        assert a.equals(b)
+        a = init_params(encoder_shape_table(config), np.random.default_rng(5))
+        b = init_params(encoder_shape_table(config), np.random.default_rng(5))
+        assert same_params(a, b)
+
+    def test_init_params_draws_in_table_order(self, config):
+        body, head = encoder_shape_table(config), mlm_head_shape_table(config)
+        both = init_params({**body, **head}, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        apart = init_params(body, rng)
+        apart.update(init_params(head, rng))
+        assert list(both) == list(apart) == [*body, *head]
+        assert same_params(both, apart)
+        assert all(p.requires_grad and p.data.dtype == np.float32 for p in both.values())
 
     @pytest.mark.parametrize(
         "shape", [(7,), (3, 5), (INIT_BLOCK,), (2, INIT_BLOCK // 2), (INIT_BLOCK * 2 + 13,), (0, 4)]
@@ -162,25 +175,20 @@ class TestWeights:
 
     def test_params_from_read_only_views_are_writable_copies(self, weights, config):
         views = {}
-        for name, p in weights.params.items():
+        for name, p in weights.items():
             views[name] = p.data.view()
             views[name].flags.writeable = False
-        params = params_from_arrays(EncoderWeights.shape_table(config), views, "encoder")
+        params = params_from_arrays(encoder_shape_table(config), views, "encoder")
         for name, p in params.items():
             assert p.data.flags.writeable and p.data.flags.owndata and p.requires_grad
             assert not np.shares_memory(p.data, views[name])
             np.testing.assert_array_equal(p.data, views[name])
 
-    def test_copy_is_deep(self, weights):
-        clone = weights.copy()
-        clone.params["tok_emb"].data[0, 0] += 1.0
-        assert not clone.equals(weights)
-
     def test_from_arrays_validates_shapes(self, config, weights):
-        arrays = weights.arrays()
+        arrays = {name: p.data for name, p in weights.items()}
         arrays["tok_emb"] = np.zeros((2, 2), dtype=np.float32)
         with pytest.raises(ShapeError, match="tok_emb"):
-            EncoderWeights.from_arrays(config, arrays)
+            params_from_arrays(encoder_shape_table(config), arrays, "encoder")
 
 
 class TestEncode:
@@ -216,15 +224,22 @@ class TestEncode:
             rows = hidden.data[b * t : b * t + len(ids)]
             assert np.abs(rows - single_hidden.data).max() <= 1e-5
 
-    def test_attention_rows_sum_to_one(self, weights, config, vocab):
+    def test_attention_rows_sum_to_one(self, config, vocab):
         ids = encode_ids(vocab, "jhooth khabar nafrat", config.max_len) + [PAD_ID] * 3
-        sink = []
-        encode_batch(weights, config, [ids], attn_sink=sink)
-        assert len(sink) == config.n_layers * config.n_heads
-        for attn in sink:
-            np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-6)
-            # PAD keys receive no attention mass from real positions
-            assert attn[0, -3:].max() < 1e-8
+        key_pad = np.array([ids]) == PAD_ID
+        rng = np.random.default_rng(3)
+        q, k = (Tensor(3 * rng.standard_normal((len(ids), config.d_model))) for _ in "qk")
+
+        def mass(on_keys):
+            """Per query and head, the attention mass on the keys where
+            on_keys is 1: the output of attention with v = on_keys in
+            every column."""
+            v = Tensor(np.repeat(on_keys.astype(np.float32)[:, None], config.d_model, axis=1))
+            return attention(q, k, v, config.n_heads, [key_pad], 0.0, False, None).data
+
+        np.testing.assert_allclose(mass(np.ones(len(ids))), 1.0, atol=1e-6)
+        # PAD keys receive no attention mass from any position.
+        assert mass(key_pad[0]).max() < 1e-8
 
     def test_packed_rows_equal_each_sequence_alone(self, weights, config, vocab):
         texts = ["sach", "acha din", "yeh sach hai", "jhooth khabar", "", "sach ka saath din"]
@@ -320,7 +335,7 @@ class TestMlmLoss:
     def test_untrained_loss_near_log_vocab(self, weights, head, config, vocab):
         ids = encode_ids(vocab, "yeh sach hai sach ka saath", config.max_len)
         masked, targets = mask_tokens(ids, len(vocab), np.random.default_rng(8), p=0.9)
-        loss = mlm_loss(weights, head, config, [masked], [targets])
+        loss = mlm_loss({**weights, **head}, config, [masked], [targets])
         expected = math.log(config.vocab_size)
         assert abs(loss.item() - expected) / expected < 0.15
 
@@ -330,15 +345,15 @@ class TestMlmLoss:
         lines = [encode_ids(vocab, t, config.max_len) for t in texts]
         masks = [mask_tokens(ids, len(vocab), rng, p=0.7) for ids in lines]
         masked, targets = [m for m, _ in masks], [t for _, t in masks]
-        batch = mlm_loss(weights, head, config, masked, targets).item()
-        singles = [mlm_loss(weights, head, config, [m], [t]).item() for m, t in masks]
+        batch = mlm_loss({**weights, **head}, config, masked, targets).item()
+        singles = [mlm_loss({**weights, **head}, config, [m], [t]).item() for m, t in masks]
         assert batch == pytest.approx(sum(singles) / 2, abs=1e-5)
 
     def test_no_targets_is_an_error(self, weights, head, config):
         with pytest.raises(ValueError, match="target"):
-            mlm_loss(weights, head, config, [[CLS_ID, SEP_ID]], [[IGNORE_ID, IGNORE_ID]])
+            mlm_loss({**weights, **head}, config, [[CLS_ID, SEP_ID]], [[IGNORE_ID, IGNORE_ID]])
 
     def test_nonnegative(self, weights, head, config, vocab):
         ids = encode_ids(vocab, "nafrat gaali mat bolo", config.max_len)
         masked, targets = mask_tokens(ids, len(vocab), np.random.default_rng(4), p=0.8)
-        assert mlm_loss(weights, head, config, [masked], [targets]).item() >= 0
+        assert mlm_loss({**weights, **head}, config, [masked], [targets]).item() >= 0

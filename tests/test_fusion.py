@@ -6,7 +6,16 @@ import pytest
 import hostility.fusion
 import hostility.numeric
 from hostility.checkpoint import checkpoint_bytes, parse_checkpoint
-from hostility.encoder import CLS_ID, SEP_ID, EncoderConfig, Vocab, desk_config, paper_config
+from hostility.encoder import (
+    CLS_ID,
+    SEP_ID,
+    EncoderConfig,
+    Vocab,
+    desk_config,
+    encoder_shape_table,
+    init_params,
+    paper_config,
+)
 from hostility.errors import DataError, ShapeError
 from hostility.fusion import (
     EncodedPost,
@@ -28,6 +37,7 @@ from hostility.fusion import (
 from hostility.numeric import Tensor, adam_init, adam_step, backward, cross_entropy, zero_grad
 from hostility.preprocess import FeatureBundle
 from hostility.tapt import TaptCorpus, run_tapt
+from param_sets import same_params
 
 
 @pytest.fixture(scope="module")
@@ -83,31 +93,29 @@ class TestInitModel:
 
     def test_encoders_differ_from_each_other(self, config, vocab):
         model = init_model(config, vocab, "coarse", base_seed=5)
-        assert not model.text_encoder.equals(model.hashtag_encoder)
+        assert not same_params(model.text_encoder, model.hashtag_encoder)
 
     def test_adapted_weights_go_to_text_encoder_only(self, config, vocab):
         corpus = TaptCorpus(["yeh sach hai", "jhooth khabar nafrat"], ["raw", "raw"])
         adapted = run_tapt(config.encoder, vocab, corpus, epochs=2, lr=1e-3, batch_size=4, seed=2).weights
         model = init_model(config, vocab, "coarse", tapt_weights=adapted, base_seed=7)
-        assert model.text_encoder.equals(adapted)
+        assert same_params(model.text_encoder, adapted)
         assert model.text_encoder is not adapted
-        assert model.hashtag_encoder.equals(hashtag_encoder_init(config.encoder, 7))
-        assert not model.hashtag_encoder.equals(adapted)
+        assert same_params(model.hashtag_encoder, hashtag_encoder_init(config.encoder, 7))
+        assert not same_params(model.hashtag_encoder, adapted)
 
     def test_hashtag_init_ignores_adapted_weights(self, config, vocab):
         corpus = TaptCorpus(["yeh sach hai"], ["raw"])
         adapted = run_tapt(config.encoder, vocab, corpus, epochs=1, lr=1e-3, batch_size=4, seed=2).weights
         with_tapt = init_model(config, vocab, "coarse", tapt_weights=adapted, base_seed=9)
         without = init_model(config, vocab, "coarse", base_seed=9)
-        assert with_tapt.hashtag_encoder.equals(without.hashtag_encoder)
-        assert not with_tapt.text_encoder.equals(without.text_encoder)
-        assert without.text_encoder.equals(text_encoder_init(config.encoder, 9))
+        assert same_params(with_tapt.hashtag_encoder, without.hashtag_encoder)
+        assert not same_params(with_tapt.text_encoder, without.text_encoder)
+        assert same_params(without.text_encoder, text_encoder_init(config.encoder, 9))
 
     def test_shape_mismatch_rejected(self, config, vocab):
         other = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2, d_ff=16, max_len=16)
-        from hostility.encoder import EncoderWeights
-
-        wrong = EncoderWeights.init(other, np.random.default_rng(0))
+        wrong = init_params(encoder_shape_table(other), np.random.default_rng(0))
         with pytest.raises(ShapeError):
             init_model(config, vocab, "coarse", tapt_weights=wrong, base_seed=0)
 
@@ -139,8 +147,8 @@ class TestForward:
 
     def test_gradients_reach_both_encoders(self, config, vocab):
         model = init_model(config, vocab, "coarse", base_seed=4)
-        before_text = {k: p.data.copy() for k, p in model.text_encoder.params.items()}
-        before_hash = {k: p.data.copy() for k, p in model.hashtag_encoder.params.items()}
+        before_text = {k: p.data.copy() for k, p in model.text_encoder.items()}
+        before_hash = {k: p.data.copy() for k, p in model.hashtag_encoder.items()}
         params = model.named_params()
         state = adam_init(params)
         rng = np.random.default_rng(0)
@@ -151,11 +159,11 @@ class TestForward:
         adam_step(params, state, lr=1e-2)
         assert any(
             not np.array_equal(p.data, before_text[k])
-            for k, p in model.text_encoder.params.items()
+            for k, p in model.text_encoder.items()
         )
         assert any(
             not np.array_equal(p.data, before_hash[k])
-            for k, p in model.hashtag_encoder.params.items()
+            for k, p in model.hashtag_encoder.items()
         )
 
 
@@ -201,6 +209,10 @@ def _mixed_posts():
     return posts
 
 
+def _encoded(model, posts):
+    return [encode_post(model, p) for p in posts]
+
+
 def _alone(model, post):
     prob = prob_of_positive(forward(model, [encode_post(model, post)]).data[0])
     return (1 if prob >= 0.5 else 0, prob)
@@ -229,19 +241,19 @@ class TestPredictBatch:
         posts = _mixed_posts()
         for seed in range(3):
             model = init_model(config, vocab, "coarse", base_seed=seed)
-            assert predict_batch(model, posts) == [_alone(model, p) for p in posts]
+            assert predict_batch(model, _encoded(model, posts)) == [_alone(model, p) for p in posts]
 
     def test_input_order(self, config, vocab):
         model = init_model(config, vocab, "coarse", base_seed=4)
-        posts = _mixed_posts()
-        assert predict_batch(model, posts[::-1]) == predict_batch(model, posts)[::-1]
+        encoded = _encoded(model, _mixed_posts())
+        assert predict_batch(model, encoded[::-1]) == predict_batch(model, encoded)[::-1]
 
     def test_encoded_and_raw_posts_agree(self, config, vocab):
         model = init_model(config, vocab, "coarse", base_seed=4)
         posts = _mixed_posts()
-        encoded = [encode_post(model, p) for p in posts]
-        assert predict_batch(model, encoded) == predict_batch(model, posts)
-        assert predict(model, posts[3]) == predict_batch(model, posts)[3]
+        encoded = _encoded(model, posts)
+        assert predict_batch(model, encoded) == [predict(model, p) for p in posts]
+        assert predict(model, posts[3]) == predict_batch(model, encoded)[3]
 
     def test_empty(self, config, vocab):
         assert predict_batch(init_model(config, vocab, "coarse"), []) == []
@@ -249,8 +261,8 @@ class TestPredictBatch:
     def test_distinct_inputs_in_packed_graphs(self, config, vocab, encoder_graphs):
         model = init_model(config, vocab, "coarse", base_seed=1)
         posts = _mixed_posts()
-        predict_batch(model, posts)
-        encoded = [encode_post(model, p) for p in posts]
+        encoded = _encoded(model, posts)
+        predict_batch(model, encoded)
         texts = {tuple(x.text_ids) for x in encoded}
         hashtags = {tuple(x.hash_ids) for x in encoded}
         assert len(texts) < len(posts) and len(hashtags) < len(posts)
@@ -279,7 +291,7 @@ class TestPredictBatch:
         expected = [_alone(model, p) for p in posts]
         encoder_graphs.clear()
         monkeypatch.setattr(hostility.fusion, "SCORE_ROWS", 12)
-        assert predict_batch(model, posts) == expected
+        assert predict_batch(model, _encoded(model, posts)) == expected
         seen = [ids for graph in encoder_graphs for ids in graph]
         assert len(seen) == len(set(seen)) == 30 + 7 + 1 + 2
         # 30 texts of five tokens go two to a graph, those of 6 to 12
@@ -365,7 +377,7 @@ class TestScoringRecordsNoTape:
         forward(model, [encode_post(model, bundle())])
         assert any(t.requires_grad and t._parents for t in op_outputs)
         op_outputs.clear()
-        predict_batch(model, _mixed_posts())
+        predict_batch(model, _encoded(model, _mixed_posts()))
         fused_vector(model, bundle())
         assert len(op_outputs) > 100
         for t in op_outputs:
@@ -374,7 +386,7 @@ class TestScoringRecordsNoTape:
     def test_parameters_keep_grad_and_values(self, config, vocab):
         model = init_model(config, vocab, "coarse", base_seed=3)
         before = {name: p.data.copy() for name, p in model.named_params().items()}
-        predict_batch(model, _mixed_posts())
+        predict_batch(model, _encoded(model, _mixed_posts()))
         fused_vector(model, bundle())
         for name, p in model.named_params().items():
             assert p.requires_grad and p.grad is None

@@ -1,0 +1,42 @@
+"""The package's import layers: each module imports only from earlier
+layers, so the modules of one layer never import each other."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hostility"
+LAYERS = (
+    ("errors",),
+    ("numeric", "checkpoint", "preprocess"),
+    ("encoder",),
+    ("tapt", "fusion"),
+    ("traineval",),
+    ("cli",),
+)
+RANK = {module: rank for rank, layer in enumerate(LAYERS) for module in layer}
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem not in ("__init__", "__main__"))
+
+
+def relative_imports(module: str) -> set[str]:
+    """The package modules that a module imports with `from .x import`
+    or `from . import x`."""
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                imported.add(node.module.split(".")[0])
+            else:
+                imported.update(alias.name for alias in node.names)
+    return imported
+
+
+def test_every_module_has_a_layer():
+    assert MODULES and set(MODULES) == set(RANK)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_imports_only_from_earlier_layers(module):
+    later = sorted(m for m in relative_imports(module) if RANK[m] >= RANK[module])
+    assert not later, f"{module} (layer {RANK[module]}) imports {later}"

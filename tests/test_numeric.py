@@ -103,6 +103,28 @@ class TestForwardSemantics:
         with pytest.raises(ValueError, match="out of range"):
             embedding_lookup(Tensor(np.zeros((3, 2))), [3])
 
+    @pytest.mark.parametrize("op", [embedding_lookup, gather_rows])
+    def test_lookup_backward_writes_one_table_sized_gradient(self, op):
+        table = Tensor(np.zeros((4096, 64), dtype=np.float32), requires_grad=True)
+        ids = np.array([5, 9, 5, 4095])
+        out = op(table, ids)
+        g = np.arange(out.data.size, dtype=np.float32).reshape(out.shape)
+        tracemalloc.start()
+        try:
+            out._backprop(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * table.data.nbytes
+        expected = np.zeros_like(table.data)
+        np.add.at(expected, ids, g)
+        np.testing.assert_array_equal(table.grad, expected)
+        # A second lookup adds into the same buffer.
+        buffer = table.grad
+        op(table, [9])._backprop(np.ones((1, 64), dtype=np.float32))
+        assert table.grad is buffer
+        np.testing.assert_array_equal(table.grad[9], g[1] + 1)
+
 
 class TestSoftmaxProperties:
     @given(

@@ -6,14 +6,21 @@ import pytest
 import hostility.encoder
 import hostility.tapt
 from hostility.checkpoint import checkpoint_bytes
-from hostility.encoder import IGNORE_ID, EncoderConfig, EncoderWeights, Vocab, mlm_head_init
+from hostility.encoder import (
+    IGNORE_ID,
+    TEXT_INIT_STREAM,
+    EncoderConfig,
+    Vocab,
+    encoder_shape_table,
+    init_params,
+    mlm_head_shape_table,
+)
 from hostility.errors import DataError
 from hostility.fusion import text_encoder_init
 from hostility.preprocess import RawPost
 from hostility.tapt import (
     CLEANED,
     RAW,
-    TEXT_INIT_STREAM,
     TaptCorpus,
     build_tapt_corpus,
     dump_corpus,
@@ -21,6 +28,7 @@ from hostility.tapt import (
     load_encoder_checkpoint,
     run_tapt,
 )
+from param_sets import same_params
 
 
 def post(pid, text):
@@ -105,7 +113,7 @@ class TestRunTapt:
         corpus, vocab, config = setup
         a = run_tapt(config, vocab, corpus, epochs=2, lr=1e-3, batch_size=8, seed=3)
         b = run_tapt(config, vocab, corpus, epochs=2, lr=1e-3, batch_size=8, seed=3)
-        assert a.weights.equals(b.weights)
+        assert same_params(a.weights, b.weights)
         assert a.epoch_losses == b.epoch_losses
         blob_a = encoder_checkpoint_bytes(a.weights, config)
         blob_b = encoder_checkpoint_bytes(b.weights, config)
@@ -114,25 +122,26 @@ class TestRunTapt:
     def test_training_changes_weights(self, setup):
         corpus, vocab, config = setup
         result = run_tapt(config, vocab, corpus, epochs=1, lr=1e-3, batch_size=8, seed=4)
-        assert not result.weights.equals(text_encoder_init(config, 4))
+        assert not same_params(result.weights, text_encoder_init(config, 4))
 
     def test_starts_from_text_encoder_init_and_returns_body_only(self, setup, monkeypatch):
         corpus, vocab, config = setup
         heads = []
         real_loss = hostility.tapt.mlm_loss
 
-        def recording_loss(weights, head, *args, **kwargs):
-            heads.append({k: p.data.copy() for k, p in head.items()})
-            return real_loss(weights, head, *args, **kwargs)
+        def recording_loss(params, *args, **kwargs):
+            heads.append({k: params[k].data.copy() for k in mlm_head_shape_table(config)})
+            return real_loss(params, *args, **kwargs)
 
         monkeypatch.setattr(hostility.tapt, "mlm_loss", recording_loss)
         monkeypatch.setattr(hostility.tapt, "train_step", lambda *args: None)
         result = run_tapt(config, vocab, corpus, epochs=1, lr=1e-3, batch_size=8, seed=5)
-        assert result.weights.equals(text_encoder_init(config, 5))
+        assert same_params(result.weights, text_encoder_init(config, 5))
+        assert list(result.weights) == list(encoder_shape_table(config))
         # The head is drawn right after the body, from the same generator.
         rng = np.random.default_rng([5, TEXT_INIT_STREAM])
-        EncoderWeights.init(config, rng)
-        expected = mlm_head_init(config, rng)
+        init_params(encoder_shape_table(config), rng)
+        expected = init_params(mlm_head_shape_table(config), rng)
         assert heads and all(
             np.array_equal(h[k], expected[k].data) for h in heads for k in expected
         )
@@ -154,9 +163,9 @@ class TestRunTapt:
             selected.append(sum(t != IGNORE_ID for t in targets))
             return masked, targets
 
-        def recording_loss(weights, head, config, masked_batch, target_batch, **kwargs):
+        def recording_loss(params, config, masked_batch, target_batch, **kwargs):
             targets_seen.extend(target_batch)
-            return real_loss(weights, head, config, masked_batch, target_batch, **kwargs)
+            return real_loss(params, config, masked_batch, target_batch, **kwargs)
 
         monkeypatch.setattr(hostility.encoder, "mask_tokens", counting_mask)
         monkeypatch.setattr(hostility.tapt, "mlm_loss", recording_loss)
@@ -176,7 +185,7 @@ class TestEncoderCheckpoint:
         loaded, loaded_config, meta = load_encoder_checkpoint(path)
         assert loaded_config == config
         assert meta["vocab_sha256"] == "x"
-        assert loaded.equals(weights)
+        assert same_params(loaded, weights)
 
     def test_rejects_wrong_kind(self, tmp_path):
         path = tmp_path / "bad.ckpt"
