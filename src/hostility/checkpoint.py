@@ -8,8 +8,9 @@ payload in row-major order.
 
 from __future__ import annotations
 
+import os
 import struct
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -45,12 +46,43 @@ def checkpoint_bytes(metadata: Mapping[str, str], tensors: Mapping[str, np.ndarr
     return b"".join(parts)
 
 
+def _utf8(chunk, what: str) -> str:
+    try:
+        return str(chunk, "utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"checkpoint {what} is not valid UTF-8") from None
+
+
+def _u32(take: Callable[[int], bytes]) -> int:
+    return struct.unpack("<I", take(4))[0]
+
+
+def _read_header(take: Callable[[int], bytes]) -> dict[str, str]:
+    """Magic, version and metadata, read through take(n), which returns
+    the next n bytes or raises DataError("truncated checkpoint")."""
+    if take(len(MAGIC)) != MAGIC:
+        raise DataError("not a checkpoint file (bad magic)")
+    version = _u32(take)
+    if version != VERSION:
+        raise DataError(f"unsupported checkpoint version {version}")
+    metadata: dict[str, str] = {}
+    meta_text = _utf8(take(_u32(take)), "metadata")
+    if meta_text:
+        for ln, line in enumerate(meta_text.split("\n"), start=1):
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise DataError(f"metadata line {ln} has no '='")
+            metadata[key] = value
+    return metadata
+
+
 def parse_checkpoint(blob: bytes) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     """Metadata and tensors of a checkpoint blob. Each tensor is a
     read-only little-endian float32 view into blob, not a copy; callers
     that train or keep the values copy them (`params_from_arrays`). A
     tensor holding NaN or an infinity raises DataError."""
     view = memoryview(blob)
+    offset = 0
 
     def take(n: int) -> memoryview:
         nonlocal offset
@@ -60,36 +92,14 @@ def parse_checkpoint(blob: bytes) -> tuple[dict[str, str], dict[str, np.ndarray]
         offset += n
         return chunk
 
-    def take_u32() -> int:
-        return struct.unpack("<I", take(4))[0]
-
-    def utf8(chunk: memoryview, what: str) -> str:
-        try:
-            return str(chunk, "utf-8")
-        except UnicodeDecodeError:
-            raise DataError(f"checkpoint {what} is not valid UTF-8") from None
-
-    offset = 0
-    if take(len(MAGIC)) != MAGIC:
-        raise DataError("not a checkpoint file (bad magic)")
-    version = take_u32()
-    if version != VERSION:
-        raise DataError(f"unsupported checkpoint version {version}")
-    metadata: dict[str, str] = {}
-    meta_text = utf8(take(take_u32()), "metadata")
-    if meta_text:
-        for ln, line in enumerate(meta_text.split("\n"), start=1):
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise DataError(f"metadata line {ln} has no '='")
-            metadata[key] = value
+    metadata = _read_header(take)
     tensors: dict[str, np.ndarray] = {}
     while offset < len(blob):
-        name = utf8(take(take_u32()), "tensor name")
+        name = _utf8(take(_u32(take)), "tensor name")
         if name in tensors:
             raise DataError(f"duplicate tensor name {name!r}")
-        ndim = take_u32()
-        shape = tuple(take_u32() for _ in range(ndim))
+        ndim = _u32(take)
+        shape = tuple(_u32(take) for _ in range(ndim))
         count = 1
         for dim in shape:
             count *= dim
@@ -101,6 +111,23 @@ def parse_checkpoint(blob: bytes) -> tuple[dict[str, str], dict[str, np.ndarray]
         if not np.isfinite(tensors[name]).all():
             raise DataError(f"tensor {name!r} holds a non-finite value")
     return metadata, tensors
+
+
+def read_metadata(path) -> dict[str, str]:
+    """The metadata of a checkpoint file, read from its header alone; no
+    tensor record is read or checked. Errors name the file."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(n: int) -> bytes:
+            if fh.tell() + n > size:
+                raise DataError("truncated checkpoint")
+            return fh.read(n)
+
+        try:
+            return _read_header(take)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def read_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:

@@ -17,11 +17,14 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
+from .checkpoint import read_metadata
 from .encoder import EncoderConfig, Vocab, desk_config, paper_config
 from .errors import DataError, InvariantError, UsageError
 from .fusion import (
+    EncodedPost,
     FusionConfig,
     encode_post,
+    fusion_config_from_meta,
     init_model,
     load_model,
     model_to_bytes,
@@ -345,48 +348,74 @@ def cmd_finetune(cfg: argparse.Namespace) -> int:
 
 
 def _load_scoring_inputs(cfg: argparse.Namespace):
-    """What evaluate and predict read: the five task models, the posts,
-    and the frequency dictionary and emoji table the models expect. The
-    five checkpoints must hold one model configuration, so that each
-    post is encoded once for all of them."""
+    """The header pass of evaluate and predict: the vocab, the posts, and
+    the frequency dictionary and emoji table the models expect, checked
+    against the five checkpoint headers before any tensor is read. Each
+    checkpoint must name its task and the run's vocab, and all five must
+    hold one model configuration, so that each post is encoded once for
+    all of them."""
     out = _out_dir(cfg)
     vocab_path = out / "vocab.txt"
     if not vocab_path.exists():
         raise DataError(f"vocab file not found at {vocab_path}; run finetune first")
     vocab = Vocab.load(vocab_path)
-    models = {}
+    config = None
     for task in ALL_TASKS:
         path = out / f"{task}.ckpt"
         if not path.exists():
             raise DataError(f"checkpoint not found at {path}; run finetune first")
-        models[task], _ = load_model(path, vocab)
-        if models[task].task != task:
-            raise DataError(f"{path} holds a {models[task].task!r} model, not {task!r}")
-        if models[task].config != models[ALL_TASKS[0]].config:
+        meta = read_metadata(path)
+        try:
+            task_config = fusion_config_from_meta(meta, vocab)
+        except (DataError, ValueError) as exc:
+            raise DataError(f"{path}: {exc}") from None
+        if meta.get("task", "") != task:
+            raise DataError(f"{path} holds a {meta.get('task', '')!r} model, not {task!r}")
+        if config is None:
+            config = task_config
+        elif task_config != config:
             raise DataError(
                 f"{path} holds a model configured unlike {ALL_TASKS[0]}.ckpt; "
                 "the checkpoints come from different runs"
             )
     posts = load_dataset(cfg.data)
-    emoji_dim = models[ALL_TASKS[0]].config.emoji_dim
-    freq, table = _load_aux(cfg, emoji_dim=emoji_dim)
-    if table.dim != emoji_dim:
-        raise DataError(f"emoji table dimension {table.dim} != model emoji dimension {emoji_dim}")
-    return out, models, posts, freq, table
+    freq, table = _load_aux(cfg, emoji_dim=config.emoji_dim)
+    if table.dim != config.emoji_dim:
+        raise DataError(
+            f"emoji table dimension {table.dim} != model emoji dimension {config.emoji_dim}"
+        )
+    return out, vocab, config, posts, freq, table
 
 
-def _encode(models, posts: Sequence[RawPost], freq: FreqDict, table: EmojiTable) -> list:
-    """The posts in the input form that all five models read."""
-    return [encode_post(models["coarse"], extract_features(p.text, freq, table)) for p in posts]
+def _scorer(cfg: argparse.Namespace, split: str):
+    """The header pass, then the model pass as a function score(task,
+    rows=None): it loads that task's model, scores the posts of split
+    (or those at rows) and drops the model on return, so at most one
+    model is resident. The first model loaded, coarse, also encodes the
+    posts for all five. Returns (out, posts, score)."""
+    out, vocab, config, posts, freq, table = _load_scoring_inputs(cfg)
+    if split != "all":
+        train, val = split_dataset(posts, SplitSpec(seed=cfg.seed))
+        posts = train if split == "train" else val
+    encoded: list[EncodedPost] | None = None
+
+    def score(task: str, rows: Sequence[int] | None = None) -> list[tuple[int, float]]:
+        nonlocal encoded
+        path = out / f"{task}.ckpt"
+        model, _ = load_model(path, vocab)
+        if model.task != task or model.config != config:
+            raise DataError(f"{path} changed after its header was read")
+        if encoded is None:
+            encoded = [encode_post(model, extract_features(p.text, freq, table)) for p in posts]
+        return predict_batch(model, encoded if rows is None else [encoded[i] for i in rows])
+
+    return out, posts, score
 
 
 def cmd_evaluate(cfg: argparse.Namespace) -> int:
-    out, models, posts, freq, table = _load_scoring_inputs(cfg)
-    if cfg.split != "all":
-        train, val = split_dataset(posts, SplitSpec(seed=cfg.seed))
-        posts = train if cfg.split == "train" else val
+    out, posts, score = _scorer(cfg, cfg.split)
     try:
-        report = evaluate_suite(models, posts, _encode(models, posts, freq, table))
+        report = evaluate_suite(score, posts)
     except ValueError as exc:
         raise DataError(str(exc)) from None
     table_text = render_table(report)
@@ -398,15 +427,12 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
 
 
 def cmd_predict(cfg: argparse.Namespace) -> int:
-    out, models, posts, freq, table = _load_scoring_inputs(cfg)
-    encoded = _encode(models, posts, freq, table)
-    coarse = predict_batch(models["coarse"], encoded)
-    # assemble_labels reads no fine prediction for a non-hostile post.
+    out, posts, score = _scorer(cfg, "all")
+    coarse = score("coarse")
+    # assemble_labels reads no fine prediction for a non-hostile post. Each
+    # fine model still loads, so a broken checkpoint fails with no post to score.
     hostile = [i for i, (label, _) in enumerate(coarse) if label]
-    fine_preds = {
-        task: iter(predict_batch(models[task], [encoded[i] for i in hostile]))
-        for task in FINE_TASKS
-    }
+    fine_preds = {task: iter(score(task, hostile)) for task in FINE_TASKS}
     order = {name: i for i, name in enumerate(FINE_TASKS)}
     lines = []
     for post, coarse_pred in zip(posts, coarse):

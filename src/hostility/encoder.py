@@ -296,6 +296,27 @@ def _encode_rows(
     return layer_norm(x, params["ln_f.gain"], params["ln_f.bias"])
 
 
+def _encode_padded(
+    params: Mapping[str, Tensor],
+    config: EncoderConfig,
+    batch: Sequence[Sequence[int]],
+    training: bool,
+    rng: np.random.Generator | None,
+) -> Tensor:
+    """The hidden rows [B*T, E] of B id sequences right-padded with PAD to
+    the longest length T, as one graph; row b*T + t is position t of
+    sequence b."""
+    t = max(_check_lengths(batch, config))
+    padded = np.full((len(batch), t), PAD_ID, dtype=np.intp)
+    for row, ids in zip(padded, batch):
+        row[: len(ids)] = ids
+    _check_ids(padded, config)
+    positions = np.tile(np.arange(t), len(batch))
+    return _encode_rows(
+        params, config, padded.reshape(-1), positions, [padded == PAD_ID], training, rng
+    )
+
+
 def encode_batch(
     params: Mapping[str, Tensor],
     config: EncoderConfig,
@@ -304,21 +325,11 @@ def encode_batch(
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, Tensor]:
     """Run the encoder stack over B id sequences as one padded graph.
-
-    Sequences are right-padded with PAD to the longest length T, and PAD
-    keys are masked out of attention, so padding does not change the
-    other positions. Returns (pooled CLS rows [B,E], hidden [B*T,E]);
-    row b*T + t of hidden is position t of sequence b.
-    """
-    t = max(_check_lengths(batch, config))
-    padded = np.full((len(batch), t), PAD_ID, dtype=np.intp)
-    for row, ids in zip(padded, batch):
-        row[: len(ids)] = ids
-    _check_ids(padded, config)
-    positions = np.tile(np.arange(t), len(batch))
-    hidden = _encode_rows(
-        params, config, padded.reshape(-1), positions, [padded == PAD_ID], training, rng
-    )
+    Returns (pooled CLS rows [B,E], hidden [B*T,E]); see _encode_padded.
+    PAD keys are masked out of attention, so padding does not change
+    the other positions."""
+    hidden = _encode_padded(params, config, batch, training, rng)
+    t = hidden.shape[0] // len(batch)
     pooled = gather_rows(hidden, range(0, len(batch) * t, t))
     return pooled, hidden
 
@@ -417,7 +428,7 @@ def mlm_loss(
     per_line = [[i for i, t in enumerate(targets) if t != IGNORE_ID] for targets in target_batch]
     if not all(per_line):
         raise ValueError("mlm_loss needs at least one target position per line")
-    _, hidden = encode_batch(params, config, masked_batch, training, rng)
+    hidden = _encode_padded(params, config, masked_batch, training, rng)
     t = hidden.shape[0] // len(masked_batch)
     rows, labels, row_weights = [], [], []
     for b, (positions, targets) in enumerate(zip(per_line, target_batch)):

@@ -343,9 +343,10 @@ def model_to_bytes(model: FusionModel, extra: Mapping[str, str] | None = None) -
     return checkpoint_bytes(_fusion_meta(model, extra), tensors)
 
 
-def _model_from_parsed(
-    metadata: dict[str, str], arrays: dict[str, np.ndarray], vocab: Vocab
-) -> tuple[FusionModel, dict[str, str]]:
+def fusion_config_from_meta(metadata: Mapping[str, str], vocab: Vocab) -> FusionConfig:
+    """The model configuration a fusion checkpoint's metadata declares.
+    Metadata of another kind, or of a model built on another vocab,
+    raises DataError."""
     if metadata.get("kind") != "fusion":
         raise DataError("checkpoint does not hold a fusion model")
     if metadata.get("vocab_sha256") != vocab.sha256():
@@ -353,7 +354,7 @@ def _model_from_parsed(
     enc_cfg = config_from_meta(metadata)
     try:
         mlp_hidden = tuple(int(x) for x in metadata["mlp_hidden"].split(",") if x)
-        config = FusionConfig(
+        return FusionConfig(
             encoder=enc_cfg,
             emoji_dim=int(metadata["emoji_dim"]),
             mlp_hidden=mlp_hidden,
@@ -361,6 +362,13 @@ def _model_from_parsed(
         )
     except (KeyError, ValueError) as exc:
         raise DataError(f"checkpoint metadata missing fusion config: {exc}") from None
+
+
+def _model_from_parsed(
+    metadata: dict[str, str], arrays: dict[str, np.ndarray], vocab: Vocab
+) -> tuple[FusionModel, dict[str, str]]:
+    config = fusion_config_from_meta(metadata, vocab)
+    enc_cfg = config.encoder
     text_arrays = {}
     hash_arrays = {}
     head_arrays = {}

@@ -533,10 +533,16 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState, lr: float) -> None
 
 def train_step(params: Mapping[str, Tensor], state: AdamState, loss: Tensor, lr: float) -> None:
     """One optimizer step on a scalar batch loss: zero the gradients,
-    backpropagate and take an Adam step. A non-finite loss raises
-    InvariantError before any parameter changes."""
+    backpropagate and take an Adam step. A non-finite loss, or a
+    non-finite global gradient norm, raises InvariantError before any
+    parameter or optimizer state changes. The squared norm is summed
+    from one float32 np.vdot per gradient, so a norm past float32 range
+    (about 1.8e19), where Adam's g*g overflows too, also counts."""
     if not np.isfinite(loss.data):
         raise InvariantError(f"non-finite batch loss {float(loss.data)}")
     zero_grad(params.values())
     backward(loss)
+    norm_sq = sum(float(np.vdot(p.grad, p.grad)) for p in params.values() if p.grad is not None)
+    if not math.isfinite(norm_sq):
+        raise InvariantError(f"non-finite gradient norm (squared norm {norm_sq})")
     adam_step(params, state, lr)

@@ -9,8 +9,10 @@ hashtag bodies in order), and the mean emoji embedding.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -344,10 +346,24 @@ def extract_features(text: str, freq: FreqDict, table: EmojiTable) -> FeatureBun
 # ---------------------------------------------------------------------------
 
 
+def _open_text(path, newline: str | None = None) -> io.StringIO:
+    """The UTF-8 text of path as a stream, with newlines handled as by
+    open(path, encoding="utf-8", newline=newline). A byte sequence that
+    is not UTF-8 raises DataError naming the file and line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}: line {line}: not valid UTF-8 ({exc.reason})") from None
+    return io.StringIO(text, newline=newline)
+
+
 def load_emoji_table(path) -> EmojiTable:
     """Parse the embedding file: "<count> <dim>" header, then one
     "<grapheme> <f_1> ... <f_dim>" line per emoji."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise DataError(f"{path}: empty emoji table")
@@ -381,9 +397,12 @@ def load_emoji_table(path) -> EmojiTable:
 
 
 def load_freq_dict(path) -> FreqDict:
-    """Parse "<word>\\t<count>" lines into a FreqDict; words are case-folded."""
+    """Parse "<word>\\t<count>" lines into a FreqDict; words are
+    case-folded. Counts that sum past float range raise DataError, since
+    segmentation scores log(count / total) in floats."""
     counts: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    total = 0
+    with _open_text(path) as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -397,6 +416,9 @@ def load_freq_dict(path) -> FreqDict:
                 raise DataError(f"{path}: line {ln}: count is not an integer") from None
             if count <= 0:
                 raise DataError(f"{path}: line {ln}: count must be positive")
+            total += count
+            if total > sys.float_info.max:
+                raise DataError(f"{path}: line {ln}: counts sum past float range")
             word = word.casefold()
             counts[word] = counts.get(word, 0) + count
     return FreqDict.from_counts(counts)
@@ -420,7 +442,7 @@ def load_dataset(path) -> list[RawPost]:
     """Parse the delimited dataset: header "id,text,labels", double-quoted
     text with doubled-quote escaping, '|'-joined lowercase labels."""
     posts = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

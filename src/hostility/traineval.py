@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvariantError
-from .fusion import EncodedPost, FusionModel, encode_post, forward, model_to_bytes, predict_batch
+from .fusion import FusionModel, encode_post, forward, model_to_bytes, predict_batch
 from .numeric import adam_init, cross_entropy, train_step
 from .preprocess import FeatureBundle, LabelTag, RawPost
 
@@ -212,6 +212,9 @@ def train_binary(
             best = macro
             run.best_epoch = epoch
             run.best_val_macro_f1 = macro
+            # Release the previous best blob first, so two model-sized blobs
+            # are never alive at once.
+            run.best_checkpoint = b""
             run.best_checkpoint = model_to_bytes(
                 model, extra={"seed": str(hp.seed), "best_epoch": str(epoch)}
             )
@@ -264,16 +267,14 @@ def compute_suite_metrics(
 
 
 def evaluate_suite(
-    models: Mapping[str, FusionModel],
-    posts: Sequence[RawPost],
-    encoded: Sequence[EncodedPost],
+    score: Callable[[str], Sequence[tuple[int, float]]], posts: Sequence[RawPost]
 ) -> MetricsReport:
-    """Score all five models over the same encoded posts (each task sees
-    every post, with that task's binary targets)."""
-    preds = {
-        task: [label for label, _ in predict_batch(models[task], encoded)] for task in ALL_TASKS
-    }
+    """Score the five tasks over the same posts, one task at a time in
+    ALL_TASKS order: score(task) gives that task model's (label,
+    probability) per post, and each task is scored against its own
+    binary targets."""
     golds = {task: binary_targets(posts, task) for task in ALL_TASKS}
+    preds = {task: [label for label, _ in score(task)] for task in ALL_TASKS}
     return compute_suite_metrics(preds, golds)
 
 

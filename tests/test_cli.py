@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,16 @@ class TestPreprocess:
         args[args.index(flag) + 1] = str(tmp_path / "nope.txt")
         assert run("preprocess", *args) == 2
         assert "nope.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--data", "--dict", "--emoji"])
+    def test_non_utf8_file_names_file_and_line(self, data_dir, tmp_path, capsys, flag):
+        args = common_args(data_dir, tmp_path / "out")
+        source = Path(args[args.index(flag) + 1])
+        bad = tmp_path / f"bad{source.suffix}"
+        bad.write_bytes(source.read_bytes().replace(b"\n", b"\n\xff", 1))
+        args[args.index(flag) + 1] = str(bad)
+        assert run("preprocess", *args) == 2
+        assert f"{bad}: line 2: not valid UTF-8" in capsys.readouterr().err
 
     def test_malformed_file_names_line(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
@@ -466,6 +477,128 @@ def test_checkpoints_of_mixed_configs_are_data_error(
     assert "fake.ckpt holds a model configured unlike coarse.ckpt" in capsys.readouterr().err
     written = {"metrics.txt", "metrics.kv", "predictions.tsv"} & {p.name for p in run_dir.iterdir()}
     assert not written
+
+
+def record_loads(monkeypatch):
+    """The stems of the task checkpoints that scoring loads, and the
+    sizes of the blobs whose tensors are parsed, in call order."""
+    import hostility.checkpoint
+    import hostility.cli
+
+    loads, parsed = [], []
+    real_load, real_parse = hostility.cli.load_model, hostility.checkpoint.parse_checkpoint
+
+    def load(path, vocab):
+        loads.append(Path(path).stem)
+        return real_load(path, vocab)
+
+    def parse(blob):
+        parsed.append(len(blob))
+        return real_parse(blob)
+
+    monkeypatch.setattr(hostility.cli, "load_model", load)
+    monkeypatch.setattr(hostility.checkpoint, "parse_checkpoint", parse)
+    return loads, parsed
+
+
+SCORING_OUTPUTS = {"metrics.txt", "metrics.kv", "predictions.tsv"}
+
+
+class TestScoringPasses:
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_holds_one_model_at_a_time(self, command, data_dir, trained_dir, tmp_path):
+        run_dir = copy_run(trained_dir, tmp_path / "run")
+        args = common_args(data_dir, run_dir)
+        assert run(command, *args) == 0  # imports and caches before the measured run
+        size = (run_dir / "coarse.ckpt").stat().st_size
+        tracemalloc.start()
+        try:
+            assert run(command, *args) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One model plus the blob it is parsed from is about 2 checkpoints'
+        # worth (2.1 measured); five resident models would be about 6.
+        assert peak < 3 * size
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("fault", ["missing", "task", "config", "vocab"])
+    def test_header_pass_refuses_before_any_tensor(
+        self, command, fault, data_dir, trained_dir, short_run_dir, tmp_path, capsys, monkeypatch
+    ):
+        run_dir = copy_run(trained_dir, tmp_path / "run")
+        last = run_dir / "defamation.ckpt"
+        meta, tensors = read_checkpoint(last)
+        if fault == "missing":
+            last.unlink()
+            expected = "checkpoint not found at"
+        elif fault == "task":
+            meta["task"] = "hate"
+            last.write_bytes(checkpoint_bytes(meta, tensors))
+            expected = "defamation.ckpt holds a 'hate' model, not 'defamation'"
+        elif fault == "config":
+            last.write_bytes((short_run_dir / "defamation.ckpt").read_bytes())
+            expected = "defamation.ckpt holds a model configured unlike coarse.ckpt"
+        else:
+            meta["vocab_sha256"] = "0" * 64
+            last.write_bytes(checkpoint_bytes(meta, tensors))
+            expected = "defamation.ckpt: vocab hash mismatch"
+        loads, parsed = record_loads(monkeypatch)
+        assert run(command, *common_args(data_dir, run_dir)) == 2
+        assert expected in capsys.readouterr().err
+        assert loads == [] and parsed == []
+        assert not SCORING_OUTPUTS & {p.name for p in run_dir.iterdir()}
+
+    def test_checkpoint_replaced_between_passes(
+        self, data_dir, trained_dir, short_run_dir, tmp_path, capsys, monkeypatch
+    ):
+        import hostility.cli
+
+        run_dir = copy_run(trained_dir, tmp_path / "run")
+        real_read_metadata = hostility.cli.read_metadata
+
+        def read_then_replace_coarse(path):
+            meta = real_read_metadata(path)
+            if path.name == "defamation.ckpt":
+                (run_dir / "coarse.ckpt").write_bytes((short_run_dir / "coarse.ckpt").read_bytes())
+            return meta
+
+        monkeypatch.setattr(hostility.cli, "read_metadata", read_then_replace_coarse)
+        assert run("evaluate", *common_args(data_dir, run_dir)) == 2
+        assert "coarse.ckpt changed after its header was read" in capsys.readouterr().err
+        assert not SCORING_OUTPUTS & {p.name for p in run_dir.iterdir()}
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_nan_in_last_model_scored(
+        self, command, data_dir, trained_dir, tmp_path, capsys, monkeypatch
+    ):
+        run_dir = copy_run(trained_dir, tmp_path / "run")
+        plant_in_last_value(run_dir / "defamation.ckpt", float("nan"))
+        loads, _ = record_loads(monkeypatch)
+        assert run(command, *common_args(data_dir, run_dir)) == 2
+        assert "holds a non-finite value" in capsys.readouterr().err
+        assert loads == list(ALL_TASKS)
+        assert not SCORING_OUTPUTS & {p.name for p in run_dir.iterdir()}
+
+    def test_predict_loads_every_model_with_no_hostile_post(
+        self, data_dir, trained_dir, tmp_path, monkeypatch
+    ):
+        import hostility.cli
+
+        run_dir = copy_run(trained_dir, tmp_path / "run")
+        scored = []
+
+        def non_hostile(model, posts):
+            scored.append((model.task, len(posts)))
+            return [(0, 0.25)] * len(posts)
+
+        monkeypatch.setattr(hostility.cli, "predict_batch", non_hostile)
+        loads, parsed = record_loads(monkeypatch)
+        assert run("predict", *common_args(data_dir, run_dir)) == 0
+        assert loads == list(ALL_TASKS) and len(parsed) == 5
+        assert scored == [("coarse", 12)] + [(task, 0) for task in ALL_TASKS[1:]]
+        lines = (run_dir / "predictions.tsv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 12 and all(line.endswith("\tnon-hostile") for line in lines)
 
 
 class TestPredict:

@@ -357,3 +357,20 @@ class TestMlmLoss:
         ids = encode_ids(vocab, "nafrat gaali mat bolo", config.max_len)
         masked, targets = mask_tokens(ids, len(vocab), np.random.default_rng(4), p=0.8)
         assert mlm_loss({**weights, **head}, config, [masked], [targets]).item() >= 0
+
+    def test_gathers_only_the_target_rows(self, weights, head, config, vocab, monkeypatch):
+        import hostility.encoder
+
+        calls = []
+        real_gather = hostility.encoder.gather_rows
+
+        def counting_gather(x, rows):
+            calls.append(list(rows))
+            return real_gather(x, rows)
+
+        monkeypatch.setattr(hostility.encoder, "gather_rows", counting_gather)
+        lines = [encode_ids(vocab, t, config.max_len) for t in ("yeh sach hai", "acha din")]
+        targets = [[IGNORE_ID, ids[1]] + [IGNORE_ID] * (len(ids) - 2) for ids in lines]
+        mlm_loss({**weights, **head}, config, lines, targets)
+        # One gather, of the two target rows (padded length 5); no pooled CLS rows.
+        assert calls == [[1, 6]]

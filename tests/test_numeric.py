@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcheck import gradcheck
-from hostility.checkpoint import VERSION, checkpoint_bytes, parse_checkpoint
-from hostility.errors import DataError, ShapeError
+from hostility.checkpoint import VERSION, checkpoint_bytes, parse_checkpoint, read_metadata
+from hostility.errors import DataError, InvariantError, ShapeError
 from hostility.numeric import (
     Tensor,
     adam_init,
@@ -31,6 +31,7 @@ from hostility.numeric import (
     slice_cols,
     softmax_rows,
     sum_all,
+    train_step,
     transpose,
     zero_grad,
 )
@@ -463,6 +464,42 @@ class TestAdam:
         np.testing.assert_array_equal(params["a"].data, np.ones(2))
 
 
+class TestTrainStep:
+    @pytest.mark.parametrize("planted", [np.nan, np.inf])
+    def test_non_finite_gradient_changes_nothing(self, monkeypatch, planted):
+        import hostility.numeric
+
+        params = {
+            "w": Tensor(np.array([[0.5, -1.0], [2.0, 0.25]], dtype=np.float32), requires_grad=True),
+            "b": Tensor(np.array([0.1, 0.2], dtype=np.float32), requires_grad=True),
+        }
+        x = Tensor(np.ones((3, 2), dtype=np.float32))
+
+        def loss():
+            return cross_entropy(add_bias(matmul(x, params["w"]), params["b"]), [0, 1, 1])
+
+        state = adam_init(params)
+        train_step(params, state, loss(), lr=0.1)  # nonzero moments to compare
+        real_backward = hostility.numeric.backward
+
+        def planting_backward(batch_loss):
+            real_backward(batch_loss)
+            params["b"].grad[1] = planted
+
+        monkeypatch.setattr(hostility.numeric, "backward", planting_backward)
+        batch_loss = loss()
+        assert np.isfinite(batch_loss.data)
+        before = {k: p.data.copy() for k, p in params.items()}
+        moments = {k: (state.m[k].copy(), state.v[k].copy()) for k in params}
+        with pytest.raises(InvariantError, match="non-finite gradient norm"):
+            train_step(params, state, batch_loss, lr=0.1)
+        assert state.step == 1
+        for k, p in params.items():
+            np.testing.assert_array_equal(p.data, before[k])
+            np.testing.assert_array_equal(state.m[k], moments[k][0])
+            np.testing.assert_array_equal(state.v[k], moments[k][1])
+
+
 class TestCheckpoint:
     def test_roundtrip(self):
         tensors = {
@@ -575,3 +612,69 @@ class TestCheckpoint:
         old = blob[:8] + struct.pack("<I", 1) + blob[12:]
         with pytest.raises(DataError, match="unsupported checkpoint version 1"):
             parse_checkpoint(old)
+
+
+@pytest.fixture(scope="module")
+def ckpt_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("header") / "model.ckpt"
+
+
+class TestReadMetadata:
+    VALID = TestCheckpoint.VALID
+
+    def test_valid_blob(self, ckpt_path):
+        ckpt_path.write_bytes(self.VALID)
+        assert read_metadata(ckpt_path) == parse_checkpoint(self.VALID)[0]
+        assert read_metadata(ckpt_path) == {"kind": "fusion", "task": "hate"}
+
+    def test_reads_no_tensor_record(self, ckpt_path):
+        # Tensors that parse_checkpoint refuses: a NaN, then a cut record.
+        meta = {"kind": "fusion", "task": "fake"}
+        blob = checkpoint_bytes(meta, {"w": np.array([np.nan, 1.0], dtype=np.float32)})
+        for bad in (blob, blob[:-2]):
+            with pytest.raises(DataError):
+                parse_checkpoint(bad)
+            ckpt_path.write_bytes(bad)
+            assert read_metadata(ckpt_path) == meta
+
+    def test_truncated_header(self, ckpt_path):
+        header_end = 8 + 4 + 4 + len("kind=fusion\ntask=hate")
+        for cut in (0, 5, 10, 14, header_end - 1):
+            ckpt_path.write_bytes(self.VALID[:cut])
+            with pytest.raises(DataError, match=f"{ckpt_path.name}: truncated checkpoint"):
+                read_metadata(ckpt_path)
+        ckpt_path.write_bytes(self.VALID[:header_end])
+        assert read_metadata(ckpt_path)["task"] == "hate"
+
+    def test_bad_magic(self, ckpt_path):
+        ckpt_path.write_bytes(b"NOTACKPT" + self.VALID[8:])
+        with pytest.raises(DataError, match="bad magic"):
+            read_metadata(ckpt_path)
+
+    def test_huge_declared_metadata_length(self, ckpt_path):
+        ckpt_path.write_bytes(b"TAPTCKPT" + struct.pack("<II", VERSION, 2**32 - 1) + b"a=b")
+        with pytest.raises(DataError, match="truncated checkpoint"):
+            read_metadata(ckpt_path)
+
+    @staticmethod
+    def _reads_or_data_error(path, blob):
+        path.write_bytes(blob)
+        try:
+            read_metadata(path)
+        except DataError:
+            pass
+
+    @settings(max_examples=300, deadline=500)
+    @given(st.binary(max_size=200))
+    def test_fuzz_arbitrary_bytes(self, ckpt_path, tail):
+        self._reads_or_data_error(ckpt_path, tail)
+        self._reads_or_data_error(ckpt_path, b"TAPTCKPT" + struct.pack("<I", VERSION) + tail)
+
+    @settings(max_examples=300, deadline=500)
+    @given(st.data())
+    def test_fuzz_mutated_valid_blob(self, ckpt_path, data):
+        blob = bytearray(self.VALID)
+        at = data.draw(st.integers(0, len(blob) - 1))
+        blob[at] = data.draw(st.integers(0, 255))
+        self._reads_or_data_error(ckpt_path, bytes(blob))
+        self._reads_or_data_error(ckpt_path, self.VALID[:at])

@@ -476,3 +476,68 @@ class TestDataset:
         path.write_text("id,text,labels\nx,koi baat,\n", encoding="utf-8")
         posts = load_dataset(path)
         assert posts[0].labels == frozenset()
+
+
+LOADERS = {"data": load_dataset, "emoji": load_emoji_table, "dict": load_freq_dict}
+VALID_FILES = {
+    "data": "tiny_posts.csv",
+    "emoji": "emoji_300d.txt",
+    "dict": "word_freq.tsv",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("loader_fuzz") / "input"
+
+
+def loads_or_data_error(kind, path, blob):
+    path.write_bytes(blob)
+    try:
+        LOADERS[kind](path)
+    except DataError:
+        pass
+
+
+class TestLoaderFaults:
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_non_utf8_byte_names_file_and_line(self, kind, data_dir, tmp_path):
+        lines = (data_dir / VALID_FILES[kind]).read_bytes().split(b"\n")
+        lines[1] = lines[1][:5] + b"\xff" + lines[1][5:]
+        path = tmp_path / VALID_FILES[kind]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataError, match=f"{path.name}: line 2: not valid UTF-8"):
+            LOADERS[kind](path)
+
+    def test_freq_counts_past_float_range(self, tmp_path):
+        path = tmp_path / "freq.tsv"
+        path.write_text("sach\t" + "9" * 400 + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="freq.tsv: line 1: counts sum past float range"):
+            load_freq_dict(path)
+        big = 10**308
+        path.write_text(f"sach\t{big}\nka\t{big}\n", encoding="utf-8")
+        with pytest.raises(DataError, match="line 2: counts sum past float range"):
+            load_freq_dict(path)
+
+    def test_freq_total_at_float_range_segments(self, tmp_path):
+        path = tmp_path / "freq.tsv"
+        path.write_text(f"sach\t1\nka\t{10**308}\n", encoding="utf-8")
+        freq = load_freq_dict(path)
+        assert segment_hashtag("#sachka", freq) == "sach ka"
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    @settings(max_examples=200, deadline=500)
+    @given(tail=st.binary(max_size=300))
+    def test_fuzz_arbitrary_bytes(self, kind, data_dir, fuzz_path, tail):
+        head = (data_dir / VALID_FILES[kind]).read_bytes().split(b"\n")[0] + b"\n"
+        loads_or_data_error(kind, fuzz_path, tail)
+        loads_or_data_error(kind, fuzz_path, head + tail)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    @settings(max_examples=200, deadline=500)
+    @given(data=st.data())
+    def test_fuzz_mutated_valid_file(self, kind, data_dir, fuzz_path, data):
+        blob = bytearray((data_dir / VALID_FILES[kind]).read_bytes())
+        at = data.draw(st.integers(0, len(blob) - 1))
+        blob[at] = data.draw(st.integers(0, 255))
+        loads_or_data_error(kind, fuzz_path, bytes(blob))

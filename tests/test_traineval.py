@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -331,6 +333,39 @@ class TestTrainBinary:
         preds = [predict(model, bundle)[0] for bundle, _ in examples]
         macro = f1_scores(preds, [t for _, t in examples]).macro_f1
         assert macro == pytest.approx(max(run.val_macro_f1))
+
+    def test_holds_one_best_checkpoint_at_a_time(self, toy_setup, monkeypatch):
+        import hostility.traineval
+
+        examples, vocab, config = toy_setup
+        alive = set()
+        alive_at_build = []
+
+        class Blob(bytes):
+            def __del__(self):
+                alive.discard(self.serial)
+
+        def tracked_model_to_bytes(model, extra=None):
+            alive_at_build.append(sorted(alive))
+            blob = Blob(real_model_to_bytes(model, extra))
+            blob.serial = len(alive_at_build)
+            alive.add(blob.serial)
+            return blob
+
+        rising = iter(range(1, 100))
+        real_model_to_bytes = hostility.traineval.model_to_bytes
+        real_f1_scores = hostility.traineval.f1_scores
+        monkeypatch.setattr(hostility.traineval, "model_to_bytes", tracked_model_to_bytes)
+        monkeypatch.setattr(
+            hostility.traineval,
+            "f1_scores",
+            lambda preds, golds: replace(real_f1_scores(preds, golds), macro_f1=next(rising) / 100),
+        )
+        hp = Hyperparams(epochs=4, lr=1e-3, batch_size=8, seed=2)
+        run = train_binary(init_model(config, vocab, COARSE, base_seed=hp.seed), examples, examples, hp)
+        assert run.best_epoch == 4
+        assert alive_at_build == [[], [], [], []]
+        assert alive == {4}
 
     def test_trace_lengths(self, toy_setup):
         examples, vocab, config = toy_setup
