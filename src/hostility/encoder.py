@@ -1,8 +1,8 @@
 """Compact transformer encoder with learned positions, and the MLM loss.
 
 Pre-norm residual blocks, CLS pooling, word-level vocabulary with five
-fixed specials. A training batch of sequences runs as one padded graph;
-scoring runs sequences packed end to end, unpadded. Two
+fixed specials. Training, TAPT and scoring all run a batch of sequences
+as one graph, packed end to end without padding (`encode_packed`). Two
 named profiles: "desk" (small, exercised by tests) and "paper"
 (768-dim, 12 layers). A parameter set is a plain name -> Tensor dict
 drawn by `init_params` from a shape table: `encoder_shape_table` for
@@ -33,6 +33,7 @@ from .numeric import (
     matmul,
     relu,
 )
+from .preprocess import _open_text
 
 SPECIALS = ("<pad>", "<unk>", "<cls>", "<sep>", "<mask>")
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
@@ -80,11 +81,14 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        with open(path, "r", encoding="utf-8") as fh:
+        """The vocab saved at path, one token per line. A file that is
+        not UTF-8 or not a valid vocab raises DataError naming it."""
+        with _open_text(path) as fh:
             tokens = fh.read().splitlines()
-        if len(tokens) < N_SPECIALS:
-            raise DataError(f"{path}: vocab file too short")
-        return cls(tokens)
+        try:
+            return cls(tokens)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
     def sha256(self) -> str:
         return hashlib.sha256("\n".join(self.tokens).encode("utf-8")).hexdigest()
@@ -251,14 +255,6 @@ def _check_lengths(seqs: Sequence[Sequence[int]], config: EncoderConfig) -> list
     return lengths
 
 
-def _check_ids(ids: np.ndarray, config: EncoderConfig) -> None:
-    bad = (ids < 0) | (ids >= config.vocab_size)
-    if bad.any():
-        raise ValueError(
-            f"token id {int(ids[bad][0])} out of range for vocab of {config.vocab_size}"
-        )
-
-
 def _encode_rows(
     params: Mapping[str, Tensor],
     config: EncoderConfig,
@@ -296,63 +292,49 @@ def _encode_rows(
     return layer_norm(x, params["ln_f.gain"], params["ln_f.bias"])
 
 
-def _encode_padded(
+def _packed_hidden(
     params: Mapping[str, Tensor],
     config: EncoderConfig,
-    batch: Sequence[Sequence[int]],
+    seqs: Sequence[Sequence[int]],
     training: bool,
     rng: np.random.Generator | None,
-) -> Tensor:
-    """The hidden rows [B*T, E] of B id sequences right-padded with PAD to
-    the longest length T, as one graph; row b*T + t is position t of
-    sequence b."""
-    t = max(_check_lengths(batch, config))
-    padded = np.full((len(batch), t), PAD_ID, dtype=np.intp)
-    for row, ids in zip(padded, batch):
-        row[: len(ids)] = ids
-    _check_ids(padded, config)
-    positions = np.tile(np.arange(t), len(batch))
-    return _encode_rows(
-        params, config, padded.reshape(-1), positions, [padded == PAD_ID], training, rng
-    )
+) -> tuple[Tensor, np.ndarray]:
+    """The hidden rows [sum(len), E] of id sequences packed end to end in
+    stable length order, and the row where each sequence starts, in input
+    order: row start[b] + i holds position i of sequence b.
 
-
-def encode_batch(
-    params: Mapping[str, Tensor],
-    config: EncoderConfig,
-    batch: Sequence[Sequence[int]],
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Run the encoder stack over B id sequences as one padded graph.
-    Returns (pooled CLS rows [B,E], hidden [B*T,E]); see _encode_padded.
-    PAD keys are masked out of attention, so padding does not change
-    the other positions."""
-    hidden = _encode_padded(params, config, batch, training, rng)
-    t = hidden.shape[0] // len(batch)
-    pooled = gather_rows(hidden, range(0, len(batch) * t, t))
-    return pooled, hidden
+    Each run of sequences of one length is one attention block, so every
+    row-wise op runs once over the whole graph and attention works per
+    block, with no mask and no padding."""
+    lengths = _check_lengths(seqs, config)
+    order = np.argsort(lengths, kind="stable")
+    packed = [lengths[j] for j in order]
+    ids = np.fromiter((i for j in order for i in seqs[j]), dtype=np.intp, count=sum(lengths))
+    blocks = [np.zeros((len(list(run)), t), dtype=bool) for t, run in groupby(packed)]
+    positions = np.concatenate([np.arange(t) for t in packed])
+    hidden = _encode_rows(params, config, ids, positions, blocks, training, rng)
+    start = np.empty(len(seqs), dtype=np.intp)
+    start[order] = np.cumsum([0] + packed[:-1])
+    return hidden, start
 
 
 def encode_packed(
-    params: Mapping[str, Tensor], config: EncoderConfig, seqs: Sequence[Sequence[int]]
+    params: Mapping[str, Tensor],
+    config: EncoderConfig,
+    seqs: Sequence[Sequence[int]],
+    training: bool = False,
+    rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Pooled CLS rows [N, E] of N id sequences, encoded without dropout
-    as one unpadded graph of sum(len) token rows.
+    """Pooled CLS rows [N, E] of N id sequences, in input order, encoded
+    as one unpadded graph of sum(len) token rows (see _packed_hidden);
+    dropout only when training.
 
-    The sequences sit one after another. Each run of consecutive
-    sequences of one length is one attention block, so every row-wise op
-    runs once over the whole graph and attention works per block, with
-    no mask. Each pooled row is the one a graph of that sequence alone
-    gives, as far as a matmul row does not depend on the rows around it.
+    Without dropout, each pooled row is the one a graph of that sequence
+    alone gives, as far as a matmul row does not depend on the rows
+    around it. Sequences already in length order keep their order.
     """
-    lengths = _check_lengths(seqs, config)
-    ids = np.fromiter((i for seq in seqs for i in seq), dtype=np.intp, count=sum(lengths))
-    _check_ids(ids, config)
-    blocks = [np.zeros((len(list(run)), t), dtype=bool) for t, run in groupby(lengths)]
-    positions = np.concatenate([np.arange(t) for t in lengths])
-    hidden = _encode_rows(params, config, ids, positions, blocks, False, None)
-    return gather_rows(hidden, np.cumsum([0] + lengths[:-1]))
+    hidden, start = _packed_hidden(params, config, seqs, training, rng)
+    return gather_rows(hidden, start)
 
 
 def _corrupt(tid: int, vocab_size: int, rng: np.random.Generator) -> int:
@@ -428,11 +410,10 @@ def mlm_loss(
     per_line = [[i for i, t in enumerate(targets) if t != IGNORE_ID] for targets in target_batch]
     if not all(per_line):
         raise ValueError("mlm_loss needs at least one target position per line")
-    hidden = _encode_padded(params, config, masked_batch, training, rng)
-    t = hidden.shape[0] // len(masked_batch)
+    hidden, start = _packed_hidden(params, config, masked_batch, training, rng)
     rows, labels, row_weights = [], [], []
     for b, (positions, targets) in enumerate(zip(per_line, target_batch)):
-        rows.extend(b * t + i for i in positions)
+        rows.extend(start[b] + i for i in positions)
         labels.extend(int(targets[i]) for i in positions)
         row_weights.extend([1.0 / (len(positions) * len(per_line))] * len(positions))
     selected = gather_rows(hidden, rows)

@@ -22,7 +22,6 @@ from .encoder import (
     Vocab,
     config_from_meta,
     config_to_meta,
-    encode_batch,
     encode_ids,
     encode_packed,
     encoder_shape_table,
@@ -208,13 +207,14 @@ def forward(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Logits [B, 2] for a batch of encoded posts, computed as one padded
-    graph; dropout only when training."""
+    """Logits [B, 2] for a batch of encoded posts; each encoder runs the
+    batch as one packed graph (see encoder.encode_packed), and dropout
+    applies only when training."""
     enc_cfg = model.config.encoder
-    text_pooled, _ = encode_batch(
+    text_pooled = encode_packed(
         model.text_encoder, enc_cfg, [x.text_ids for x in batch], training, rng
     )
-    hash_pooled, _ = encode_batch(
+    hash_pooled = encode_packed(
         model.hashtag_encoder, enc_cfg, [x.hash_ids for x in batch], training, rng
     )
     fused_in = _fused_input(model, text_pooled, hash_pooled, [x.emoji_vec for x in batch])

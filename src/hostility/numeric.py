@@ -267,8 +267,9 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
     idx = np.asarray(ids, dtype=np.intp)
     if idx.ndim != 1 or idx.size == 0:
         raise ShapeError("embedding_lookup needs a non-empty 1-d id sequence")
-    if (idx < 0).any() or (idx >= table.data.shape[0]).any():
-        raise ValueError(f"token id out of range for table of {table.data.shape[0]} rows")
+    bad = (idx < 0) | (idx >= len(table.data))
+    if bad.any():
+        raise ValueError(f"token id {idx[bad][0]} out of range for table of {len(table.data)} rows")
 
     def bp(g):
         _scatter_rows(table, idx, g)
@@ -408,12 +409,13 @@ def attention(
 
     q, k and v are [R, E]. blocks lays the R rows out in order as blocks
     of equal-length sequences: a [B, T] bool array, True at keys to mask
-    out (PAD), covers the next B*T rows, row b*T + t holding position t
-    of sequence b, viewed as [B, H, T, E/H]. A padded batch is one block;
-    packed sequences of several lengths are one unmasked block per
-    length. Attention probabilities get inverted dropout with probability
-    p when training, drawn per block in order as one
-    rng.random((B, H, T, T)). Returns the heads merged back to [R, E].
+    out, covers the next B*T rows, row b*T + t holding position t of
+    sequence b, viewed as [B, H, T, E/H]. A masked key gets no attention
+    mass from any position. The encoder packs sequences of several
+    lengths as one unmasked block per length. Attention probabilities
+    get inverted dropout with probability p when training, drawn per
+    block in order as one rng.random((B, H, T, T)). Returns the heads
+    merged back to [R, E].
     """
     if not 0 <= p < 1:
         raise ValueError(f"dropout probability must satisfy 0 <= p < 1, got {p}")

@@ -89,8 +89,9 @@ def run_tapt(
     seed: int = 0,
     mask_prob: float = 0.15,
 ) -> TaptResult:
-    """Continued MLM pretraining over shuffled corpus lines, one padded
-    batch graph and one optimizer step per mini-batch.
+    """Continued MLM pretraining over shuffled corpus lines, one packed
+    batch graph (see encoder.mlm_loss) and one optimizer step per
+    mini-batch.
 
     One init_params call draws the encoder body and then the MLM head
     from the [seed, TEXT_INIT_STREAM] generator, so the body starts as

@@ -174,7 +174,8 @@ def train_binary(
     hp: Hyperparams = Hyperparams(),
 ) -> TrainRun:
     """End-to-end cross-entropy training of one fusion model in place,
-    one padded batch graph and one optimizer step per mini-batch.
+    one packed batch graph per encoder (see fusion.forward) and one
+    optimizer step per mini-batch.
 
     model is the freshly drawn init_model(..., base_seed=hp.seed); its
     task names the run. Both encoders are tuned jointly. The training

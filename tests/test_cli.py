@@ -434,6 +434,16 @@ class TestEvaluate:
         assert run("evaluate", *args) == 2
         assert "vocab hash" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_non_utf8_vocab_names_file_and_line(
+        self, data_dir, trained_dir, tmp_path, capsys, command
+    ):
+        run_dir = copy_run(trained_dir, tmp_path / "run")
+        vocab = run_dir / "vocab.txt"
+        vocab.write_bytes(vocab.read_bytes().replace(b"\n", b"\n\xff", 1))
+        assert run(command, *common_args(data_dir, run_dir)) == 2
+        assert f"{vocab}: line 2: not valid UTF-8" in capsys.readouterr().err
+
     def test_zero_heads_checkpoint_is_data_error(self, data_dir, trained_dir, tmp_path, capsys):
         run_dir = copy_run(trained_dir, tmp_path / "run")
         meta, tensors = read_checkpoint(run_dir / "coarse.ckpt")

@@ -18,9 +18,9 @@ from hostility.encoder import (
     config_from_meta,
     config_to_meta,
     desk_config,
-    encode_batch,
-    encode_packed,
+    _packed_hidden,
     encode_ids,
+    encode_packed,
     encoder_shape_table,
     init_array,
     init_params,
@@ -32,6 +32,7 @@ from hostility.encoder import (
 )
 from hostility.errors import DataError, ShapeError
 from hostility.numeric import Tensor, attention
+from gradcheck import gradcheck
 from param_sets import same_params
 
 
@@ -86,7 +87,16 @@ class TestVocab:
     def test_load_rejects_missing_specials(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_text("a\nb\nc\nd\ne\nf\n", encoding="utf-8")
-        with pytest.raises(DataError, match="special"):
+        with pytest.raises(DataError, match=f"{path.name}: .*special"):
+            Vocab.load(path)
+        path.write_text("\n".join(SPECIALS[:3]) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"{path.name}: .*special"):
+            Vocab.load(path)
+
+    def test_load_rejects_duplicates_naming_the_file(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join([*SPECIALS, "sach", "ka", "sach"]) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"{path.name}: vocab contains duplicate tokens"):
             Vocab.load(path)
 
 
@@ -193,36 +203,33 @@ class TestWeights:
 
 class TestEncode:
     def test_output_shapes_and_finite(self, weights, config, vocab):
-        pooled, hidden = encode_batch(weights, config, [[CLS_ID, SEP_ID]])
+        pooled = encode_packed(weights, config, [[CLS_ID, SEP_ID]])
+        hidden, start = _packed_hidden(weights, config, [[CLS_ID, SEP_ID]], False, None)
         assert pooled.shape == (1, config.d_model)
         assert hidden.shape == (2, config.d_model)
+        assert start.tolist() == [0]
         assert np.isfinite(pooled.data).all()
 
     def test_deterministic_without_dropout(self, weights, config, vocab):
         ids = encode_ids(vocab, "yeh sach hai", config.max_len)
-        a, _ = encode_batch(weights, config, [ids])
-        b, _ = encode_batch(weights, config, [ids])
+        a = encode_packed(weights, config, [ids])
+        b = encode_packed(weights, config, [ids])
         np.testing.assert_array_equal(a.data, b.data)
 
-    def test_padding_invariance(self, weights, config, vocab):
-        ids = encode_ids(vocab, "sach ka saath", config.max_len)
-        base, _ = encode_batch(weights, config, [ids])
-        padded, _ = encode_batch(weights, config, [ids + [PAD_ID] * 6])
-        assert np.abs(padded.data - base.data).max() <= 1e-5
-
-    def test_padded_batch_matches_single_sequences(self, weights, config, vocab):
-        texts = ["sach", "jhooth khabar nafrat gaali mat bolo", "acha din"]
+    def test_unsorted_batch_rows_equal_each_sequence_alone(self, weights, config, vocab):
+        texts = ["sach ka saath din", "sach", "jhooth khabar nafrat gaali mat bolo", "acha din", "yeh"]
         batch = [encode_ids(vocab, text, config.max_len) for text in texts]
-        batch[2] = batch[2] + [PAD_ID] * 2  # an explicit PAD stays masked
-        pooled, hidden = encode_batch(weights, config, batch)
-        t = max(len(ids) for ids in batch)
-        assert pooled.shape == (3, config.d_model)
-        assert hidden.shape == (3 * t, config.d_model)
+        pooled = encode_packed(weights, config, batch)
+        hidden, start = _packed_hidden(weights, config, batch, False, None)
+        assert pooled.shape == (len(batch), config.d_model)
+        assert hidden.shape == (sum(len(ids) for ids in batch), config.d_model)
+        # Stable length order: "sach" and "yeh" (3), "acha din" (4), ...
+        assert start.tolist() == [10, 0, 16, 6, 3]
         for b, ids in enumerate(batch):
-            single_pooled, single_hidden = encode_batch(weights, config, [ids])
-            assert np.abs(pooled.data[b] - single_pooled.data[0]).max() <= 1e-5
-            rows = hidden.data[b * t : b * t + len(ids)]
-            assert np.abs(rows - single_hidden.data).max() <= 1e-5
+            alone = encode_packed(weights, config, [ids])
+            alone_hidden, _ = _packed_hidden(weights, config, [ids], False, None)
+            np.testing.assert_array_equal(pooled.data[b], alone.data[0])
+            np.testing.assert_array_equal(hidden.data[start[b] : start[b] + len(ids)], alone_hidden.data)
 
     def test_attention_rows_sum_to_one(self, config, vocab):
         ids = encode_ids(vocab, "jhooth khabar nafrat", config.max_len) + [PAD_ID] * 3
@@ -247,22 +254,14 @@ class TestEncode:
         pooled = encode_packed(weights, config, seqs)
         assert pooled.shape == (len(seqs), config.d_model)
         for row, ids in zip(pooled.data, seqs):
-            alone, _ = encode_batch(weights, config, [ids])
+            alone = encode_packed(weights, config, [ids])
             np.testing.assert_array_equal(row, alone.data[0])
-        # Lengths need not be sorted: each run of one length is a block.
+        # Rows come back in input order, whatever the order of lengths.
         unsorted = encode_packed(weights, config, seqs[::-1])
         np.testing.assert_array_equal(unsorted.data, pooled.data[::-1])
 
-    def test_id_out_of_range(self, weights, config):
-        with pytest.raises(ValueError, match="out of range"):
-            encode_batch(weights, config, [[CLS_ID, config.vocab_size, SEP_ID]])
-
-    def test_too_long(self, weights, config):
-        with pytest.raises(ShapeError, match="max_len"):
-            encode_batch(weights, config, [[CLS_ID] * (config.max_len + 1)])
-
     def test_packed_checks_ids_and_lengths(self, weights, config):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=f"token id {config.vocab_size} out of range"):
             encode_packed(weights, config, [[CLS_ID, SEP_ID], [CLS_ID, config.vocab_size, SEP_ID]])
         with pytest.raises(ShapeError, match="max_len"):
             encode_packed(weights, config, [[CLS_ID, SEP_ID], [CLS_ID] * (config.max_len + 1)])
@@ -341,13 +340,18 @@ class TestMlmLoss:
 
     def test_batch_loss_is_mean_of_line_losses(self, weights, head, config, vocab):
         rng = np.random.default_rng(6)
-        texts = ("yeh sach hai", "acha din shanti path ka")
-        lines = [encode_ids(vocab, t, config.max_len) for t in texts]
-        masks = [mask_tokens(ids, len(vocab), rng, p=0.7) for ids in lines]
-        masked, targets = [m for m, _ in masks], [t for _, t in masks]
-        batch = mlm_loss({**weights, **head}, config, masked, targets).item()
-        singles = [mlm_loss({**weights, **head}, config, [m], [t]).item() for m, t in masks]
-        assert batch == pytest.approx(sum(singles) / 2, abs=1e-5)
+        # In length order, then unsorted with mixed lengths.
+        for texts in (
+            ("yeh sach hai", "acha din shanti path ka"),
+            ("acha din shanti path ka", "sach ka", "jhooth khabar nafrat gaali", "yeh sach"),
+        ):
+            lines = [encode_ids(vocab, t, config.max_len) for t in texts]
+            masks = [mask_tokens(ids, len(vocab), rng, p=0.7) for ids in lines]
+            assert all(any(t != IGNORE_ID for t in targets) for _, targets in masks)
+            masked, targets = [m for m, _ in masks], [t for _, t in masks]
+            batch = mlm_loss({**weights, **head}, config, masked, targets).item()
+            singles = [mlm_loss({**weights, **head}, config, [m], [t]).item() for m, t in masks]
+            assert batch == pytest.approx(sum(singles) / len(texts), abs=1e-5)
 
     def test_no_targets_is_an_error(self, weights, head, config):
         with pytest.raises(ValueError, match="target"):
@@ -372,5 +376,27 @@ class TestMlmLoss:
         lines = [encode_ids(vocab, t, config.max_len) for t in ("yeh sach hai", "acha din")]
         targets = [[IGNORE_ID, ids[1]] + [IGNORE_ID] * (len(ids) - 2) for ids in lines]
         mlm_loss({**weights, **head}, config, lines, targets)
-        # One gather, of the two target rows (padded length 5); no pooled CLS rows.
-        assert calls == [[1, 6]]
+        # One gather, of the two target rows in line order; the 4-row
+        # line packs first, so the 5-row line starts at row 4. No pooled
+        # CLS rows.
+        assert calls == [[5, 1]]
+
+    def test_gradients_match_finite_differences_with_dropout(self, vocab):
+        config = EncoderConfig(len(vocab), d_model=8, n_layers=1, n_heads=2, d_ff=8, max_len=8)
+        params = init_params(
+            {**encoder_shape_table(config), **mlm_head_shape_table(config)},
+            np.random.default_rng(12),
+        )
+        for p in params.values():
+            p.data = p.data.astype(np.float64)
+        lines = [encode_ids(vocab, t, config.max_len) for t in ("acha din shanti", "sach", "yeh sach hai")]
+        targets = [[IGNORE_ID] * len(ids) for ids in lines]
+        for b, ids in enumerate(lines):
+            targets[b][1] = ids[1]
+        masked = [[MASK_ID if t != IGNORE_ID else i for i, t in zip(ids, tg)] for ids, tg in zip(lines, targets)]
+
+        def build():
+            # A fresh rng per build, so every evaluation draws the same dropout.
+            return mlm_loss(params, config, masked, targets, training=True, rng=np.random.default_rng(3))
+
+        assert gradcheck(build, params) < 1e-4

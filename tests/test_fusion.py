@@ -37,6 +37,7 @@ from hostility.fusion import (
 from hostility.numeric import Tensor, adam_init, adam_step, backward, cross_entropy, zero_grad
 from hostility.preprocess import FeatureBundle
 from hostility.tapt import TaptCorpus, run_tapt
+from gradcheck import gradcheck
 from param_sets import same_params
 
 
@@ -76,12 +77,22 @@ class TestDimensionLaw:
 
     def test_batch_rows_match_single_posts(self, config, vocab):
         model = init_model(config, vocab, "coarse", base_seed=0)
+        # Unit-scale head weights make the logits O(1), so that posts
+        # differ by far more than the tolerance.
+        rng = np.random.default_rng(0)
+        for p in model.head.values():
+            if p.data.ndim == 2:
+                p.data = (rng.standard_normal(p.data.shape) / np.sqrt(len(p.data))).astype(np.float32)
+        # Text lengths 5, 3, 7 and hashtag lengths 5, 2, 3: neither
+        # encoder's batch is in length order.
         posts = [bundle(), bundle("yeh", "", fill=1.0), bundle("sach ka saath dena hai", "sach")]
         batch = forward(model, [encode_post(model, b) for b in posts]).data
         assert batch.shape == (3, 2)
-        for row, b in zip(batch, posts):
-            single = forward(model, [encode_post(model, b)]).data[0]
-            assert np.abs(row - single).max() <= 1e-5
+        singles = [forward(model, [encode_post(model, b)]).data[0] for b in posts]
+        for row, single in zip(batch, singles):
+            assert np.abs(row - single).max() <= 1e-6
+        for i in range(3):
+            assert np.abs(singles[i] - singles[i - 1]).max() > 1e-3
 
 
 class TestInitModel:
@@ -167,6 +178,26 @@ class TestForward:
         )
 
 
+    def test_gradients_match_finite_differences_with_dropout(self, vocab):
+        enc = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2, d_ff=8, max_len=8)
+        model = init_model(FusionConfig(encoder=enc, emoji_dim=4, mlp_hidden=(4,)), vocab, "coarse", base_seed=7)
+        params = model.named_params()
+        for p in params.values():
+            p.data = p.data.astype(np.float64)
+        # Text lengths 5, 3, 4 and hashtag lengths 2, 4, 2, in one batch.
+        # At this point every ReLU input lies more than h from its kink.
+        rng = np.random.default_rng(1)
+        flows = [("sach ka saath", ""), ("yeh", "sach hai"), ("acha din", "")]
+        batch = [encode_post(model, FeatureBundle(t, f, rng.normal(size=4), 0)) for t, f in flows]
+
+        def build():
+            # A fresh rng per build, so every evaluation draws the same dropout.
+            logits = forward(model, batch, training=True, rng=np.random.default_rng(6))
+            return cross_entropy(logits, [1, 0, 1])
+
+        assert gradcheck(build, params) < 1e-4
+
+
 class TestPredict:
     def test_concurrent_predict_is_consistent(self, config, vocab):
         from concurrent.futures import ThreadPoolExecutor
@@ -224,9 +255,9 @@ def encoder_graphs(monkeypatch):
     graphs = []
     real_encode_packed = hostility.fusion.encode_packed
 
-    def recording_encode_packed(weights, enc_config, seqs):
+    def recording_encode_packed(weights, enc_config, seqs, training=False, rng=None):
         graphs.append([tuple(ids) for ids in seqs])
-        return real_encode_packed(weights, enc_config, seqs)
+        return real_encode_packed(weights, enc_config, seqs, training, rng)
 
     monkeypatch.setattr(hostility.fusion, "encode_packed", recording_encode_packed)
     return graphs

@@ -1,7 +1,10 @@
 """The package's import layers: each module imports only from earlier
-layers, so the modules of one layer never import each other."""
+layers, so the modules of one layer never import each other. Also the
+call signatures that tools outside the package rely on."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,12 @@ def test_every_module_has_a_layer():
 def test_imports_only_from_earlier_layers(module):
     later = sorted(m for m in relative_imports(module) if RANK[m] >= RANK[module])
     assert not later, f"{module} (layer {RANK[module]}) imports {later}"
+
+
+@pytest.mark.parametrize("function, index", [("fusion.forward", 2), ("encoder.mlm_loss", 4)])
+def test_training_flag_position(function, index):
+    """perfbench/layer_trace.py reads `training` from these calls by
+    position when it is not passed by keyword."""
+    module, name = function.split(".")
+    fn = getattr(importlib.import_module(f"hostility.{module}"), name)
+    assert list(inspect.signature(fn).parameters).index("training") == index

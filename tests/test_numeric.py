@@ -103,6 +103,8 @@ class TestForwardSemantics:
     def test_embedding_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             embedding_lookup(Tensor(np.zeros((3, 2))), [3])
+        with pytest.raises(ValueError, match="token id -1 out of range for table of 3 rows"):
+            embedding_lookup(Tensor(np.zeros((3, 2))), [0, -1, 5])
 
     @pytest.mark.parametrize("op", [embedding_lookup, gather_rows])
     def test_lookup_backward_writes_one_table_sized_gradient(self, op):

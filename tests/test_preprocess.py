@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import best_segmentation_bruteforce, segment_hashtag_quadratic
 from hostility import preprocess
+from hostility.encoder import Vocab
 from hostility.errors import DataError
 from hostility.preprocess import (
     ClassifiedToken,
@@ -478,11 +479,17 @@ class TestDataset:
         assert posts[0].labels == frozenset()
 
 
-LOADERS = {"data": load_dataset, "emoji": load_emoji_table, "dict": load_freq_dict}
+LOADERS = {
+    "data": load_dataset,
+    "emoji": load_emoji_table,
+    "dict": load_freq_dict,
+    "vocab": Vocab.load,
+}
 VALID_FILES = {
     "data": "tiny_posts.csv",
     "emoji": "emoji_300d.txt",
     "dict": "word_freq.tsv",
+    "vocab": "vocab.txt",
 }
 
 
