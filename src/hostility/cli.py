@@ -18,9 +18,10 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .checkpoint import read_metadata
-from .encoder import EncoderConfig, Vocab, desk_config, paper_config
+from .encoder import MAX_LEN, EncoderConfig, Vocab, desk_config, paper_config
 from .errors import DataError, InvariantError, UsageError
 from .fusion import (
+    EMOJI_DIM,
     EncodedPost,
     FusionConfig,
     encode_post,
@@ -51,6 +52,7 @@ from .tapt import (
 )
 from .traineval import (
     ALL_TASKS,
+    COARSE,
     FINE_TASKS,
     Hyperparams,
     SplitSpec,
@@ -63,11 +65,11 @@ from .traineval import (
     train_binary,
 )
 
-# Optimizer settings per profile, used where no flag or config key sets
+# Fine-tuning settings per profile, used where no flag or config key sets
 # them; the encoder sizes come from `desk_config` and `paper_config`.
 PROFILES = {
-    "desk": {"lr": 1e-3, "tapt_lr": 1e-4, "batch_size": 8},
-    "paper": {"lr": 1e-5, "tapt_lr": 1e-4, "batch_size": 16},
+    "desk": {"lr": 1e-3, "batch_size": 8},
+    "paper": {"lr": 1e-5, "batch_size": 16},
 }
 
 COMMANDS = ("preprocess", "tapt", "finetune", "evaluate", "predict")
@@ -149,7 +151,9 @@ def resolve_config(argv: Sequence[str] | None) -> argparse.Namespace:
 # ---------------------------------------------------------------------------
 
 
-def _load_aux(cfg: argparse.Namespace, emoji_dim: int = 300) -> tuple[FreqDict, EmojiTable]:
+def _load_aux(
+    cfg: argparse.Namespace, emoji_dim: int = EMOJI_DIM
+) -> tuple[FreqDict, EmojiTable]:
     freq = load_freq_dict(cfg.dict) if cfg.dict else FreqDict.empty()
     table = load_emoji_table(cfg.emoji) if cfg.emoji else EmojiTable(dim=emoji_dim, entries={})
     return freq, table
@@ -248,9 +252,7 @@ def cmd_tapt(cfg: argparse.Namespace) -> int:
     if not posts:
         raise DataError("dataset is empty")
     freq, _ = _load_aux(cfg)
-    train, _, corpus, vocab = _derive_vocab_corpus(cfg, posts, freq)
-    if not train:
-        raise DataError("training split is empty")
+    _, _, corpus, vocab = _derive_vocab_corpus(cfg, posts, freq)
     out = _out_dir(cfg)
     _write_artifact(out / "vocab.txt", vocab.save)
     _write_artifact(out / "tapt_corpus.txt", lambda path: dump_corpus(corpus, path))
@@ -315,11 +317,9 @@ def cmd_finetune(cfg: argparse.Namespace) -> int:
         train_targets = binary_targets(train, task)
         val_targets = binary_targets(val, task)
         train_examples = list(zip(train_bundles, train_targets))
-        if task != "coarse" and cfg.fine_scope == "hostile":
-            hostile = [
-                i for i, p in enumerate(train) if p.labels != frozenset({LabelTag.NON_HOSTILE})
-            ]
-            train_examples = [train_examples[i] for i in hostile]
+        if task != COARSE and cfg.fine_scope == "hostile":
+            hostile = binary_targets(train, COARSE)
+            train_examples = [ex for ex, is_hostile in zip(train_examples, hostile) if is_hostile]
         hp = Hyperparams(
             epochs=cfg.epochs,
             lr=cfg.lr,
@@ -474,10 +474,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epochs", type=int, default=10)
         p.add_argument("--lr", type=float)
         p.add_argument("--batch-size", type=int)
-        p.add_argument("--max-len", type=int, default=128)
+        p.add_argument("--max-len", type=int, default=MAX_LEN)
         p.add_argument("--tapt", choices=("on", "off"), default="off")
         p.add_argument("--tapt-epochs", type=int, default=100)
-        p.add_argument("--tapt-lr", type=float)
+        p.add_argument("--tapt-lr", type=float, default=1e-4)
         p.add_argument("--tapt-corpus", choices=("train", "all"), default="train")
         p.add_argument("--no-clean-dup", action="store_true")
         p.add_argument("--fine-scope", choices=("all", "hostile"), default="all")

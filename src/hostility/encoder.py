@@ -39,8 +39,12 @@ SPECIALS = ("<pad>", "<unk>", "<cls>", "<sep>", "<mask>")
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
 N_SPECIALS = len(SPECIALS)
 IGNORE_ID = -1
-# A word enters the vocab once it occurs this many times.
-VOCAB_MIN_COUNT = 1
+# The longest token sequence, CLS and SEP included, unless --max-len sets it.
+MAX_LEN = 128
+# The dropout rate of the encoder and of the fusion head.
+DROPOUT_P = 0.1
+# The share of non-special positions that BERT-style masking selects.
+MASK_PROB = 0.15
 
 
 class Vocab:
@@ -56,14 +60,14 @@ class Vocab:
 
     @classmethod
     def build(cls, lines: Iterable[str]) -> "Vocab":
-        """Count case-folded whitespace tokens and keep those seen at
-        least VOCAB_MIN_COUNT times, most frequent first."""
+        """Every case-folded whitespace token of lines, most frequent
+        first."""
         counts: dict[str, int] = {}
         for line in lines:
             for word in line.casefold().split():
                 counts[word] = counts.get(word, 0) + 1
         words = sorted(
-            (w for w, c in counts.items() if c >= VOCAB_MIN_COUNT and w not in SPECIALS),
+            (w for w in counts if w not in SPECIALS),
             key=lambda w: (-counts[w], w),
         )
         return cls(list(SPECIALS) + words)
@@ -94,21 +98,23 @@ class Vocab:
         return hashlib.sha256("\n".join(self.tokens).encode("utf-8")).hexdigest()
 
 
-def encode_ids(vocab: Vocab, text: str, max_len: int = 128) -> list[int]:
-    """[CLS] + case-folded word ids + [SEP], truncated to max_len total."""
+def encode_ids(vocab: Vocab, text: str, max_len: int) -> list[int]:
+    """[CLS] + case-folded word ids + [SEP], truncated to max_len total.
+    A word that spells a special token is unknown, so text cannot place
+    a special id."""
     words = text.casefold().split()[: max_len - 2]
-    return [CLS_ID] + [vocab.id_of(w) for w in words] + [SEP_ID]
+    return [CLS_ID] + [UNK_ID if w in SPECIALS else vocab.id_of(w) for w in words] + [SEP_ID]
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
     vocab_size: int
-    d_model: int = 64
-    n_layers: int = 2
-    n_heads: int = 4
-    d_ff: int = 256
-    max_len: int = 128
-    dropout_p: float = 0.1
+    d_model: int
+    n_layers: int
+    n_heads: int
+    d_ff: int
+    max_len: int
+    dropout_p: float = DROPOUT_P
 
     def __post_init__(self):
         for name in ("d_model", "n_layers", "n_heads", "d_ff", "max_len"):
@@ -124,11 +130,11 @@ class EncoderConfig:
             raise ShapeError(f"vocab_size {self.vocab_size} < {N_SPECIALS}")
 
 
-def desk_config(vocab_size: int, max_len: int = 128) -> EncoderConfig:
+def desk_config(vocab_size: int, max_len: int = MAX_LEN) -> EncoderConfig:
     return EncoderConfig(vocab_size, d_model=64, n_layers=2, n_heads=4, d_ff=256, max_len=max_len)
 
 
-def paper_config(vocab_size: int, max_len: int = 128) -> EncoderConfig:
+def paper_config(vocab_size: int, max_len: int = MAX_LEN) -> EncoderConfig:
     return EncoderConfig(vocab_size, d_model=768, n_layers=12, n_heads=12, d_ff=3072, max_len=max_len)
 
 
@@ -349,10 +355,7 @@ def _corrupt(tid: int, vocab_size: int, rng: np.random.Generator) -> int:
 
 
 def mask_tokens(
-    ids: Sequence[int],
-    vocab_size: int,
-    rng: np.random.Generator,
-    p: float = 0.15,
+    ids: Sequence[int], vocab_size: int, rng: np.random.Generator, p: float
 ) -> tuple[list[int], list[int]]:
     """BERT-style masking: select each non-special position with
     probability p; of the selected, 80% become MASK, 10% a random
@@ -372,16 +375,13 @@ def mask_tokens(
 
 
 def mask_with_target(
-    ids: Sequence[int],
-    vocab_size: int,
-    rng: np.random.Generator,
-    p: float = 0.15,
+    ids: Sequence[int], vocab_size: int, rng: np.random.Generator
 ) -> tuple[list[int], list[int]]:
-    """mask_tokens with at least one target: when its draw selects
-    nothing, one non-special position picked with rng.integers is
-    selected and corrupted by the same 80/10/10 rule. ids must hold a
+    """mask_tokens at MASK_PROB with at least one target: when its draw
+    selects nothing, one non-special position picked with rng.integers
+    is selected and corrupted by the same 80/10/10 rule. ids must hold a
     non-special id."""
-    masked, targets = mask_tokens(ids, vocab_size, rng, p)
+    masked, targets = mask_tokens(ids, vocab_size, rng, MASK_PROB)
     if all(t == IGNORE_ID for t in targets):
         maskable = [i for i, tid in enumerate(ids) if tid >= N_SPECIALS]
         if not maskable:

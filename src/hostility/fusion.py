@@ -15,6 +15,7 @@ import numpy as np
 
 from .checkpoint import checkpoint_bytes, parse_checkpoint, read_checkpoint
 from .encoder import (
+    DROPOUT_P,
     HASHTAG_INIT_STREAM,
     HEAD_INIT_STREAM,
     TEXT_INIT_STREAM,
@@ -35,14 +36,16 @@ from .preprocess import FeatureBundle
 # At most this many token rows (the sum of sequence lengths) per encoder
 # graph when scoring; a longer sequence runs alone.
 SCORE_ROWS = 512
+# The length of an emoji vector when no emoji table sets it.
+EMOJI_DIM = 300
 
 
 @dataclass(frozen=True)
 class FusionConfig:
     encoder: EncoderConfig
-    emoji_dim: int = 300
+    emoji_dim: int = EMOJI_DIM
     mlp_hidden: tuple[int, ...] = (256, 64)
-    dropout_p: float = 0.1
+    dropout_p: float = DROPOUT_P
 
     @property
     def fused_dim(self) -> int:
@@ -114,7 +117,8 @@ def init_model(
     vocab: Vocab,
     task: str,
     tapt_weights: Mapping[str, Tensor] | None = None,
-    base_seed: int = 0,
+    *,
+    base_seed: int,
 ) -> FusionModel:
     """Fresh model; the cleaned-text encoder takes the adapted weights
     when given, the hashtag encoder always takes the base init.
@@ -323,22 +327,20 @@ def predict(model: FusionModel, bundle: FeatureBundle) -> tuple[int, float]:
 # ---------------------------------------------------------------------------
 
 
-def _fusion_meta(model: FusionModel, extra: Mapping[str, str] | None) -> dict[str, str]:
-    meta = {
+def _fusion_meta(model: FusionModel, extra: Mapping[str, str]) -> dict[str, str]:
+    return {
         "kind": "fusion",
         "task": model.task,
         "emoji_dim": str(model.config.emoji_dim),
         "mlp_hidden": ",".join(str(h) for h in model.config.mlp_hidden),
         "dropout_p": repr(model.config.dropout_p),
         "vocab_sha256": model.vocab.sha256(),
+        **config_to_meta(model.config.encoder),
+        **extra,
     }
-    meta.update(config_to_meta(model.config.encoder))
-    if extra:
-        meta.update(extra)
-    return meta
 
 
-def model_to_bytes(model: FusionModel, extra: Mapping[str, str] | None = None) -> bytes:
+def model_to_bytes(model: FusionModel, extra: Mapping[str, str]) -> bytes:
     tensors = {name: p.data for name, p in model.named_params().items()}
     return checkpoint_bytes(_fusion_meta(model, extra), tensors)
 

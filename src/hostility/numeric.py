@@ -21,6 +21,8 @@ from .errors import InvariantError, ShapeError
 
 # Additive score for masked attention keys; exp() of it underflows to 0.
 _ATTN_MASK_VALUE = -1e9
+# Added to each row's variance in layer_norm before the square root.
+LN_EPS = 1e-5
 
 
 class Tensor:
@@ -32,8 +34,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backprop")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
@@ -297,7 +299,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _result(y, (x,), bp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row to zero mean / unit variance, then scale and shift."""
     if x.data.ndim != 2:
         raise ShapeError(f"layer_norm expects a matrix, got shape {x.data.shape}")
@@ -311,7 +313,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     # and the centred rows computed once.
     centred = x.data - x.data.mean(axis=1, keepdims=True)
     var = (centred * centred).sum(axis=1, keepdims=True) / n
-    sd = np.sqrt(var + x.data.dtype.type(eps))
+    sd = np.sqrt(var + x.data.dtype.type(LN_EPS))
     yhat = centred / sd
 
     def bp(g):

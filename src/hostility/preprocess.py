@@ -143,6 +143,18 @@ def _scan_segment(segment: str, out: list[ClassifiedToken]) -> None:
         out.append(ClassifiedToken(word, _classify_plain(word)))
 
 
+def _whole_token(piece: str) -> ClassifiedToken | None:
+    """piece as one URL, hashtag or mention token, or None when it is
+    none of these."""
+    if _URL.match(piece):
+        return ClassifiedToken(piece, TokenKind.URL)
+    if piece[0] == "#":
+        return ClassifiedToken(piece, TokenKind.HASHTAG)
+    if piece[0] == "@":
+        return ClassifiedToken(piece, TokenKind.MENTION)
+    return None
+
+
 def tokenize_raw(text: str) -> list[ClassifiedToken]:
     """Split text on whitespace plus commas, colons and semicolons and
     classify every resulting token.
@@ -160,24 +172,16 @@ def tokenize_raw(text: str) -> list[ClassifiedToken]:
         piece = raw_piece.strip(SEPARATORS)
         if not piece:
             continue
-        if _URL.match(piece):
-            tokens.append(ClassifiedToken(piece, TokenKind.URL))
-            continue
-        if piece[0] == "#":
-            tokens.append(ClassifiedToken(piece, TokenKind.HASHTAG))
-            continue
-        if piece[0] == "@":
-            tokens.append(ClassifiedToken(piece, TokenKind.MENTION))
+        whole = _whole_token(piece)
+        if whole:
+            tokens.append(whole)
             continue
         for sub in _SEP_SPLIT.split(piece):
             if not sub:
                 continue
-            if _URL.match(sub):
-                tokens.append(ClassifiedToken(sub, TokenKind.URL))
-            elif sub[0] == "#":
-                tokens.append(ClassifiedToken(sub, TokenKind.HASHTAG))
-            elif sub[0] == "@":
-                tokens.append(ClassifiedToken(sub, TokenKind.MENTION))
+            whole = _whole_token(sub)
+            if whole:
+                tokens.append(whole)
             else:
                 _scan_segment(sub, tokens)
     return tokens

@@ -83,11 +83,10 @@ def run_tapt(
     config: EncoderConfig,
     vocab: Vocab,
     corpus: TaptCorpus,
-    epochs: int = 100,
-    lr: float = 1e-4,
-    batch_size: int = 8,
-    seed: int = 0,
-    mask_prob: float = 0.15,
+    epochs: int,
+    lr: float,
+    batch_size: int,
+    seed: int,
 ) -> TaptResult:
     """Continued MLM pretraining over shuffled corpus lines, one packed
     batch graph (see encoder.mlm_loss) and one optimizer step per
@@ -107,8 +106,6 @@ def run_tapt(
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if not 0 < mask_prob <= 1:
-        raise ValueError(f"mask_prob must be in (0, 1], got {mask_prob}")
     if not corpus.lines:
         raise ValueError("cannot pretrain on an empty corpus")
     encoded = [encode_ids(vocab, line, config.max_len) for line in corpus.lines]
@@ -126,9 +123,7 @@ def run_tapt(
     steps = 0
     for _ in range(epochs):
         order = rng.permutation(len(encoded))
-        masks = {
-            j: mask_with_target(encoded[j], len(vocab), mask_rng, mask_prob) for j in maskable
-        }
+        masks = {j: mask_with_target(encoded[j], len(vocab), mask_rng) for j in maskable}
         loss_total = 0.0
         n_seqs = 0
         for start in range(0, len(order), batch_size):
@@ -149,14 +144,9 @@ def run_tapt(
 
 
 def encoder_checkpoint_bytes(
-    weights: Mapping[str, Tensor],
-    config: EncoderConfig,
-    extra: Mapping[str, str] | None = None,
+    weights: Mapping[str, Tensor], config: EncoderConfig, extra: Mapping[str, str]
 ) -> bytes:
-    meta = {"kind": "encoder"}
-    meta.update(config_to_meta(config))
-    if extra:
-        meta.update(extra)
+    meta = {"kind": "encoder", **config_to_meta(config), **extra}
     return checkpoint_bytes(meta, {name: p.data for name, p in weights.items()})
 
 

@@ -47,7 +47,7 @@ TRAIN_FRACTION = 0.8
 
 @dataclass(frozen=True)
 class SplitSpec:
-    seed: int = 0
+    seed: int
 
 
 def _is_hostile(post: RawPost) -> bool:
@@ -141,17 +141,15 @@ def f1_scores(preds: Sequence[int], golds: Sequence[int]) -> TaskScores:
 
 @dataclass(frozen=True)
 class Hyperparams:
-    epochs: int = 10
-    lr: float = 1e-5
-    batch_size: int = 8
-    seed: int = 0
+    epochs: int
+    lr: float
+    batch_size: int
+    seed: int
 
 
 @dataclass
 class TrainRun:
     task: str
-    epochs: int
-    lr: float
     train_loss: list[float] = field(default_factory=list)
     val_macro_f1: list[float] = field(default_factory=list)
     best_epoch: int = 0
@@ -171,7 +169,7 @@ def train_binary(
     model: FusionModel,
     train: Sequence[Example],
     val: Sequence[Example],
-    hp: Hyperparams = Hyperparams(),
+    hp: Hyperparams,
 ) -> TrainRun:
     """End-to-end cross-entropy training of one fusion model in place,
     one packed batch graph per encoder (see fusion.forward) and one
@@ -194,7 +192,7 @@ def train_binary(
     params = model.named_params()
     state = adam_init(params)
     rng = np.random.default_rng([hp.seed, 9])
-    run = TrainRun(task=task, epochs=hp.epochs, lr=hp.lr)
+    run = TrainRun(task=task)
     best = -1.0
     for epoch in range(1, hp.epochs + 1):
         order = rng.permutation(len(train))

@@ -253,6 +253,12 @@ class TestConfigFile:
         assert vars(by_file) == vars(by_flag)
         assert getattr(by_file, key) != getattr(default, key)
 
+    @pytest.mark.parametrize("profile, lr, batch_size", [("desk", 1e-3, 8), ("paper", 1e-5, 16)])
+    def test_run_settings_by_profile(self, profile, lr, batch_size):
+        cfg = resolve_config(["tapt", "--data", "d.csv", "--out", "o", "--profile", profile])
+        assert (cfg.epochs, cfg.lr, cfg.batch_size) == (10, lr, batch_size)
+        assert (cfg.tapt_epochs, cfg.tapt_lr, cfg.max_len, cfg.seed) == (100, 1e-4, 128, 0)
+
     @pytest.mark.parametrize("profile, make", [("desk", desk_config), ("paper", paper_config)])
     def test_profile_sizes_are_the_encoder_configs(self, tmp_path, profile, make):
         config = write_config(tmp_path, "data=d.csv", "out=o", f"profile={profile}", "max_len=40")

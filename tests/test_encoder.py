@@ -8,6 +8,7 @@ from hostility.encoder import (
     IGNORE_ID,
     INIT_BLOCK,
     MASK_ID,
+    MAX_LEN,
     N_SPECIALS,
     PAD_ID,
     SEP_ID,
@@ -102,14 +103,14 @@ class TestVocab:
 
 class TestEncodeIds:
     def test_empty(self, vocab):
-        assert encode_ids(vocab, "") == [CLS_ID, SEP_ID]
+        assert encode_ids(vocab, "", MAX_LEN) == [CLS_ID, SEP_ID]
 
     def test_known_words(self, vocab):
-        ids = encode_ids(vocab, "sach hai")
+        ids = encode_ids(vocab, "sach hai", MAX_LEN)
         assert ids == [CLS_ID, vocab.id_of("sach"), vocab.id_of("hai"), SEP_ID]
 
     def test_case_folded(self, vocab):
-        assert encode_ids(vocab, "SACH") == encode_ids(vocab, "sach")
+        assert encode_ids(vocab, "SACH", MAX_LEN) == encode_ids(vocab, "sach", MAX_LEN)
 
     def test_truncation_to_max_len(self, vocab):
         text = " ".join(["sach"] * 200)
@@ -117,11 +118,21 @@ class TestEncodeIds:
         assert len(ids) == 128
         assert ids[0] == CLS_ID and ids[-1] == SEP_ID
 
+    def test_special_words_encode_as_unknown(self):
+        vocab = Vocab.build(["yeh sach hai"])
+        ids = encode_ids(vocab, "yeh <pad> <MASK> <sep> sach", 16)
+        yeh, sach = vocab.id_of("yeh"), vocab.id_of("sach")
+        assert ids == [CLS_ID, yeh, UNK_ID, UNK_ID, UNK_ID, sach, SEP_ID]
+        assert encode_ids(vocab, "<cls> <UNK> <Sep>", 16) == [CLS_ID, UNK_ID, UNK_ID, UNK_ID, SEP_ID]
+
+
+SIZES = dict(vocab_size=10, d_model=8, n_layers=1, n_heads=2, d_ff=8, max_len=8)
+
 
 class TestConfig:
     def test_head_divisibility(self):
         with pytest.raises(ShapeError, match="divisible"):
-            EncoderConfig(vocab_size=10, d_model=10, n_heads=3)
+            EncoderConfig(**{**SIZES, "d_model": 10, "n_heads": 3})
 
     def test_profiles(self):
         desk = desk_config(100)
@@ -137,12 +148,12 @@ class TestConfig:
     @pytest.mark.parametrize("name", ["d_model", "n_layers", "n_heads", "d_ff", "max_len"])
     def test_sizes_below_one_rejected(self, name):
         with pytest.raises(ShapeError, match=f"{name} must be >= 1"):
-            EncoderConfig(vocab_size=10, **{name: 0})
+            EncoderConfig(**{**SIZES, name: 0})
 
     @pytest.mark.parametrize("p", [-0.1, 1.0, float("nan")])
     def test_dropout_outside_unit_interval_rejected(self, p):
         with pytest.raises(ShapeError, match="dropout_p"):
-            EncoderConfig(vocab_size=10, dropout_p=p)
+            EncoderConfig(**SIZES, dropout_p=p)
 
 
 class TestWeights:
@@ -274,7 +285,7 @@ class TestEncode:
 
 class TestMaskTokens:
     def test_p_zero_changes_nothing(self, vocab):
-        ids = encode_ids(vocab, "yeh sach hai")
+        ids = encode_ids(vocab, "yeh sach hai", MAX_LEN)
         masked, targets = mask_tokens(ids, len(vocab), np.random.default_rng(0), p=0.0)
         assert masked == ids
         assert all(t == IGNORE_ID for t in targets)

@@ -287,7 +287,7 @@ class TestPredictBatch:
         assert predict(model, posts[3]) == predict_batch(model, encoded)[3]
 
     def test_empty(self, config, vocab):
-        assert predict_batch(init_model(config, vocab, "coarse"), []) == []
+        assert predict_batch(init_model(config, vocab, "coarse", base_seed=0), []) == []
 
     def test_distinct_inputs_in_packed_graphs(self, config, vocab, encoder_graphs):
         model = init_model(config, vocab, "coarse", base_seed=1)
@@ -434,7 +434,8 @@ class TestScoringRecordsNoTape:
 
     def test_peak_memory_below_a_quarter_of_forward(self, vocab):
         # 16 distinct posts of 32 tokens: one 512-row group per encoder.
-        model = init_model(FusionConfig(encoder=desk_config(len(vocab), max_len=32)), vocab, "coarse")
+        config = FusionConfig(encoder=desk_config(len(vocab), max_len=32))
+        model = init_model(config, vocab, "coarse", base_seed=0)
         rng = np.random.default_rng(0)
 
         def ids():
@@ -460,7 +461,7 @@ class TestPersistence:
             np.testing.assert_array_equal(p.data, loaded.named_params()[name].data)
 
     def test_loaded_parameters_are_writable(self, config, vocab):
-        model = model_from_bytes(model_to_bytes(init_model(config, vocab, "hate")), vocab)
+        model = model_from_bytes(model_to_bytes(init_model(config, vocab, "hate", base_seed=0), {}), vocab)
         params = model.named_params()
         for p in params.values():
             assert p.data.flags.writeable and p.requires_grad
@@ -471,7 +472,7 @@ class TestPersistence:
         assert not np.array_equal(params["fusion.w"].data, before)
 
     def test_zero_heads_rejected_at_load(self, config, vocab, tmp_path):
-        meta, tensors = parse_checkpoint(model_to_bytes(init_model(config, vocab, "fake")))
+        meta, tensors = parse_checkpoint(model_to_bytes(init_model(config, vocab, "fake", base_seed=0), {}))
         meta["enc.n_heads"] = "0"
         path = tmp_path / "model.ckpt"
         path.write_bytes(checkpoint_bytes(meta, tensors))
@@ -479,12 +480,12 @@ class TestPersistence:
             load_model(path, vocab)
 
     def test_bytes_deterministic(self, config, vocab):
-        a = model_to_bytes(init_model(config, vocab, "fake", base_seed=2))
-        b = model_to_bytes(init_model(config, vocab, "fake", base_seed=2))
+        a = model_to_bytes(init_model(config, vocab, "fake", base_seed=2), {})
+        b = model_to_bytes(init_model(config, vocab, "fake", base_seed=2), {})
         assert a == b
 
     def test_vocab_hash_checked(self, config, vocab):
-        blob = model_to_bytes(init_model(config, vocab, "fake", base_seed=2))
+        blob = model_to_bytes(init_model(config, vocab, "fake", base_seed=2), {})
         other = Vocab.build(["totally different words here"])
         with pytest.raises(DataError, match="vocab hash"):
             model_from_bytes(blob, other)

@@ -1,6 +1,7 @@
 """The package's import layers: each module imports only from earlier
 layers, so the modules of one layer never import each other. Also the
-call signatures that tools outside the package rely on."""
+call signatures that tools outside the package rely on, and a ceiling
+on the package's settable values."""
 
 import ast
 import importlib
@@ -52,3 +53,36 @@ def test_training_flag_position(function, index):
     module, name = function.split(".")
     fn = getattr(importlib.import_module(f"hostility.{module}"), name)
     assert list(inspect.signature(fn).parameters).index("training") == index
+
+
+# Defaulted function parameters plus defaulted dataclass fields in the
+# package. Each default is declared once: run settings by the CLI, the
+# rest as module constants, so this count should only fall.
+SETTABLE_VALUES = 28
+
+
+def settable_values() -> list[str]:
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults) :]
+                defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                name = getattr(node, "name", "<lambda>")
+                found += [f"{path.stem}.{name}({a.arg})" for a in defaulted]
+            elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list
+            ):
+                found += [
+                    f"{path.stem}.{node.name}.{stmt.target.id}"
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                ]
+    return found
+
+
+def test_settable_values_do_not_grow():
+    found = settable_values()
+    assert len(found) <= SETTABLE_VALUES, "\n".join(found)

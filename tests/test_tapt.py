@@ -115,8 +115,8 @@ class TestRunTapt:
         b = run_tapt(config, vocab, corpus, epochs=2, lr=1e-3, batch_size=8, seed=3)
         assert same_params(a.weights, b.weights)
         assert a.epoch_losses == b.epoch_losses
-        blob_a = encoder_checkpoint_bytes(a.weights, config)
-        blob_b = encoder_checkpoint_bytes(b.weights, config)
+        blob_a = encoder_checkpoint_bytes(a.weights, config, {})
+        blob_b = encoder_checkpoint_bytes(b.weights, config, {})
         assert blob_a == blob_b
 
     def test_training_changes_weights(self, setup):
@@ -169,8 +169,9 @@ class TestRunTapt:
 
         monkeypatch.setattr(hostility.encoder, "mask_tokens", counting_mask)
         monkeypatch.setattr(hostility.tapt, "mlm_loss", recording_loss)
+        monkeypatch.setattr(hostility.encoder, "MASK_PROB", 0.01)
         corpus = TaptCorpus(["sach"], [RAW])
-        run_tapt(config, vocab, corpus, epochs=1, lr=1e-3, batch_size=1, seed=0, mask_prob=0.01)
+        run_tapt(config, vocab, corpus, epochs=1, lr=1e-3, batch_size=1, seed=0)
         assert draws == [1]
         assert selected == [0]  # the draw picked nothing: the fallback chose the target
         assert [sum(t != IGNORE_ID for t in targets) for targets in targets_seen] == [1]

@@ -86,7 +86,7 @@ class TestSplit:
 
     def test_too_small(self):
         with pytest.raises(ValueError, match="at least 5"):
-            split_dataset(self.make_posts(2, 2), SplitSpec())
+            split_dataset(self.make_posts(2, 2), SplitSpec(seed=0))
 
 
 class TestBinaryTargets:
@@ -287,8 +287,8 @@ class TestTrainBinary:
         examples, vocab, config = toy_setup
         ones = [e for e in examples if e[1] == 1]
         with pytest.raises(ValueError, match="single class"):
-            model = init_model(config, vocab, COARSE)
-            train_binary(model, ones, examples, hp=Hyperparams(epochs=1, lr=1e-3))
+            hp = Hyperparams(epochs=1, lr=1e-3, batch_size=8, seed=0)
+            train_binary(init_model(config, vocab, COARSE, base_seed=0), ones, examples, hp=hp)
 
     def test_nan_batch_loss_raises(self, toy_setup, monkeypatch):
         import hostility.traineval
@@ -300,7 +300,7 @@ class TestTrainBinary:
             "cross_entropy",
             lambda logits, labels: scale(cross_entropy(logits, labels), float("nan")),
         )
-        hp = Hyperparams(epochs=1, lr=1e-3)
+        hp = Hyperparams(epochs=1, lr=1e-3, batch_size=8, seed=0)
         with pytest.raises(InvariantError, match="non-finite"):
             model = init_model(config, vocab, COARSE, base_seed=hp.seed)
             train_binary(model, examples, examples, hp=hp)
@@ -345,7 +345,7 @@ class TestTrainBinary:
             def __del__(self):
                 alive.discard(self.serial)
 
-        def tracked_model_to_bytes(model, extra=None):
+        def tracked_model_to_bytes(model, extra):
             alive_at_build.append(sorted(alive))
             blob = Blob(real_model_to_bytes(model, extra))
             blob.serial = len(alive_at_build)
