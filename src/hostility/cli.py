@@ -433,15 +433,12 @@ def cmd_predict(cfg: argparse.Namespace) -> int:
     # fine model still loads, so a broken checkpoint fails with no post to score.
     hostile = [i for i, (label, _) in enumerate(coarse) if label]
     fine_preds = {task: iter(score(task, hostile)) for task in FINE_TASKS}
-    order = {name: i for i, name in enumerate(FINE_TASKS)}
     lines = []
     for post, coarse_pred in zip(posts, coarse):
         fine = {t: next(preds) for t, preds in fine_preds.items()} if coarse_pred[0] else {}
         tags = assemble_labels(coarse_pred, fine)
-        if LabelTag.NON_HOSTILE in tags:
-            joined = LabelTag.NON_HOSTILE.value
-        else:
-            joined = "|".join(sorted((t.value for t in tags), key=lambda v: order[v]))
+        # LabelTag is in FINE_TASKS order, and non-hostile is always alone.
+        joined = "|".join(t.value for t in LabelTag if t in tags)
         lines.append(f"{post.id}\t{joined}\n")
     _write_artifact(out / "predictions.tsv", "".join(lines))
     print(f"predicted {len(lines)} posts")

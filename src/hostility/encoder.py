@@ -159,14 +159,18 @@ def config_from_meta(meta: Mapping[str, str]) -> EncoderConfig:
 # Values drawn per rng.uniform call when initialising a weight tensor.
 INIT_BLOCK = 65536
 
-# Seed streams of the initial draws: a model with base seed s draws its
-# cleaned-text encoder from default_rng([s, TEXT_INIT_STREAM]), its
-# hashtag encoder from [s, HASHTAG_INIT_STREAM] and its fusion head from
-# [s, HEAD_INIT_STREAM]. TAPT draws the body and then the MLM head from
-# the text stream, so its starting body is the text encoder's.
+# Seed streams: a run with seed s makes each random draw from
+# default_rng([s, stream]), one stream per use. A model draws its
+# cleaned-text encoder, hashtag encoder and fusion head from the three
+# *_INIT_STREAMs. TAPT draws the body and then the MLM head from the
+# text stream, so its starting body is the text encoder's.
 TEXT_INIT_STREAM = 0
 HASHTAG_INIT_STREAM = 1
 HEAD_INIT_STREAM = 2
+SPLIT_STREAM = 3
+TAPT_TRAIN_STREAM = 5
+TAPT_MASK_STREAM = 6
+FINETUNE_STREAM = 9
 
 
 def init_array(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -535,18 +535,28 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState, lr: float) -> None
         p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-def train_step(params: Mapping[str, Tensor], state: AdamState, loss: Tensor, lr: float) -> None:
-    """One optimizer step on a scalar batch loss: zero the gradients,
-    backpropagate and take an Adam step. A non-finite loss, or a
-    non-finite global gradient norm, raises InvariantError before any
-    parameter or optimizer state changes. The squared norm is summed
-    from one float32 np.vdot per gradient, so a norm past float32 range
-    (about 1.8e19), where Adam's g*g overflows too, also counts."""
-    if not np.isfinite(loss.data):
-        raise InvariantError(f"non-finite batch loss {float(loss.data)}")
-    zero_grad(params.values())
-    backward(loss)
-    norm_sq = sum(float(np.vdot(p.grad, p.grad)) for p in params.values() if p.grad is not None)
-    if not math.isfinite(norm_sq):
-        raise InvariantError(f"non-finite gradient norm (squared norm {norm_sq})")
-    adam_step(params, state, lr)
+def train_epoch(
+    params: Mapping[str, Tensor], state: AdamState, lr: float, batches: Iterable, batch_loss: Callable
+) -> float:
+    """One Adam step per batch, in order, on the scalar loss
+    batch_loss(batch); returns the mean loss weighted by len(batch).
+    A non-finite loss, or a non-finite global gradient norm, raises
+    InvariantError before that step changes any parameter or optimizer
+    state. The squared norm sums one float32 np.vdot per gradient, so a
+    norm past float32 range (about 1.8e19, where Adam's g*g overflows
+    too) also counts."""
+    loss_total = 0.0
+    n_items = 0
+    for batch in batches:
+        loss = batch_loss(batch)
+        if not np.isfinite(loss.data):
+            raise InvariantError(f"non-finite batch loss {float(loss.data)}")
+        zero_grad(params.values())
+        backward(loss)
+        norm_sq = sum(float(np.vdot(p.grad, p.grad)) for p in params.values() if p.grad is not None)
+        if not math.isfinite(norm_sq):
+            raise InvariantError(f"non-finite gradient norm (squared norm {norm_sq})")
+        adam_step(params, state, lr)
+        loss_total += float(loss.data) * len(batch)
+        n_items += len(batch)
+    return loss_total / n_items

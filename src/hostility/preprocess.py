@@ -31,7 +31,6 @@ class LabelTag(Enum):
     DEFAMATION = "defamation"
 
 
-FINE_TAGS = (LabelTag.FAKE, LabelTag.HATE, LabelTag.OFFENSIVE, LabelTag.DEFAMATION)
 _TAG_BY_NAME = {tag.value: tag for tag in LabelTag}
 
 

@@ -16,6 +16,8 @@ import numpy as np
 from .checkpoint import checkpoint_bytes, read_checkpoint
 from .encoder import (
     N_SPECIALS,
+    TAPT_MASK_STREAM,
+    TAPT_TRAIN_STREAM,
     TEXT_INIT_STREAM,
     EncoderConfig,
     Vocab,
@@ -30,14 +32,11 @@ from .encoder import (
     params_from_arrays,
 )
 from .errors import DataError, InvariantError
-from .numeric import Tensor, adam_init, train_step
+from .numeric import Tensor, adam_init, train_epoch
 from .preprocess import RawPost, clean_text, tokenize_raw
 
 RAW = "raw"
 CLEANED = "cleaned"
-
-_TRAIN_STREAM = 5
-_MASK_STREAM = 6
 
 
 @dataclass
@@ -68,8 +67,7 @@ def dump_corpus(corpus: TaptCorpus, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for line, tag in zip(corpus.lines, corpus.provenance):
             prefix = "R" if tag == RAW else "C"
-            flat = " ".join(line.splitlines()) if "\n" in line or "\r" in line else line
-            fh.write(f"{prefix}\t{flat}\n")
+            fh.write(f"{prefix}\t{' '.join(line.splitlines())}\n")
 
 
 @dataclass
@@ -116,31 +114,25 @@ def run_tapt(
     params = init_params(
         {**body, **mlm_head_shape_table(config)}, np.random.default_rng([seed, TEXT_INIT_STREAM])
     )
-    rng = np.random.default_rng([seed, _TRAIN_STREAM])
-    mask_rng = np.random.default_rng([seed, _MASK_STREAM])
+    rng = np.random.default_rng([seed, TAPT_TRAIN_STREAM])
+    mask_rng = np.random.default_rng([seed, TAPT_MASK_STREAM])
     state = adam_init(params)
+
+    def batch_loss(batch):
+        return mlm_loss(params, config, *zip(*batch), training=True, rng=rng)
+
     epoch_losses: list[float] = []
-    steps = 0
     for _ in range(epochs):
         order = rng.permutation(len(encoded))
         masks = {j: mask_with_target(encoded[j], len(vocab), mask_rng) for j in maskable}
-        loss_total = 0.0
-        n_seqs = 0
-        for start in range(0, len(order), batch_size):
-            batch = [masks[j] for j in order[start : start + batch_size] if j in masks]
-            if not batch:
-                continue
-            masked_batch, target_batch = zip(*batch)
-            batch_loss = mlm_loss(
-                params, config, masked_batch, target_batch, training=True, rng=rng
-            )
-            train_step(params, state, batch_loss, lr)
-            steps += 1
-            loss_total += float(batch_loss.data) * len(batch)
-            n_seqs += len(batch)
-        epoch_losses.append(loss_total / n_seqs)
+        # Chunk first, then drop lines with no target: a skipped line keeps its place.
+        chunks = (
+            [masks[j] for j in order[i : i + batch_size] if j in masks]
+            for i in range(0, len(order), batch_size)
+        )
+        epoch_losses.append(train_epoch(params, state, lr, filter(None, chunks), batch_loss))
     weights = {name: params[name] for name in body}
-    return TaptResult(weights=weights, epoch_losses=epoch_losses, steps=steps)
+    return TaptResult(weights=weights, epoch_losses=epoch_losses, steps=state.step)
 
 
 def encoder_checkpoint_bytes(

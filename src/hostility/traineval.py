@@ -14,20 +14,15 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .encoder import FINETUNE_STREAM, SPLIT_STREAM
 from .errors import InvariantError
 from .fusion import FusionModel, encode_post, forward, model_to_bytes, predict_batch
-from .numeric import adam_init, cross_entropy, train_step
+from .numeric import adam_init, cross_entropy, train_epoch
 from .preprocess import FeatureBundle, LabelTag, RawPost
 
 COARSE = "coarse"
 FINE_TASKS = ("fake", "hate", "offensive", "defamation")
 ALL_TASKS = (COARSE,) + FINE_TASKS
-_FINE_TAG = {
-    "fake": LabelTag.FAKE,
-    "hate": LabelTag.HATE,
-    "offensive": LabelTag.OFFENSIVE,
-    "defamation": LabelTag.DEFAMATION,
-}
 
 REPORT_ORDER = (COARSE, "defamation", "fake", "hate", "offensive")
 DISPLAY_NAMES = {
@@ -59,7 +54,7 @@ def split_dataset(posts: Sequence[RawPost], spec: SplitSpec) -> tuple[list[RawPo
     keep dataset order."""
     if len(posts) < 5:
         raise ValueError(f"need at least 5 posts to split, got {len(posts)}")
-    rng = np.random.default_rng([spec.seed, 3])
+    rng = np.random.default_rng([spec.seed, SPLIT_STREAM])
     train_idx: list[int] = []
     for stratum in (
         [i for i, p in enumerate(posts) if _is_hostile(p)],
@@ -84,7 +79,7 @@ def binary_targets(posts: Sequence[RawPost], task: str) -> list[int]:
         if task == COARSE:
             targets.append(1 if _is_hostile(post) else 0)
         else:
-            targets.append(1 if _FINE_TAG[task] in post.labels else 0)
+            targets.append(1 if LabelTag(task) in post.labels else 0)
     return targets
 
 
@@ -191,19 +186,18 @@ def train_binary(
     val_encoded = [encode_post(model, bundle) for bundle, _ in val]
     params = model.named_params()
     state = adam_init(params)
-    rng = np.random.default_rng([hp.seed, 9])
+    rng = np.random.default_rng([hp.seed, FINETUNE_STREAM])
+
+    def batch_loss(chunk):
+        logits = forward(model, [encoded[j] for j in chunk], training=True, rng=rng)
+        return cross_entropy(logits, [train_targets[j] for j in chunk])
+
     run = TrainRun(task=task)
     best = -1.0
     for epoch in range(1, hp.epochs + 1):
         order = rng.permutation(len(train))
-        loss_total = 0.0
-        for start in range(0, len(order), hp.batch_size):
-            chunk = order[start : start + hp.batch_size]
-            logits = forward(model, [encoded[j] for j in chunk], training=True, rng=rng)
-            batch_loss = cross_entropy(logits, [train_targets[j] for j in chunk])
-            train_step(params, state, batch_loss, hp.lr)
-            loss_total += float(batch_loss.data) * len(chunk)
-        run.train_loss.append(loss_total / len(train))
+        chunks = (order[i : i + hp.batch_size] for i in range(0, len(order), hp.batch_size))
+        run.train_loss.append(train_epoch(params, state, hp.lr, chunks, batch_loss))
         val_preds = [label for label, _ in predict_batch(model, val_encoded)]
         macro = f1_scores(val_preds, val_targets).macro_f1
         run.val_macro_f1.append(macro)
@@ -239,10 +233,10 @@ def assemble_labels(
     label, _ = coarse
     if label == 0:
         return {LabelTag.NON_HOSTILE}
-    chosen = {_FINE_TAG[task] for task in FINE_TASKS if fine[task][0] == 1}
+    chosen = {LabelTag(task) for task in FINE_TASKS if fine[task][0] == 1}
     if not chosen:
         best_task = max(FINE_TASKS, key=lambda t: fine[t][1])
-        chosen = {_FINE_TAG[best_task]}
+        chosen = {LabelTag(best_task)}
     return chosen
 
 

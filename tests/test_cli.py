@@ -651,6 +651,41 @@ class TestPredict:
         lines = (trained_dir / "predictions.tsv").read_text(encoding="utf-8").splitlines()
         assert [line.endswith("\tnon-hostile") for line in lines] == [c == 0 for c in coarse]
 
+    def test_multi_tag_lines_follow_fine_task_order(
+        self, data_dir, trained_dir, tmp_path, monkeypatch
+    ):
+        import hostility.cli
+
+        run_dir = copy_run(trained_dir, tmp_path / "run")
+        # Fine models positive per post, cycling; the empty set falls back to
+        # the most probable fine task, defamation here.
+        positive = [
+            {"defamation", "hate"},
+            {"offensive", "defamation", "hate", "fake"},
+            {"offensive", "fake"},
+            set(),
+        ]
+        expected = [
+            "hate|defamation",
+            "fake|hate|offensive|defamation",
+            "fake|offensive",
+            "defamation",
+        ]
+
+        def every_post_hostile(model, posts):
+            if model.task == "coarse":
+                return [(1, 0.9)] * len(posts)
+            return [
+                (1, 0.9) if model.task in positive[i % 4]
+                else (0, 0.4 if model.task == "defamation" else 0.1)
+                for i in range(len(posts))
+            ]
+
+        monkeypatch.setattr(hostility.cli, "predict_batch", every_post_hostile)
+        assert run("predict", *common_args(data_dir, run_dir)) == 0
+        lines = (run_dir / "predictions.tsv").read_text(encoding="utf-8").splitlines()
+        assert [line.split("\t")[1] for line in lines] == [expected[i % 4] for i in range(12)]
+
     def test_checkpoint_in_wrong_task_slot(self, data_dir, trained_dir, tmp_path, capsys):
         run_dir = copy_run(trained_dir, tmp_path / "run")
         meta, tensors = read_checkpoint(run_dir / "coarse.ckpt")

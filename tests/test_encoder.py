@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import hostility.encoder
 from hostility.encoder import (
     CLS_ID,
     IGNORE_ID,
@@ -204,6 +205,20 @@ class TestWeights:
             assert p.data.flags.writeable and p.data.flags.owndata and p.requires_grad
             assert not np.shares_memory(p.data, views[name])
             np.testing.assert_array_equal(p.data, views[name])
+
+    def test_seed_streams_are_distinct_and_fixed(self):
+        # Changing a stream's number changes every artifact drawn from it.
+        streams = {k: v for k, v in vars(hostility.encoder).items() if k.endswith("_STREAM")}
+        assert streams == {
+            "TEXT_INIT_STREAM": 0,
+            "HASHTAG_INIT_STREAM": 1,
+            "HEAD_INIT_STREAM": 2,
+            "SPLIT_STREAM": 3,
+            "TAPT_TRAIN_STREAM": 5,
+            "TAPT_MASK_STREAM": 6,
+            "FINETUNE_STREAM": 9,
+        }
+        assert len(set(streams.values())) == len(streams)
 
     def test_from_arrays_validates_shapes(self, config, weights):
         arrays = {name: p.data for name, p in weights.items()}

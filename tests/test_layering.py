@@ -1,7 +1,7 @@
 """The package's import layers: each module imports only from earlier
 layers, so the modules of one layer never import each other. Also the
-call signatures that tools outside the package rely on, and a ceiling
-on the package's settable values."""
+call signatures that tools outside the package rely on, a ceiling on
+the package's settable values, and the one training loop."""
 
 import ast
 import importlib
@@ -86,3 +86,29 @@ def settable_values() -> list[str]:
 def test_settable_values_do_not_grow():
     found = settable_values()
     assert len(found) <= SETTABLE_VALUES, "\n".join(found)
+
+
+# The one training loop: the only function that backpropagates and steps
+# the optimizer, so per-step work is written once for TAPT and fine-tuning.
+TRAINING_LOOP = "numeric.train_epoch"
+
+
+def optimizer_callers() -> set[str]:
+    """module.name of each top-level function or class of the package
+    (module.<module> for other top-level code) that calls backward or
+    adam_step, by name or as an attribute."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            scope = getattr(stmt, "name", "<module>")
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    fn = node.func
+                    name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                    if name in ("backward", "adam_step"):
+                        found.add(f"{path.stem}.{scope}")
+    return found
+
+
+def test_one_training_loop():
+    assert optimizer_callers() == {TRAINING_LOOP}

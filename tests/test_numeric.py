@@ -31,7 +31,7 @@ from hostility.numeric import (
     slice_cols,
     softmax_rows,
     sum_all,
-    train_step,
+    train_epoch,
     transpose,
     zero_grad,
 )
@@ -466,40 +466,78 @@ class TestAdam:
         np.testing.assert_array_equal(params["a"].data, np.ones(2))
 
 
-class TestTrainStep:
+class TestTrainEpoch:
+    @staticmethod
+    def _model():
+        return {
+            "w": Tensor(np.array([[0.5, -1.0], [2.0, 0.25]], dtype=np.float32), requires_grad=True),
+            "b": Tensor(np.array([0.1, 0.2], dtype=np.float32), requires_grad=True),
+        }
+
+    @staticmethod
+    def _loss_of(params, losses):
+        """A batch is a list of targets; each row of the input is ones."""
+
+        def batch_loss(targets):
+            x = Tensor(np.ones((len(targets), 2), dtype=np.float32))
+            loss = cross_entropy(add_bias(matmul(x, params["w"]), params["b"]), targets)
+            losses.append(float(loss.data))
+            return loss
+
+        return batch_loss
+
     @pytest.mark.parametrize("planted", [np.nan, np.inf])
     def test_non_finite_gradient_changes_nothing(self, monkeypatch, planted):
         import hostility.numeric
 
-        params = {
-            "w": Tensor(np.array([[0.5, -1.0], [2.0, 0.25]], dtype=np.float32), requires_grad=True),
-            "b": Tensor(np.array([0.1, 0.2], dtype=np.float32), requires_grad=True),
-        }
-        x = Tensor(np.ones((3, 2), dtype=np.float32))
-
-        def loss():
-            return cross_entropy(add_bias(matmul(x, params["w"]), params["b"]), [0, 1, 1])
-
+        params = self._model()
+        losses = []
+        batch_loss = self._loss_of(params, losses)
         state = adam_init(params)
-        train_step(params, state, loss(), lr=0.1)  # nonzero moments to compare
+        train_epoch(params, state, 0.1, [[0, 1, 1]], batch_loss)  # nonzero moments to compare
         real_backward = hostility.numeric.backward
 
-        def planting_backward(batch_loss):
-            real_backward(batch_loss)
+        def planting_backward(loss):
+            real_backward(loss)
             params["b"].grad[1] = planted
 
         monkeypatch.setattr(hostility.numeric, "backward", planting_backward)
-        batch_loss = loss()
-        assert np.isfinite(batch_loss.data)
         before = {k: p.data.copy() for k, p in params.items()}
         moments = {k: (state.m[k].copy(), state.v[k].copy()) for k in params}
         with pytest.raises(InvariantError, match="non-finite gradient norm"):
-            train_step(params, state, batch_loss, lr=0.1)
+            train_epoch(params, state, 0.1, [[0, 1, 1]], batch_loss)
+        assert len(losses) == 2 and np.isfinite(losses[1])
         assert state.step == 1
         for k, p in params.items():
             np.testing.assert_array_equal(p.data, before[k])
             np.testing.assert_array_equal(state.m[k], moments[k][0])
             np.testing.assert_array_equal(state.v[k], moments[k][1])
+
+    def test_non_finite_loss_changes_nothing(self):
+        params = self._model()
+        state = adam_init(params)
+        train_epoch(params, state, 0.1, [[0, 1, 1]], self._loss_of(params, []))
+        grads = {k: p.grad.copy() for k, p in params.items()}
+        before = {k: p.data.copy() for k, p in params.items()}
+        moments = {k: (state.m[k].copy(), state.v[k].copy()) for k in params}
+        with pytest.raises(InvariantError, match="non-finite batch loss nan"):
+            train_epoch(params, state, 0.1, [[0]], lambda _: Tensor(np.float32(np.nan)))
+        assert state.step == 1
+        for k, p in params.items():
+            np.testing.assert_array_equal(p.data, before[k])
+            np.testing.assert_array_equal(p.grad, grads[k])
+            np.testing.assert_array_equal(state.m[k], moments[k][0])
+            np.testing.assert_array_equal(state.v[k], moments[k][1])
+
+    def test_returns_length_weighted_mean_of_batch_losses(self):
+        params = self._model()
+        losses = []
+        state = adam_init(params)
+        batches = [[0], [1, 1, 0], [1, 0]]
+        mean = train_epoch(params, state, 0.1, batches, self._loss_of(params, losses))
+        assert len(set(losses)) == 3
+        assert mean == (losses[0] * 1 + losses[1] * 3 + losses[2] * 2) / 6
+        assert state.step == 3
 
 
 class TestCheckpoint:

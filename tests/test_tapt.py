@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hostility.encoder
+import hostility.numeric
 import hostility.tapt
 from hostility.checkpoint import checkpoint_bytes
 from hostility.encoder import (
@@ -78,6 +79,18 @@ class TestBuildCorpus:
         path = tmp_path / "corpus.txt"
         dump_corpus(corpus, path)
         assert path.read_text(encoding="utf-8") == "R\tyeh sach\nC\tyeh sach\n"
+        # Every break str.splitlines knows is flattened to a space.
+        breaks = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+        lines = ["sach\u2028khabar", "a\x0cb", "x\ny\x85z", "".join(f"w{c}" for c in breaks)]
+        dump_corpus(TaptCorpus(lines, [RAW, CLEANED, RAW, CLEANED]), path)
+        text = path.read_text(encoding="utf-8")
+        assert text.splitlines() == [
+            "R\tsach khabar",
+            "C\ta b",
+            "R\tx y z",
+            "C\t" + " ".join(["w"] * len(breaks)),
+        ]
+        assert text.endswith("\n")
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +147,7 @@ class TestRunTapt:
             return real_loss(params, *args, **kwargs)
 
         monkeypatch.setattr(hostility.tapt, "mlm_loss", recording_loss)
-        monkeypatch.setattr(hostility.tapt, "train_step", lambda *args: None)
+        monkeypatch.setattr(hostility.numeric, "adam_step", lambda *args: None)
         result = run_tapt(config, vocab, corpus, epochs=1, lr=1e-3, batch_size=8, seed=5)
         assert same_params(result.weights, text_encoder_init(config, 5))
         assert list(result.weights) == list(encoder_shape_table(config))
@@ -151,6 +164,26 @@ class TestRunTapt:
         corpus = TaptCorpus(["sach khabar acha din", ""], [RAW, CLEANED])
         result = run_tapt(config, vocab, corpus, epochs=1, lr=1e-3, batch_size=1, seed=0)
         assert result.steps == 1
+
+    def test_epoch_loss_counts_only_lines_that_trained(self, setup, monkeypatch):
+        _, vocab, config = setup
+        seen = []
+        real_loss = hostility.tapt.mlm_loss
+
+        def recording_loss(params, config, masked_batch, target_batch, **kwargs):
+            loss = real_loss(params, config, masked_batch, target_batch, **kwargs)
+            seen.append((len(masked_batch), float(loss.data)))
+            return loss
+
+        monkeypatch.setattr(hostility.tapt, "mlm_loss", recording_loss)
+        lines = ["sach khabar", "", "acha din", "", "nafrat gaali"]
+        corpus = TaptCorpus(lines, [RAW, CLEANED, RAW, CLEANED, RAW])
+        # Seed 2 shuffles the lines into chunks [1, 3], [2, 4] and [0]: the
+        # first holds only the two empty lines, so it takes no step.
+        result = run_tapt(config, vocab, corpus, epochs=1, lr=1e-3, batch_size=2, seed=2)
+        assert [n for n, _ in seen] == [2, 1]
+        assert result.steps == 2
+        assert result.epoch_losses == [(seen[0][1] * 2 + seen[1][1]) / 3]
 
     def test_one_word_line_gets_one_target_from_one_draw(self, setup, monkeypatch):
         _, vocab, config = setup
