@@ -343,6 +343,8 @@ def cmd_finetune(cfg: argparse.Namespace) -> int:
             f"{task}: best epoch {run.best_epoch} "
             f"val macro F1 {run.best_val_macro_f1:.4f}"
         )
+        # Free the best-checkpoint blob before the next task trains.
+        del run
     print(f"wrote {len(ALL_TASKS)} checkpoints to {out}")
     return 0
 

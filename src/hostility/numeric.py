@@ -28,11 +28,12 @@ LN_EPS = 1e-5
 class Tensor:
     """A dense float array plus the bookkeeping needed for backprop.
 
-    grad is None until backward() reaches the tensor; repeated backward
-    calls accumulate into it (use zero_grad between optimizer steps).
+    grad is None until backward() reaches the tensor, and stays None on
+    an op output; on a leaf, repeated backward calls accumulate into it
+    (use zero_grad between optimizer steps).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backprop")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backprop", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -75,9 +76,12 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Propagate dLoss/dT into .grad of every requires_grad tensor.
+    """Propagate dLoss/dT into .grad of every requires_grad leaf.
 
-    loss must be a scalar. Gradients accumulate across calls; reset with
+    loss must be a scalar. Only leaves (tensors no op produced, such as
+    parameters) keep .grad; an op output's .grad is dropped once it has
+    been pushed to the op's inputs. The tape stays, so a second call on
+    the same loss adds one more gradient to each leaf; reset with
     zero_grad() between optimizer steps.
     """
     if loss.data.shape != ():
@@ -104,6 +108,7 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node._backprop is not None and node.grad is not None:
             node._backprop(node.grad)
+            node.grad = None
 
 
 def zero_grad(params: Iterable[Tensor]) -> None:
@@ -540,23 +545,27 @@ def train_epoch(
 ) -> float:
     """One Adam step per batch, in order, on the scalar loss
     batch_loss(batch); returns the mean loss weighted by len(batch).
-    A non-finite loss, or a non-finite global gradient norm, raises
-    InvariantError before that step changes any parameter or optimizer
-    state. The squared norm sums one float32 np.vdot per gradient, so a
-    norm past float32 range (about 1.8e19, where Adam's g*g overflows
-    too) also counts."""
+    Each step's graph is released once backward has run, before the
+    gradient-norm check, Adam and the next batch_loss. A non-finite
+    loss, or a non-finite global gradient norm, raises InvariantError
+    before that step changes any parameter or optimizer state. The
+    squared norm sums one float32 np.vdot per gradient, so a norm past
+    float32 range (about 1.8e19, where Adam's g*g overflows too) also
+    counts."""
     loss_total = 0.0
     n_items = 0
     for batch in batches:
         loss = batch_loss(batch)
-        if not np.isfinite(loss.data):
-            raise InvariantError(f"non-finite batch loss {float(loss.data)}")
+        value = float(loss.data)
+        if not math.isfinite(value):
+            raise InvariantError(f"non-finite batch loss {value}")
         zero_grad(params.values())
         backward(loss)
+        del loss
         norm_sq = sum(float(np.vdot(p.grad, p.grad)) for p in params.values() if p.grad is not None)
         if not math.isfinite(norm_sq):
             raise InvariantError(f"non-finite gradient norm (squared norm {norm_sq})")
         adam_step(params, state, lr)
-        loss_total += float(loss.data) * len(batch)
+        loss_total += value * len(batch)
         n_items += len(batch)
     return loss_total / n_items

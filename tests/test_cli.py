@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +343,24 @@ class TestFinetune:
         assert run("finetune", *common_args(data_dir, tmp_path / "out"), "--epochs", "1") == 0
         assert seeds == [0, 1, 2, 3, 4]
 
+    def test_holds_one_train_run_at_a_time(self, data_dir, tmp_path, monkeypatch):
+        import hostility.cli
+
+        real_train_binary = hostility.cli.train_binary
+        runs, alive_on_entry = [], []
+
+        def keeping_train_binary(*args, **kwargs):
+            alive_on_entry.append(sum(ref() is not None for ref in runs))
+            result = real_train_binary(*args, **kwargs)
+            runs.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(hostility.cli, "train_binary", keeping_train_binary)
+        assert run("finetune", *common_args(data_dir, tmp_path / "out"), "--epochs", "1") == 0
+        # The previous task's run, and its best-checkpoint blob, is gone
+        # before the next task trains.
+        assert alive_on_entry == [0] * len(ALL_TASKS)
+
     def test_missing_tapt_checkpoint(self, data_dir, tmp_path):
         out = tmp_path / "out"
         assert run("finetune", *common_args(data_dir, out), "--tapt", "on") == 2
@@ -518,6 +537,34 @@ def record_loads(monkeypatch):
 
 
 SCORING_OUTPUTS = {"metrics.txt", "metrics.kv", "predictions.tsv"}
+
+
+class TestTrainingPasses:
+    @pytest.mark.parametrize(
+        "command, extra, ckpt, bound",
+        [
+            ("tapt", ["--tapt-epochs", "2"], "tapt.ckpt", 10),
+            ("finetune", ["--tapt", "on", "--epochs", "2"], "coarse.ckpt", 7.5),
+        ],
+    )
+    def test_frees_each_step(self, command, extra, ckpt, bound, data_dir, trained_dir, tmp_path):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "tapt.ckpt").write_bytes((trained_dir / "tapt.ckpt").read_bytes())
+        args = common_args(data_dir, run_dir)
+        assert run(command, *args, *extra) == 0  # imports and caches before the measured run
+        size = (run_dir / ckpt).stat().st_size
+        tracemalloc.start()
+        try:
+            assert run(command, *args, *extra) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Traced peaks, in checkpoints' worth: tapt 7.6 (12.8 when each
+        # step's graph lived on through the next step, with a gradient on
+        # every op output), finetune 6.3 (8.7 with that and the previous
+        # task's best-checkpoint blob).
+        assert peak < bound * size
 
 
 class TestScoringPasses:

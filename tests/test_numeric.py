@@ -1,6 +1,7 @@
 import math
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +10,14 @@ from hypothesis import strategies as st
 
 from gradcheck import gradcheck
 from hostility.checkpoint import VERSION, checkpoint_bytes, parse_checkpoint, read_metadata
+from hostility.encoder import (
+    IGNORE_ID,
+    EncoderConfig,
+    encoder_shape_table,
+    init_params,
+    mlm_head_shape_table,
+    mlm_loss,
+)
 from hostility.errors import DataError, InvariantError, ShapeError
 from hostility.numeric import (
     Tensor,
@@ -39,6 +48,17 @@ from hostility.numeric import (
 
 def t64(arr, requires_grad=False):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=requires_grad)
+
+
+def graph_nodes(loss):
+    """Every tensor the loss was computed from, the loss included."""
+    nodes, stack = {id(loss): loss}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in nodes:
+                nodes[id(parent)] = parent
+                stack.append(parent)
+    return list(nodes.values())
 
 
 class TestForwardSemantics:
@@ -197,6 +217,13 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, [[2.0]])
         zero_grad([x])
         assert x.grad is None
+
+    def test_second_call_on_one_graph_adds_one_gradient(self):
+        x = t64([1.0, 2.0, 3.0], requires_grad=True)
+        loss = sum_all(mul(x, x))
+        backward(loss)
+        backward(loss)
+        np.testing.assert_array_equal(x.grad, [4.0, 8.0, 12.0])
 
 
 class TestGradcheckPerOp:
@@ -528,6 +555,53 @@ class TestTrainEpoch:
             np.testing.assert_array_equal(p.grad, grads[k])
             np.testing.assert_array_equal(state.m[k], moments[k][0])
             np.testing.assert_array_equal(state.v[k], moments[k][1])
+
+    def _linear_run(self):
+        params = self._model()
+        return params, self._loss_of(params, []), [[0, 1], [1], [0, 0, 1]]
+
+    @staticmethod
+    def _mlm_run():
+        """A two-layer encoder under the masked-LM loss with dropout on:
+        embedding, attention, layer norm and gather closures."""
+        config = EncoderConfig(12, d_model=8, n_layers=2, n_heads=2, d_ff=8, max_len=8)
+        params = init_params(
+            {**encoder_shape_table(config), **mlm_head_shape_table(config)}, np.random.default_rng(4)
+        )
+        rng = np.random.default_rng(5)
+
+        def loss_of(lines):
+            targets = [[IGNORE_ID, ids[1]] + [IGNORE_ID] * (len(ids) - 2) for ids in lines]
+            return mlm_loss(params, config, lines, targets, training=True, rng=rng)
+
+        return params, loss_of, [[[2, 7, 5, 3], [2, 9, 3]], [[2, 6, 8, 11, 3]], [[2, 10, 3], [2, 5, 6, 3]]]
+
+    @pytest.mark.parametrize("run", ["_linear_run", "_mlm_run"])
+    def test_each_step_graph_is_released_after_backward(self, monkeypatch, run):
+        import hostility.numeric
+
+        params, loss_of, batches = getattr(self, run)()
+        earlier, after_backward = [], []
+
+        def batch_loss(batch):
+            assert all(ref() is None for ref in earlier), "an earlier step's graph is alive"
+            loss = loss_of(batch)
+            earlier.extend(weakref.ref(n) for n in graph_nodes(loss) if n._backprop is not None)
+            return loss
+
+        real_backward = hostility.numeric.backward
+
+        def checking_backward(loss):
+            real_backward(loss)
+            ops = [n for n in graph_nodes(loss) if n._backprop is not None]
+            after_backward.append((len(ops), sum(n.grad is not None for n in ops)))
+
+        monkeypatch.setattr(hostility.numeric, "backward", checking_backward)
+        train_epoch(params, adam_init(params), 0.1, batches, batch_loss)
+        assert len(after_backward) == 3
+        assert all(n_ops > 1 and with_grad == 0 for n_ops, with_grad in after_backward)
+        assert all(ref() is None for ref in earlier)
+        assert all(p.grad is not None for p in params.values())
 
     def test_returns_length_weighted_mean_of_batch_losses(self):
         params = self._model()
