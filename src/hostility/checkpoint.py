@@ -2,8 +2,8 @@
 
 Layout: magic "TAPTCKPT", version u32 LE, u32 byte length + UTF-8
 metadata ("key=value" lines, keys sorted), then one record per tensor:
-u32 name length, name bytes, u32 ndim, u32 per dimension, float32 LE
-payload in row-major order.
+u32 name length, name bytes, u32 ndim (at most MAX_NDIM), u32 per
+dimension, float32 LE payload in row-major order.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from .errors import DataError
 
 MAGIC = b"TAPTCKPT"
 VERSION = 2
+# The most dimensions a tensor record may declare: numpy's own limit.
+MAX_NDIM = 64
 
 
 def checkpoint_bytes(metadata: Mapping[str, str], tensors: Mapping[str, np.ndarray]) -> bytes:
@@ -99,6 +101,8 @@ def parse_checkpoint(blob: bytes) -> tuple[dict[str, str], dict[str, np.ndarray]
         if name in tensors:
             raise DataError(f"duplicate tensor name {name!r}")
         ndim = _u32(take)
+        if ndim > MAX_NDIM:
+            raise DataError(f"tensor {name!r} has an unusable shape: ndim {ndim} > {MAX_NDIM}")
         shape = tuple(_u32(take) for _ in range(ndim))
         count = 1
         for dim in shape:

@@ -37,11 +37,9 @@ from .preprocess import (
     LabelTag,
     RawPost,
     extract_features,
-    hashtag_flow,
     load_dataset,
     load_emoji_table,
     load_freq_dict,
-    tokenize_raw,
 )
 from .tapt import (
     build_tapt_corpus,
@@ -73,6 +71,10 @@ PROFILES = {
 }
 
 COMMANDS = ("preprocess", "tapt", "finetune", "evaluate", "predict")
+
+# The largest --max-len: the position table size of IndicBERT, the
+# paper's encoder.
+MAX_LEN_LIMIT = 512
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -121,8 +123,8 @@ def _validate(cfg: argparse.Namespace) -> None:
         raise UsageError("learning rate must be finite and > 0")
     if cfg.batch_size < 1:
         raise UsageError("batch size must be >= 1")
-    if cfg.max_len < 4:
-        raise UsageError("max_len must be >= 4")
+    if not 4 <= cfg.max_len <= MAX_LEN_LIMIT:
+        raise UsageError(f"max_len must be between 4 and {MAX_LEN_LIMIT}")
     if cfg.data is None:
         raise UsageError("--data is required")
     if cfg.out is None:
@@ -159,19 +161,17 @@ def _load_aux(
     return freq, table
 
 
-def _derive_vocab_corpus(cfg: argparse.Namespace, posts, freq):
-    """Split, build the adaptation corpus, and derive the shared vocab.
-
-    The vocab covers raw text, cleaned text, and hashtag flows of the
-    corpus posts so both encoders mostly see in-vocab tokens.
-    """
-    train, val = split_dataset(posts, SplitSpec(seed=cfg.seed))
-    corpus_posts = train if cfg.tapt_corpus == "train" else list(posts)
-    corpus = build_tapt_corpus(corpus_posts, include_cleaned=not cfg.no_clean_dup)
-    vocab_lines = list(corpus.lines)
-    vocab_lines.extend(hashtag_flow(tokenize_raw(p.text), freq) for p in corpus_posts)
-    vocab = Vocab.build(vocab_lines)
-    return train, val, corpus, vocab
+def _derive_vocab(cfg: argparse.Namespace, pairs) -> Vocab:
+    """The shared vocab of the corpus posts, given as (RawPost, FeatureBundle)
+    pairs in any order: the words of each raw text, cleaned text (unless
+    --no-clean-dup) and hashtag flow, so both encoders mostly see in-vocab
+    tokens."""
+    lines = []
+    for post, bundle in pairs:
+        lines += [post.text, bundle.hashtag_flow]
+        if not cfg.no_clean_dup:
+            lines.append(bundle.cleaned_text)
+    return Vocab.build(lines)
 
 
 def _encoder_config(cfg: argparse.Namespace, vocab_size: int) -> EncoderConfig:
@@ -251,8 +251,11 @@ def cmd_tapt(cfg: argparse.Namespace) -> int:
     posts = load_dataset(cfg.data)
     if not posts:
         raise DataError("dataset is empty")
-    freq, _ = _load_aux(cfg)
-    _, _, corpus, vocab = _derive_vocab_corpus(cfg, posts, freq)
+    freq, table = _load_aux(cfg)
+    train, _ = split_dataset(posts, SplitSpec(seed=cfg.seed))
+    corpus_posts = train if cfg.tapt_corpus == "train" else posts
+    corpus = build_tapt_corpus(corpus_posts, include_cleaned=not cfg.no_clean_dup)
+    vocab = _derive_vocab(cfg, ((p, extract_features(p.text, freq, table)) for p in corpus_posts))
     out = _out_dir(cfg)
     _write_artifact(out / "vocab.txt", vocab.save)
     _write_artifact(out / "tapt_corpus.txt", lambda path: dump_corpus(corpus, path))
@@ -303,7 +306,11 @@ def _load_tapt_weights(cfg: argparse.Namespace, out: Path, vocab: Vocab, config:
 def cmd_finetune(cfg: argparse.Namespace) -> int:
     posts = load_dataset(cfg.data)
     freq, table = _load_aux(cfg)
-    train, val, _, vocab = _derive_vocab_corpus(cfg, posts, freq)
+    train, val = split_dataset(posts, SplitSpec(seed=cfg.seed))
+    train_bundles = [extract_features(p.text, freq, table) for p in train]
+    val_bundles = [extract_features(p.text, freq, table) for p in val]
+    pairs = list(zip(train + val, train_bundles + val_bundles))
+    vocab = _derive_vocab(cfg, pairs if cfg.tapt_corpus == "all" else pairs[: len(train)])
     out = _out_dir(cfg)
     _write_artifact(out / "vocab.txt", vocab.save)
     enc_config = _encoder_config(cfg, len(vocab))
@@ -311,8 +318,6 @@ def cmd_finetune(cfg: argparse.Namespace) -> int:
     tapt_weights = None
     if cfg.tapt == "on":
         tapt_weights = _load_tapt_weights(cfg, out, vocab, enc_config)
-    train_bundles = [extract_features(p.text, freq, table) for p in train]
-    val_bundles = [extract_features(p.text, freq, table) for p in val]
     for index, task in enumerate(ALL_TASKS):
         train_targets = binary_targets(train, task)
         val_targets = binary_targets(val, task)
@@ -341,7 +346,7 @@ def cmd_finetune(cfg: argparse.Namespace) -> int:
         _write_artifact(out / f"{task}_trace.csv", "\n".join(trace) + "\n")
         print(
             f"{task}: best epoch {run.best_epoch} "
-            f"val macro F1 {run.best_val_macro_f1:.4f}"
+            f"val macro F1 {run.val_macro_f1[run.best_epoch - 1]:.4f}"
         )
         # Free the best-checkpoint blob before the next task trains.
         del run

@@ -114,14 +114,11 @@ class EncoderConfig:
     n_heads: int
     d_ff: int
     max_len: int
-    dropout_p: float = DROPOUT_P
 
     def __post_init__(self):
         for name in ("d_model", "n_layers", "n_heads", "d_ff", "max_len"):
             if getattr(self, name) < 1:
                 raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 <= self.dropout_p < 1:
-            raise ShapeError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.d_model % self.n_heads != 0:
             raise ShapeError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
@@ -143,16 +140,22 @@ _CONFIG_FIELDS = ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_l
 
 def config_to_meta(config: EncoderConfig) -> dict[str, str]:
     meta = {f"enc.{name}": str(getattr(config, name)) for name in _CONFIG_FIELDS}
-    meta["enc.dropout_p"] = repr(config.dropout_p)
+    meta["enc.dropout_p"] = repr(DROPOUT_P)
     return meta
+
+
+def check_dropout_meta(meta: Mapping[str, str], key: str) -> None:
+    """Raise DataError unless meta[key] records DROPOUT_P."""
+    if meta.get(key) != repr(DROPOUT_P):
+        raise DataError(f"checkpoint {key}={meta.get(key)!r}; the only dropout rate is {DROPOUT_P}")
 
 
 def config_from_meta(meta: Mapping[str, str]) -> EncoderConfig:
     try:
         kwargs = {name: int(meta[f"enc.{name}"]) for name in _CONFIG_FIELDS}
-        kwargs["dropout_p"] = float(meta["enc.dropout_p"])
     except (KeyError, ValueError) as exc:
         raise DataError(f"checkpoint metadata missing encoder config: {exc}") from None
+    check_dropout_meta(meta, "enc.dropout_p")
     return EncoderConfig(**kwargs)
 
 
@@ -279,7 +282,7 @@ def _encode_rows(
     Returns the final hidden rows [R, E]."""
     tok = embedding_lookup(params["tok_emb"], ids)
     pos = embedding_lookup(params["pos_emb"], positions)
-    x = dropout(add(tok, pos), config.dropout_p, training, rng)
+    x = dropout(add(tok, pos), DROPOUT_P, training, rng)
     for i in range(config.n_layers):
         p = f"layers.{i}"
         normed = layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
@@ -287,9 +290,9 @@ def _encode_rows(
             add_bias(matmul(normed, params[f"{p}.attn.w{n}"]), params[f"{p}.attn.b{n}"])
             for n in "qkv"
         )
-        heads = attention(q, k, v, config.n_heads, blocks, config.dropout_p, training, rng)
+        heads = attention(q, k, v, config.n_heads, blocks, DROPOUT_P, training, rng)
         attn_out = add_bias(matmul(heads, params[f"{p}.attn.wo"]), params[f"{p}.attn.bo"])
-        x = add(x, dropout(attn_out, config.dropout_p, training, rng))
+        x = add(x, dropout(attn_out, DROPOUT_P, training, rng))
         normed = layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
         ff = add_bias(
             matmul(
@@ -298,7 +301,7 @@ def _encode_rows(
             ),
             params[f"{p}.ffn.b2"],
         )
-        x = add(x, dropout(ff, config.dropout_p, training, rng))
+        x = add(x, dropout(ff, DROPOUT_P, training, rng))
     return layer_norm(x, params["ln_f.gain"], params["ln_f.bias"])
 
 

@@ -21,6 +21,7 @@ from .encoder import (
     TEXT_INIT_STREAM,
     EncoderConfig,
     Vocab,
+    check_dropout_meta,
     config_from_meta,
     config_to_meta,
     encode_ids,
@@ -45,7 +46,6 @@ class FusionConfig:
     encoder: EncoderConfig
     emoji_dim: int = EMOJI_DIM
     mlp_hidden: tuple[int, ...] = (256, 64)
-    dropout_p: float = DROPOUT_P
 
     @property
     def fused_dim(self) -> int:
@@ -201,7 +201,7 @@ def _classify(
     x = add_bias(matmul(fused_in, head["fusion.w"]), head["fusion.b"])
     for i in range(len(cfg.mlp_hidden)):
         x = add_bias(matmul(x, head[f"mlp.{i}.w"]), head[f"mlp.{i}.b"])
-        x = dropout(relu(x), cfg.dropout_p, training, rng)
+        x = dropout(relu(x), DROPOUT_P, training, rng)
     return add_bias(matmul(x, head["mlp.out.w"]), head["mlp.out.b"])
 
 
@@ -333,7 +333,7 @@ def _fusion_meta(model: FusionModel, extra: Mapping[str, str]) -> dict[str, str]
         "task": model.task,
         "emoji_dim": str(model.config.emoji_dim),
         "mlp_hidden": ",".join(str(h) for h in model.config.mlp_hidden),
-        "dropout_p": repr(model.config.dropout_p),
+        "dropout_p": repr(DROPOUT_P),
         "vocab_sha256": model.vocab.sha256(),
         **config_to_meta(model.config.encoder),
         **extra,
@@ -354,14 +354,10 @@ def fusion_config_from_meta(metadata: Mapping[str, str], vocab: Vocab) -> Fusion
     if metadata.get("vocab_sha256") != vocab.sha256():
         raise DataError("vocab hash mismatch between checkpoint and current vocab")
     enc_cfg = config_from_meta(metadata)
+    check_dropout_meta(metadata, "dropout_p")
     try:
         mlp_hidden = tuple(int(x) for x in metadata["mlp_hidden"].split(",") if x)
-        return FusionConfig(
-            encoder=enc_cfg,
-            emoji_dim=int(metadata["emoji_dim"]),
-            mlp_hidden=mlp_hidden,
-            dropout_p=float(metadata["dropout_p"]),
-        )
+        return FusionConfig(enc_cfg, emoji_dim=int(metadata["emoji_dim"]), mlp_hidden=mlp_hidden)
     except (KeyError, ValueError) as exc:
         raise DataError(f"checkpoint metadata missing fusion config: {exc}") from None
 

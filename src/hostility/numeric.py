@@ -12,7 +12,7 @@ checks can run at full precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -507,13 +507,14 @@ ADAM_EPS = 1e-8
 class AdamState:
     """First/second moment buffers keyed like the parameter dict."""
 
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    step: int
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
 
 
 def adam_init(params: Mapping[str, Tensor]) -> AdamState:
     return AdamState(
+        step=0,
         m={k: np.zeros_like(p.data) for k, p in params.items()},
         v={k: np.zeros_like(p.data) for k, p in params.items()},
     )

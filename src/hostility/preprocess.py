@@ -365,7 +365,7 @@ def _open_text(path, newline: str | None = None) -> io.StringIO:
 
 def load_emoji_table(path) -> EmojiTable:
     """Parse the embedding file: "<count> <dim>" header, then one
-    "<grapheme> <f_1> ... <f_dim>" line per emoji."""
+    "<grapheme> <f_1> ... <f_dim>" line per emoji, each emoji once."""
     with _open_text(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -393,6 +393,8 @@ def load_emoji_table(path) -> EmojiTable:
             raise DataError(f"{path}: line {ln}: malformed float") from None
         if not np.isfinite(vec).all():
             raise DataError(f"{path}: line {ln}: value not finite in float32")
+        if fields[0] in entries:
+            raise DataError(f"{path}: line {ln}: emoji {fields[0]!r} appears twice")
         entries[fields[0]] = vec
     if len(entries) != count:
         raise DataError(f"{path}: header declares {count} entries, found {len(entries)}")

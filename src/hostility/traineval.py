@@ -9,7 +9,7 @@ validation macro F1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -142,14 +142,14 @@ class Hyperparams:
     seed: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainRun:
-    task: str
-    train_loss: list[float] = field(default_factory=list)
-    val_macro_f1: list[float] = field(default_factory=list)
-    best_epoch: int = 0
-    best_val_macro_f1: float = 0.0
-    best_checkpoint: bytes = b""
+    """Per-epoch traces, the 1-based best epoch and its checkpoint blob."""
+
+    train_loss: list[float]
+    val_macro_f1: list[float]
+    best_epoch: int
+    best_checkpoint: bytes
 
 
 def best_epoch_of(trace: Sequence[float]) -> int:
@@ -175,12 +175,11 @@ def train_binary(
     split must contain both classes; a single-class validation split is
     tolerated (its absent class simply scores zero).
     """
-    task = model.task
     if not train or not val:
         raise ValueError("both splits must be non-empty")
     train_targets = [t for _, t in train]
     if len(set(train_targets)) < 2:
-        raise ValueError(f"training split for task {task!r} has a single class")
+        raise ValueError(f"training split for task {model.task!r} has a single class")
     val_targets = [t for _, t in val]
     encoded = [encode_post(model, bundle) for bundle, _ in train]
     val_encoded = [encode_post(model, bundle) for bundle, _ in val]
@@ -192,28 +191,27 @@ def train_binary(
         logits = forward(model, [encoded[j] for j in chunk], training=True, rng=rng)
         return cross_entropy(logits, [train_targets[j] for j in chunk])
 
-    run = TrainRun(task=task)
-    best = -1.0
+    train_loss: list[float] = []
+    val_macro_f1: list[float] = []
+    best, best_epoch, best_checkpoint = -1.0, 0, b""
     for epoch in range(1, hp.epochs + 1):
         order = rng.permutation(len(train))
         chunks = (order[i : i + hp.batch_size] for i in range(0, len(order), hp.batch_size))
-        run.train_loss.append(train_epoch(params, state, hp.lr, chunks, batch_loss))
+        train_loss.append(train_epoch(params, state, hp.lr, chunks, batch_loss))
         val_preds = [label for label, _ in predict_batch(model, val_encoded)]
         macro = f1_scores(val_preds, val_targets).macro_f1
-        run.val_macro_f1.append(macro)
+        val_macro_f1.append(macro)
         if macro > best:
-            best = macro
-            run.best_epoch = epoch
-            run.best_val_macro_f1 = macro
+            best, best_epoch = macro, epoch
             # Release the previous best blob first, so two model-sized blobs
             # are never alive at once.
-            run.best_checkpoint = b""
-            run.best_checkpoint = model_to_bytes(
+            best_checkpoint = b""
+            best_checkpoint = model_to_bytes(
                 model, extra={"seed": str(hp.seed), "best_epoch": str(epoch)}
             )
-    if run.best_epoch != best_epoch_of(run.val_macro_f1):
+    if best_epoch != best_epoch_of(val_macro_f1):
         raise InvariantError("checkpoint selection does not match the F1 trace")
-    return run
+    return TrainRun(train_loss, val_macro_f1, best_epoch, best_checkpoint)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,13 @@ class TestUsageErrors:
         assert "learning rate must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_max_len_over_position_limit(self, data_dir, tmp_path, capsys):
+        args = common_args(data_dir, tmp_path / "out")
+        assert run("tapt", *args, "--max-len", "513") == 1
+        assert "max_len must be between 4 and 512" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert resolve_config(["tapt", *args, "--max-len", "512"]).max_len == 512
+
     def test_config_file_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"seed=\xff\n")
@@ -361,6 +368,31 @@ class TestFinetune:
         # before the next task trains.
         assert alive_on_entry == [0] * len(ALL_TASKS)
 
+    def test_extracts_each_post_once(self, data_dir, tmp_path, monkeypatch, fixture_posts):
+        import hostility.preprocess
+
+        calls = {"tokenize_raw": 0, "segment_hashtag": 0}
+        for name in calls:
+            real = getattr(hostility.preprocess, name)
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(hostility.preprocess, name, counting)
+        assert run("finetune", *common_args(data_dir, tmp_path / "out"), "--epochs", "1") == 0
+        hashtags = sum(w.startswith("#") for p in fixture_posts for w in p.text.split())
+        assert calls == {"tokenize_raw": len(fixture_posts), "segment_hashtag": hashtags}
+
+    @pytest.mark.parametrize("corpus", ["train", "all"])
+    @pytest.mark.parametrize("clean_dup", [[], ["--no-clean-dup"]])
+    def test_derives_the_tapt_vocab(self, data_dir, tmp_path, corpus, clean_dup):
+        args = [*common_args(data_dir, tmp_path), "--tapt-corpus", corpus, *clean_dup]
+        assert run("tapt", *args, "--tapt-epochs", "1") == 0
+        tapt_vocab = (tmp_path / "vocab.txt").read_bytes()
+        assert run("finetune", *args, "--tapt", "on", "--epochs", "1") == 0
+        assert (tmp_path / "vocab.txt").read_bytes() == tapt_vocab
+
     def test_missing_tapt_checkpoint(self, data_dir, tmp_path):
         out = tmp_path / "out"
         assert run("finetune", *common_args(data_dir, out), "--tapt", "on") == 2
@@ -417,6 +449,34 @@ class TestNonFiniteCheckpoint:
         args = common_args(data_dir, out)
         assert run("finetune", *args, "--tapt", "on", "--epochs", "1") == 2
         assert "holds a non-finite value" in capsys.readouterr().err
+        assert not (out / "coarse.init.ckpt").exists()
+
+
+def rewrite_metadata(path, key, value):
+    meta, tensors = read_checkpoint(path)
+    path.write_bytes(checkpoint_bytes({**meta, key: value}, tensors))
+
+
+class TestDropoutRate:
+    """DROPOUT_P is the only rate; a checkpoint that records another
+    exits 2 naming the key."""
+
+    @pytest.mark.parametrize("key", ["enc.dropout_p", "dropout_p"])
+    def test_task_checkpoints(self, data_dir, trained_dir, tmp_path, capsys, key):
+        run_dir = copy_run(trained_dir, tmp_path / "run")
+        for task in ALL_TASKS:
+            rewrite_metadata(run_dir / f"{task}.ckpt", key, "0.2")
+        assert run("evaluate", *common_args(data_dir, run_dir)) == 2
+        assert f"{key}='0.2'" in capsys.readouterr().err
+        assert not (run_dir / "metrics.kv").exists()
+
+    def test_tapt_checkpoint(self, data_dir, trained_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "tapt.ckpt").write_bytes((trained_dir / "tapt.ckpt").read_bytes())
+        rewrite_metadata(out / "tapt.ckpt", "enc.dropout_p", "0.2")
+        assert run("finetune", *common_args(data_dir, out), "--tapt", "on", "--epochs", "1") == 2
+        assert "enc.dropout_p='0.2'" in capsys.readouterr().err
         assert not (out / "coarse.init.ckpt").exists()
 
 

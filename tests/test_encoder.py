@@ -141,20 +141,24 @@ class TestConfig:
         paper = paper_config(100)
         assert (paper.d_model, paper.n_layers, paper.n_heads, paper.d_ff) == (768, 12, 12, 3072)
         assert desk.max_len == paper.max_len == 128
-        assert desk.dropout_p == paper.dropout_p == 0.1
 
     def test_meta_roundtrip(self, config):
         assert config_from_meta(config_to_meta(config)) == config
+
+    @pytest.mark.parametrize("rate", ["0.2", None])
+    def test_meta_with_another_dropout_rate_rejected(self, config, rate):
+        meta = config_to_meta(config)
+        if rate is None:
+            del meta["enc.dropout_p"]
+        else:
+            meta["enc.dropout_p"] = rate
+        with pytest.raises(DataError, match="enc.dropout_p"):
+            config_from_meta(meta)
 
     @pytest.mark.parametrize("name", ["d_model", "n_layers", "n_heads", "d_ff", "max_len"])
     def test_sizes_below_one_rejected(self, name):
         with pytest.raises(ShapeError, match=f"{name} must be >= 1"):
             EncoderConfig(**{**SIZES, name: 0})
-
-    @pytest.mark.parametrize("p", [-0.1, 1.0, float("nan")])
-    def test_dropout_outside_unit_interval_rejected(self, p):
-        with pytest.raises(ShapeError, match="dropout_p"):
-            EncoderConfig(**SIZES, dropout_p=p)
 
 
 class TestWeights:

@@ -58,7 +58,7 @@ def test_training_flag_position(function, index):
 # Defaulted function parameters plus defaulted dataclass fields in the
 # package. Each default is declared once: run settings by the CLI, the
 # rest as module constants, so this count should only fall.
-SETTABLE_VALUES = 28
+SETTABLE_VALUES = 18
 
 
 def settable_values() -> list[str]:

@@ -1,5 +1,6 @@
 import math
 import struct
+import time
 import tracemalloc
 import weakref
 
@@ -675,6 +676,17 @@ class TestCheckpoint:
         blob = b"TAPTCKPT" + struct.pack("<II", VERSION, 0) + record + record
         with pytest.raises(DataError, match="duplicate tensor name 'w'"):
             parse_checkpoint(blob)
+
+    def test_corrupt_ndim_is_refused_in_bounded_time(self):
+        # One tensor whose ndim is half the word count of a 640 KB nonzero
+        # payload, so the payload would be read as 81920 dimensions.
+        payload = b"\xff" * (640 * 1024)
+        record = struct.pack("<I", 1) + b"w" + struct.pack("<I", len(payload) // 8) + payload
+        blob = b"TAPTCKPT" + struct.pack("<II", VERSION, 0) + record
+        start = time.perf_counter()
+        with pytest.raises(DataError, match="'w' has an unusable shape: ndim 81920 > 64"):
+            parse_checkpoint(blob)
+        assert time.perf_counter() - start < 1.0
 
     def test_non_utf8_tensor_name(self):
         record = struct.pack("<I", 2) + b"\xff\xfe" + struct.pack("<II", 1, 1) + struct.pack("<f", 2.0)

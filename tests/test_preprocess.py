@@ -403,6 +403,16 @@ class TestLoaders:
         with pytest.raises(DataError, match="line 2"):
             load_emoji_table(path)
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_emoji_table_repeated_grapheme(self, tmp_path, count):
+        path = tmp_path / "emoji.txt"
+        path.write_text(
+            f"{count} 3\n\U0001F600 1.0 2.0 3.0\n\U0001F600 4.0 5.0 6.0\n", encoding="utf-8"
+        )
+        match = "emoji.txt: line 3: emoji '\U0001F600' appears twice"
+        with pytest.raises(DataError, match=match):
+            load_emoji_table(path)
+
     def test_emoji_table_count_mismatch(self, tmp_path):
         path = tmp_path / "emoji.txt"
         path.write_text("2 2\n\U0001F602 1.0 2.0\n", encoding="utf-8")
