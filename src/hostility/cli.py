@@ -254,8 +254,9 @@ def cmd_tapt(cfg: argparse.Namespace) -> int:
     freq, table = _load_aux(cfg)
     train, _ = split_dataset(posts, SplitSpec(seed=cfg.seed))
     corpus_posts = train if cfg.tapt_corpus == "train" else posts
-    corpus = build_tapt_corpus(corpus_posts, include_cleaned=not cfg.no_clean_dup)
-    vocab = _derive_vocab(cfg, ((p, extract_features(p.text, freq, table)) for p in corpus_posts))
+    pairs = [(p, extract_features(p.text, freq, table)) for p in corpus_posts]
+    corpus = build_tapt_corpus(pairs, include_cleaned=not cfg.no_clean_dup)
+    vocab = _derive_vocab(cfg, pairs)
     out = _out_dir(cfg)
     _write_artifact(out / "vocab.txt", vocab.save)
     _write_artifact(out / "tapt_corpus.txt", lambda path: dump_corpus(corpus, path))
@@ -273,13 +274,13 @@ def cmd_tapt(cfg: argparse.Namespace) -> int:
     meta.update(
         {
             "role": "tapt",
-            "vocab_sha256": vocab.sha256(),
             "tapt_epochs": str(cfg.tapt_epochs),
             "tapt_lr": repr(cfg.tapt_lr),
             "corpus_lines": str(len(corpus.lines)),
         }
     )
-    _write_artifact(out / "tapt.ckpt", encoder_checkpoint_bytes(result.weights, config, meta))
+    blob = encoder_checkpoint_bytes(result.weights, config, vocab, meta)
+    _write_artifact(out / "tapt.ckpt", blob)
     trace = ["epoch,loss"] + [
         f"{i},{loss:.6f}" for i, loss in enumerate(result.epoch_losses, start=1)
     ]
@@ -289,18 +290,6 @@ def cmd_tapt(cfg: argparse.Namespace) -> int:
     print(f"final loss: {result.epoch_losses[-1]:.6f}")
     print(f"wrote {out / 'tapt.ckpt'}")
     return 0
-
-
-def _load_tapt_weights(cfg: argparse.Namespace, out: Path, vocab: Vocab, config: EncoderConfig):
-    path = out / "tapt.ckpt"
-    if not path.exists():
-        raise DataError(f"TAPT checkpoint not found at {path}; run the tapt command first")
-    weights, ckpt_config, meta = load_encoder_checkpoint(path)
-    if ckpt_config != config:
-        raise DataError("TAPT checkpoint encoder configuration does not match this run")
-    if meta.get("vocab_sha256") != vocab.sha256():
-        raise DataError("vocab hash mismatch between checkpoint and current vocab")
-    return weights
 
 
 def cmd_finetune(cfg: argparse.Namespace) -> int:
@@ -317,7 +306,7 @@ def cmd_finetune(cfg: argparse.Namespace) -> int:
     config = FusionConfig(encoder=enc_config, emoji_dim=table.dim)
     tapt_weights = None
     if cfg.tapt == "on":
-        tapt_weights = _load_tapt_weights(cfg, out, vocab, enc_config)
+        tapt_weights = load_encoder_checkpoint(out / "tapt.ckpt", vocab, enc_config)
     for index, task in enumerate(ALL_TASKS):
         train_targets = binary_targets(train, task)
         val_targets = binary_targets(val, task)

@@ -367,6 +367,9 @@ def _model_from_parsed(
 ) -> tuple[FusionModel, dict[str, str]]:
     config = fusion_config_from_meta(metadata, vocab)
     enc_cfg = config.encoder
+    # Each layer holds a tensor: refuse a larger count before any shape table.
+    if enc_cfg.n_layers > len(arrays):
+        raise DataError(f"checkpoint declares {enc_cfg.n_layers} layers in {len(arrays)} tensors")
     text_arrays = {}
     hash_arrays = {}
     head_arrays = {}

@@ -444,9 +444,11 @@ def parse_labels(field: str) -> frozenset[LabelTag]:
 
 
 def load_dataset(path) -> list[RawPost]:
-    """Parse the delimited dataset: header "id,text,labels", double-quoted
-    text with doubled-quote escaping, '|'-joined lowercase labels."""
+    """Parse the delimited dataset: header "id,text,labels", unique ids,
+    double-quoted text with doubled-quote escaping, '|'-joined lowercase
+    labels."""
     posts = []
+    ids = set()
     with _open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -458,6 +460,9 @@ def load_dataset(path) -> list[RawPost]:
                     continue
                 if len(row) != 3:
                     raise DataError(f"expected 3 fields, got {len(row)}")
+                if row[0] in ids:
+                    raise DataError(f"repeated id {row[0]!r}")
+                ids.add(row[0])
                 posts.append(RawPost(id=row[0], text=row[1], labels=parse_labels(row[2])))
         except StopIteration:
             raise DataError(f"{path}: empty dataset file") from None

@@ -8,6 +8,7 @@ trains alongside the encoder body and is dropped when run_tapt returns.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -33,7 +34,7 @@ from .encoder import (
 )
 from .errors import DataError, InvariantError
 from .numeric import Tensor, adam_init, train_epoch
-from .preprocess import RawPost, clean_text, tokenize_raw
+from .preprocess import FeatureBundle, RawPost
 
 RAW = "raw"
 CLEANED = "cleaned"
@@ -49,16 +50,18 @@ class TaptCorpus:
             raise InvariantError("corpus lines and provenance tags diverge")
 
 
-def build_tapt_corpus(posts: Sequence[RawPost], include_cleaned: bool = True) -> TaptCorpus:
-    """One RAW line (the original text) and one CLEANED line per post,
-    in dataset order. Empty cleaned text still contributes its line."""
+def build_tapt_corpus(
+    pairs: Sequence[tuple[RawPost, FeatureBundle]], include_cleaned: bool = True
+) -> TaptCorpus:
+    """One RAW line (the post's text) and one CLEANED line (its features'
+    cleaned text) per pair, in order; empty cleaned text keeps its line."""
     lines: list[str] = []
     provenance: list[str] = []
-    for post in posts:
+    for post, bundle in pairs:
         lines.append(post.text)
         provenance.append(RAW)
         if include_cleaned:
-            lines.append(clean_text(tokenize_raw(post.text)))
+            lines.append(bundle.cleaned_text)
             provenance.append(CLEANED)
     return TaptCorpus(lines, provenance)
 
@@ -136,15 +139,22 @@ def run_tapt(
 
 
 def encoder_checkpoint_bytes(
-    weights: Mapping[str, Tensor], config: EncoderConfig, extra: Mapping[str, str]
+    weights: Mapping[str, Tensor], config: EncoderConfig, vocab: Vocab, extra: Mapping[str, str]
 ) -> bytes:
-    meta = {"kind": "encoder", **config_to_meta(config), **extra}
+    meta = {"kind": "encoder", "vocab_sha256": vocab.sha256(), **config_to_meta(config), **extra}
     return checkpoint_bytes(meta, {name: p.data for name, p in weights.items()})
 
 
-def load_encoder_checkpoint(path) -> tuple[dict[str, Tensor], EncoderConfig, dict[str, str]]:
+def load_encoder_checkpoint(path, vocab: Vocab, config: EncoderConfig) -> dict[str, Tensor]:
+    """The body in the TAPT checkpoint at path, checked for kind, config and
+    vocab hash against this run before its tensors meet the run's shape table."""
+    if not os.path.exists(path):
+        raise DataError(f"TAPT checkpoint not found at {path}; run the tapt command first")
     metadata, arrays = read_checkpoint(path)
     if metadata.get("kind") != "encoder":
         raise DataError(f"{path}: checkpoint does not hold encoder weights")
-    config = config_from_meta(metadata)
-    return params_from_arrays(encoder_shape_table(config), arrays, "encoder"), config, metadata
+    if config_from_meta(metadata) != config:
+        raise DataError("TAPT checkpoint encoder configuration does not match this run")
+    if metadata.get("vocab_sha256") != vocab.sha256():
+        raise DataError("vocab hash mismatch between checkpoint and current vocab")
+    return params_from_arrays(encoder_shape_table(config), arrays, "encoder")

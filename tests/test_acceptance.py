@@ -311,7 +311,7 @@ def test_c04_segmentation_optimality():
 
 def test_c05_tapt_corpus_invariant(fixture_posts):
     with criterion(5, "TAPT corpus invariant"):
-        from hostility.preprocess import clean_text, tokenize_raw
+        from hostility.preprocess import EmojiTable, clean_text, extract_features, tokenize_raw
 
         fixtures = [
             list(fixture_posts),
@@ -319,8 +319,9 @@ def test_c05_tapt_corpus_invariant(fixture_posts):
             [RawPost("only", "\U0001F602 \U0001F621", frozenset())],  # empty cleaned line
             [RawPost(f"p{i}", f"sach khabar {i} #Tag\U0001F602", frozenset()) for i in range(7)],
         ]
+        freq, table = FreqDict.empty(), EmojiTable(dim=4, entries={})
         for posts in fixtures:
-            corpus = build_tapt_corpus(posts)
+            corpus = build_tapt_corpus([(p, extract_features(p.text, freq, table)) for p in posts])
             assert len(corpus.lines) == 2 * len(posts)
             for i, post in enumerate(posts):
                 assert corpus.lines[2 * i] == post.text

@@ -1,4 +1,9 @@
+import os
+import resource
 import struct
+import subprocess
+import sys
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -9,7 +14,7 @@ import pytest
 from hostility.checkpoint import checkpoint_bytes, read_checkpoint
 from hostility.cli import _encoder_config, _write_artifact, main, resolve_config
 from hostility.encoder import desk_config, paper_config
-from hostility.traineval import ALL_TASKS
+from hostility.traineval import ALL_TASKS, SplitSpec, split_dataset
 
 
 def run(*args):
@@ -303,6 +308,25 @@ class TestTapt:
         assert (out_a / "tapt.ckpt").read_bytes() == (out_b / "tapt.ckpt").read_bytes()
         assert (out_a / "tapt_loss.csv").read_bytes() == (out_b / "tapt_loss.csv").read_bytes()
 
+    def test_parses_each_corpus_post_once(self, data_dir, tmp_path, monkeypatch, fixture_posts):
+        import hostility.cli
+        import hostility.preprocess
+        import hostility.tapt
+
+        texts = []
+        real = hostility.preprocess.tokenize_raw
+
+        def counting(text):
+            texts.append(text)
+            return real(text)
+
+        for module in (hostility.preprocess, hostility.tapt, hostility.cli):
+            if hasattr(module, "tokenize_raw"):
+                monkeypatch.setattr(module, "tokenize_raw", counting)
+        assert run("tapt", *common_args(data_dir, tmp_path / "out"), "--tapt-epochs", "1") == 0
+        train, _ = split_dataset(fixture_posts, SplitSpec(seed=0))
+        assert sorted(texts) == sorted(p.text for p in train)
+
     def test_tiny_dataset_is_data_error(self, tmp_path):
         data = tmp_path / "small.csv"
         data.write_text("id,text,labels\na,x,non-hostile\nb,y,hate\n", encoding="utf-8")
@@ -478,6 +502,91 @@ class TestDropoutRate:
         assert run("finetune", *common_args(data_dir, out), "--tapt", "on", "--epochs", "1") == 2
         assert "enc.dropout_p='0.2'" in capsys.readouterr().err
         assert not (out / "coarse.init.ckpt").exists()
+
+
+class TestTaptCheckpoint:
+    """finetune --tapt on refuses a tapt.ckpt that is not this run's, each
+    fault with its own message, before any task model is drawn."""
+
+    @pytest.mark.parametrize(
+        "fault, expected",
+        [
+            ("missing", "TAPT checkpoint not found at"),
+            ("task", "tapt.ckpt: checkpoint does not hold encoder weights"),
+            ("config", "TAPT checkpoint encoder configuration does not match this run"),
+            ("vocab", "vocab hash mismatch between checkpoint and current vocab"),
+        ],
+    )
+    def test_not_this_runs(self, data_dir, trained_dir, tmp_path, capsys, fault, expected):
+        out = tmp_path / "out"
+        out.mkdir()
+        args = common_args(data_dir, out)
+        tapt = out / "tapt.ckpt"
+        if fault == "task":
+            tapt.write_bytes((trained_dir / "coarse.ckpt").read_bytes())
+        elif fault != "missing":
+            tapt.write_bytes((trained_dir / "tapt.ckpt").read_bytes())
+        if fault == "config":
+            # trained_dir's tapt ran at --max-len 32.
+            args[args.index("--max-len") + 1] = "64"
+        elif fault == "vocab":
+            rewrite_metadata(tapt, "vocab_sha256", "0" * 64)
+        assert run("finetune", *args, "--tapt", "on", "--epochs", "1") == 2
+        assert expected in capsys.readouterr().err
+        assert not (out / "coarse.init.ckpt").exists()
+
+
+# A checkpoint header may declare more layers than its file holds; none
+# of the commands that read one may build a shape table that large.
+HOSTILE_LAYERS = "99999999"
+MEMORY_CAP = 1 << 30
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_capped(*args):
+    """python -m hostility in a child process with its address space
+    capped at MEMORY_CAP: (exit code, stderr, wall seconds)."""
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hostility", *map(str, args)],
+        env=env,
+        preexec_fn=cap_memory,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    return proc.returncode, proc.stderr, time.perf_counter() - start
+
+
+class TestHostileHeader:
+    def test_tapt_checkpoint(self, data_dir, trained_dir, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "tapt.ckpt").write_bytes((trained_dir / "tapt.ckpt").read_bytes())
+        rewrite_metadata(out / "tapt.ckpt", "enc.n_layers", HOSTILE_LAYERS)
+        args = common_args(data_dir, out)
+        code, err, seconds = run_capped("finetune", *args, "--tapt", "on", "--epochs", "1")
+        assert (code, "Traceback" in err) == (2, False), err
+        assert "data error: TAPT checkpoint encoder configuration does not match" in err
+        assert seconds < 5
+        assert not (out / "coarse.init.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_task_checkpoints(self, data_dir, trained_dir, tmp_path, command):
+        run_dir = copy_run(trained_dir, tmp_path / "run")
+        for task in ALL_TASKS:
+            rewrite_metadata(run_dir / f"{task}.ckpt", "enc.n_layers", HOSTILE_LAYERS)
+        code, err, seconds = run_capped(command, *common_args(data_dir, run_dir))
+        assert (code, "Traceback" in err) == (2, False), err
+        assert f"data error: checkpoint declares {HOSTILE_LAYERS} layers in" in err
+        assert seconds < 5
+        assert not SCORING_OUTPUTS & {p.name for p in run_dir.iterdir()}
 
 
 class TestEvaluate:

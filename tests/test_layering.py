@@ -88,15 +88,10 @@ def test_settable_values_do_not_grow():
     assert len(found) <= SETTABLE_VALUES, "\n".join(found)
 
 
-# The one training loop: the only function that backpropagates and steps
-# the optimizer, so per-step work is written once for TAPT and fine-tuning.
-TRAINING_LOOP = "numeric.train_epoch"
-
-
-def optimizer_callers() -> set[str]:
+def callers(names) -> set[str]:
     """module.name of each top-level function or class of the package
-    (module.<module> for other top-level code) that calls backward or
-    adam_step, by name or as an attribute."""
+    (module.<module> for other top-level code) that calls any of names,
+    by name or as an attribute."""
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -105,10 +100,26 @@ def optimizer_callers() -> set[str]:
                 if isinstance(node, ast.Call):
                     fn = node.func
                     name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
-                    if name in ("backward", "adam_step"):
+                    if name in names:
                         found.add(f"{path.stem}.{scope}")
     return found
 
 
+# The one training loop: the only function that backpropagates and steps
+# the optimizer, so per-step work is written once for TAPT and fine-tuning.
+TRAINING_LOOP = "numeric.train_epoch"
+
+
 def test_one_training_loop():
-    assert optimizer_callers() == {TRAINING_LOOP}
+    assert callers(("backward", "adam_step")) == {TRAINING_LOOP}
+
+
+# One parse per post: only preprocess tokenizes, cleans and segments a
+# post; every other module reads the cleaned text and hashtag flow from
+# the post's FeatureBundle.
+PARSERS = ("tokenize_raw", "clean_text", "segment_hashtag", "hashtag_flow")
+
+
+def test_one_parse_per_post():
+    outside = sorted(c for c in callers(PARSERS) if not c.startswith("preprocess."))
+    assert not outside, outside

@@ -482,6 +482,12 @@ class TestDataset:
         with pytest.raises(DataError, match="line 3: field larger than field limit"):
             load_dataset(path)
 
+    def test_repeated_id(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,text,labels\na,x y,non-hostile\na,z w,hate\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"bad\.csv: line 3: repeated id 'a'"):
+            load_dataset(path)
+
     def test_unlabeled_rows_allowed(self, tmp_path):
         path = tmp_path / "ok.csv"
         path.write_text("id,text,labels\nx,koi baat,\n", encoding="utf-8")

@@ -6,7 +6,7 @@ import pytest
 import hostility.encoder
 import hostility.numeric
 import hostility.tapt
-from hostility.checkpoint import checkpoint_bytes
+from hostility.checkpoint import checkpoint_bytes, read_metadata
 from hostility.encoder import (
     IGNORE_ID,
     TEXT_INIT_STREAM,
@@ -18,7 +18,7 @@ from hostility.encoder import (
 )
 from hostility.errors import DataError
 from hostility.fusion import text_encoder_init
-from hostility.preprocess import RawPost
+from hostility.preprocess import EmojiTable, FreqDict, RawPost, extract_features
 from hostility.tapt import (
     CLEANED,
     RAW,
@@ -36,6 +36,12 @@ def post(pid, text):
     return RawPost(id=pid, text=text, labels=frozenset())
 
 
+def with_features(posts):
+    """(RawPost, FeatureBundle) pairs, with no dictionary or emoji table."""
+    freq, table = FreqDict.empty(), EmojiTable(dim=4, entries={})
+    return [(p, extract_features(p.text, freq, table)) for p in posts]
+
+
 def synthetic_corpus(n_lines=50, seed=0):
     """Repetitive word patterns a small model can actually learn."""
     words = ["sach", "jhooth", "khabar", "acha", "din", "nafrat", "gaali", "shanti"]
@@ -49,16 +55,16 @@ def synthetic_corpus(n_lines=50, seed=0):
 
 class TestBuildCorpus:
     def test_single_post_pair(self):
-        corpus = build_tapt_corpus([post("a", "yeh sach \U0001F602")])
+        corpus = build_tapt_corpus(with_features([post("a", "yeh sach \U0001F602")]))
         assert corpus.lines == ["yeh sach \U0001F602", "yeh sach"]
         assert corpus.provenance == [RAW, CLEANED]
 
     def test_empty_input(self):
-        corpus = build_tapt_corpus([])
+        corpus = build_tapt_corpus(with_features([]))
         assert corpus.lines == [] and corpus.provenance == []
 
     def test_two_lines_per_post(self, fixture_posts):
-        corpus = build_tapt_corpus(fixture_posts)
+        corpus = build_tapt_corpus(with_features(fixture_posts))
         assert len(corpus.lines) == 2 * len(fixture_posts)
         for i, p in enumerate(fixture_posts):
             assert corpus.lines[2 * i] == p.text
@@ -66,16 +72,18 @@ class TestBuildCorpus:
             assert corpus.provenance[2 * i + 1] == CLEANED
 
     def test_empty_cleaned_line_kept(self):
-        corpus = build_tapt_corpus([post("a", "\U0001F602 \U0001F621")])
+        corpus = build_tapt_corpus(with_features([post("a", "\U0001F602 \U0001F621")]))
         assert corpus.lines == ["\U0001F602 \U0001F621", ""]
 
     def test_raw_only_mode(self):
-        corpus = build_tapt_corpus([post("a", "x"), post("b", "y")], include_cleaned=False)
+        corpus = build_tapt_corpus(
+            with_features([post("a", "x"), post("b", "y")]), include_cleaned=False
+        )
         assert corpus.lines == ["x", "y"]
         assert corpus.provenance == [RAW, RAW]
 
     def test_dump_format(self, tmp_path):
-        corpus = build_tapt_corpus([post("a", "yeh sach")])
+        corpus = build_tapt_corpus(with_features([post("a", "yeh sach")]))
         path = tmp_path / "corpus.txt"
         dump_corpus(corpus, path)
         assert path.read_text(encoding="utf-8") == "R\tyeh sach\nC\tyeh sach\n"
@@ -128,8 +136,8 @@ class TestRunTapt:
         b = run_tapt(config, vocab, corpus, epochs=2, lr=1e-3, batch_size=8, seed=3)
         assert same_params(a.weights, b.weights)
         assert a.epoch_losses == b.epoch_losses
-        blob_a = encoder_checkpoint_bytes(a.weights, config, {})
-        blob_b = encoder_checkpoint_bytes(b.weights, config, {})
+        blob_a = encoder_checkpoint_bytes(a.weights, config, vocab, {})
+        blob_b = encoder_checkpoint_bytes(b.weights, config, vocab, {})
         assert blob_a == blob_b
 
     def test_training_changes_weights(self, setup):
@@ -211,18 +219,43 @@ class TestRunTapt:
 
 
 class TestEncoderCheckpoint:
+    CONFIG = EncoderConfig(vocab_size=8, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_len=8)
+    VOCAB = Vocab.build(["sach khabar acha"])
+
     def test_roundtrip(self, tmp_path):
-        config = EncoderConfig(vocab_size=8, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_len=8)
+        config, vocab = self.CONFIG, self.VOCAB
         weights = text_encoder_init(config, 7)
         path = tmp_path / "enc.ckpt"
-        path.write_bytes(encoder_checkpoint_bytes(weights, config, {"vocab_sha256": "x"}))
-        loaded, loaded_config, meta = load_encoder_checkpoint(path)
-        assert loaded_config == config
-        assert meta["vocab_sha256"] == "x"
+        path.write_bytes(encoder_checkpoint_bytes(weights, config, vocab, {}))
+        loaded = load_encoder_checkpoint(path, vocab, config)
+        assert read_metadata(path)["vocab_sha256"] == vocab.sha256()
         assert same_params(loaded, weights)
 
     def test_rejects_wrong_kind(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(checkpoint_bytes({"kind": "fusion"}, {}))
         with pytest.raises(DataError, match="encoder"):
-            load_encoder_checkpoint(path)
+            load_encoder_checkpoint(path, self.VOCAB, self.CONFIG)
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("enc.n_layers", "99999999", "configuration does not match this run"),
+            ("vocab_sha256", "0" * 64, "vocab hash mismatch"),
+        ],
+    )
+    def test_checks_the_run_before_matching_tensors(
+        self, tmp_path, monkeypatch, key, value, expected
+    ):
+        config, vocab = self.CONFIG, self.VOCAB
+        weights = text_encoder_init(config, 7)
+        path = tmp_path / "enc.ckpt"
+        # extra is written last, so it overrides the key.
+        path.write_bytes(encoder_checkpoint_bytes(weights, config, vocab, {key: value}))
+
+        def no_table(*args):
+            raise AssertionError("a shape table was built before the checks")
+
+        monkeypatch.setattr(hostility.tapt, "encoder_shape_table", no_table)
+        with pytest.raises(DataError, match=expected):
+            load_encoder_checkpoint(path, vocab, config)
