@@ -298,6 +298,18 @@ def cmd_finetune(cfg: argparse.Namespace) -> int:
     train, val = split_dataset(posts, SplitSpec(seed=cfg.seed))
     train_bundles = [extract_features(p.text, freq, table) for p in train]
     val_bundles = [extract_features(p.text, freq, table) for p in val]
+    # Every task's examples are checked before anything is written or
+    # drawn, so a task that cannot train fails the run before the tasks
+    # ahead of it have trained.
+    examples = {}
+    hostile = binary_targets(train, COARSE)
+    for task in ALL_TASKS:
+        train_examples = list(zip(train_bundles, binary_targets(train, task)))
+        if task != COARSE and cfg.fine_scope == "hostile":
+            train_examples = [ex for ex, is_hostile in zip(train_examples, hostile) if is_hostile]
+        if len({target for _, target in train_examples}) < 2:
+            raise DataError(f"training split for task {task!r} holds fewer than two classes")
+        examples[task] = train_examples, list(zip(val_bundles, binary_targets(val, task)))
     pairs = list(zip(train + val, train_bundles + val_bundles))
     vocab = _derive_vocab(cfg, pairs if cfg.tapt_corpus == "all" else pairs[: len(train)])
     out = _out_dir(cfg)
@@ -308,12 +320,6 @@ def cmd_finetune(cfg: argparse.Namespace) -> int:
     if cfg.tapt == "on":
         tapt_weights = load_encoder_checkpoint(out / "tapt.ckpt", vocab, enc_config)
     for index, task in enumerate(ALL_TASKS):
-        train_targets = binary_targets(train, task)
-        val_targets = binary_targets(val, task)
-        train_examples = list(zip(train_bundles, train_targets))
-        if task != COARSE and cfg.fine_scope == "hostile":
-            hostile = binary_targets(train, COARSE)
-            train_examples = [ex for ex, is_hostile in zip(train_examples, hostile) if is_hostile]
         hp = Hyperparams(
             epochs=cfg.epochs,
             lr=cfg.lr,
@@ -324,7 +330,7 @@ def cmd_finetune(cfg: argparse.Namespace) -> int:
         meta = _run_meta(cfg)
         meta["tapt"] = cfg.tapt
         _write_artifact(out / f"{task}.init.ckpt", model_to_bytes(model, extra=meta))
-        run = train_binary(model, train_examples, list(zip(val_bundles, val_targets)), hp=hp)
+        run = train_binary(model, *examples[task], hp=hp)
         # Free the trained parameters before the next task draws its own.
         del model
         _write_artifact(out / f"{task}.ckpt", run.best_checkpoint)

@@ -274,7 +274,6 @@ def _encode_rows(
     ids: np.ndarray,
     positions: np.ndarray,
     blocks: Sequence[np.ndarray],
-    training: bool,
     rng: np.random.Generator | None,
 ) -> Tensor:
     """The encoder stack over one graph of token rows: ids and positions
@@ -282,7 +281,7 @@ def _encode_rows(
     Returns the final hidden rows [R, E]."""
     tok = embedding_lookup(params["tok_emb"], ids)
     pos = embedding_lookup(params["pos_emb"], positions)
-    x = dropout(add(tok, pos), DROPOUT_P, training, rng)
+    x = dropout(add(tok, pos), DROPOUT_P, rng)
     for i in range(config.n_layers):
         p = f"layers.{i}"
         normed = layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
@@ -290,9 +289,9 @@ def _encode_rows(
             add_bias(matmul(normed, params[f"{p}.attn.w{n}"]), params[f"{p}.attn.b{n}"])
             for n in "qkv"
         )
-        heads = attention(q, k, v, config.n_heads, blocks, DROPOUT_P, training, rng)
+        heads = attention(q, k, v, config.n_heads, blocks, DROPOUT_P, rng)
         attn_out = add_bias(matmul(heads, params[f"{p}.attn.wo"]), params[f"{p}.attn.bo"])
-        x = add(x, dropout(attn_out, DROPOUT_P, training, rng))
+        x = add(x, dropout(attn_out, DROPOUT_P, rng))
         normed = layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
         ff = add_bias(
             matmul(
@@ -301,7 +300,7 @@ def _encode_rows(
             ),
             params[f"{p}.ffn.b2"],
         )
-        x = add(x, dropout(ff, DROPOUT_P, training, rng))
+        x = add(x, dropout(ff, DROPOUT_P, rng))
     return layer_norm(x, params["ln_f.gain"], params["ln_f.bias"])
 
 
@@ -309,7 +308,6 @@ def _packed_hidden(
     params: Mapping[str, Tensor],
     config: EncoderConfig,
     seqs: Sequence[Sequence[int]],
-    training: bool,
     rng: np.random.Generator | None,
 ) -> tuple[Tensor, np.ndarray]:
     """The hidden rows [sum(len), E] of id sequences packed end to end in
@@ -325,7 +323,7 @@ def _packed_hidden(
     ids = np.fromiter((i for j in order for i in seqs[j]), dtype=np.intp, count=sum(lengths))
     blocks = [np.zeros((len(list(run)), t), dtype=bool) for t, run in groupby(packed)]
     positions = np.concatenate([np.arange(t) for t in packed])
-    hidden = _encode_rows(params, config, ids, positions, blocks, training, rng)
+    hidden = _encode_rows(params, config, ids, positions, blocks, rng)
     start = np.empty(len(seqs), dtype=np.intp)
     start[order] = np.cumsum([0] + packed[:-1])
     return hidden, start
@@ -335,18 +333,17 @@ def encode_packed(
     params: Mapping[str, Tensor],
     config: EncoderConfig,
     seqs: Sequence[Sequence[int]],
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Pooled CLS rows [N, E] of N id sequences, in input order, encoded
     as one unpadded graph of sum(len) token rows (see _packed_hidden);
-    dropout only when training.
+    dropout only when an rng is given.
 
     Without dropout, each pooled row is the one a graph of that sequence
     alone gives, as far as a matmul row does not depend on the rows
     around it. Sequences already in length order keep their order.
     """
-    hidden, start = _packed_hidden(params, config, seqs, training, rng)
+    hidden, start = _packed_hidden(params, config, seqs, rng)
     return gather_rows(hidden, start)
 
 
@@ -404,12 +401,12 @@ def mlm_loss(
     config: EncoderConfig,
     masked_batch: Sequence[Sequence[int]],
     target_batch: Sequence[Sequence[int]],
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Masked-LM loss of a batch of lines under params, which hold the
     encoder body and the MLM head: the mean over lines of each line's
-    mean vocab cross-entropy at its target positions."""
+    mean vocab cross-entropy at its target positions; dropout only when
+    an rng is given."""
     if len(masked_batch) != len(target_batch) or any(
         len(m) != len(t) for m, t in zip(masked_batch, target_batch)
     ):
@@ -417,7 +414,7 @@ def mlm_loss(
     per_line = [[i for i, t in enumerate(targets) if t != IGNORE_ID] for targets in target_batch]
     if not all(per_line):
         raise ValueError("mlm_loss needs at least one target position per line")
-    hidden, start = _packed_hidden(params, config, masked_batch, training, rng)
+    hidden, start = _packed_hidden(params, config, masked_batch, rng)
     rows, labels, row_weights = [], [], []
     for b, (positions, targets) in enumerate(zip(per_line, target_batch)):
         rows.extend(start[b] + i for i in positions)

@@ -191,38 +191,31 @@ def _fused_input(
     )
 
 
-def _classify(
-    model: FusionModel, fused_in: Tensor, training: bool, rng: np.random.Generator | None
-) -> Tensor:
+def _classify(model: FusionModel, fused_in: Tensor, rng: np.random.Generator | None) -> Tensor:
     """Fusion layer and MLP: logits [B, 2], or [B, 1, 2] for a stacked
-    input; dropout only when training."""
+    input; dropout only when an rng is given."""
     cfg = model.config
     head = model.head
     x = add_bias(matmul(fused_in, head["fusion.w"]), head["fusion.b"])
     for i in range(len(cfg.mlp_hidden)):
         x = add_bias(matmul(x, head[f"mlp.{i}.w"]), head[f"mlp.{i}.b"])
-        x = dropout(relu(x), DROPOUT_P, training, rng)
+        x = dropout(relu(x), DROPOUT_P, rng)
     return add_bias(matmul(x, head["mlp.out.w"]), head["mlp.out.b"])
 
 
 def forward(
     model: FusionModel,
     batch: Sequence[EncodedPost],
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Logits [B, 2] for a batch of encoded posts; each encoder runs the
     batch as one packed graph (see encoder.encode_packed), and dropout
-    applies only when training."""
+    applies only when an rng is given."""
     enc_cfg = model.config.encoder
-    text_pooled = encode_packed(
-        model.text_encoder, enc_cfg, [x.text_ids for x in batch], training, rng
-    )
-    hash_pooled = encode_packed(
-        model.hashtag_encoder, enc_cfg, [x.hash_ids for x in batch], training, rng
-    )
+    text_pooled = encode_packed(model.text_encoder, enc_cfg, [x.text_ids for x in batch], rng)
+    hash_pooled = encode_packed(model.hashtag_encoder, enc_cfg, [x.hash_ids for x in batch], rng)
     fused_in = _fused_input(model, text_pooled, hash_pooled, [x.emoji_vec for x in batch])
-    return _classify(model, fused_in, training, rng)
+    return _classify(model, fused_in, rng)
 
 
 def prob_of_positive(logits_row: np.ndarray) -> float:
@@ -311,7 +304,7 @@ def predict_batch(model: FusionModel, posts: Sequence[EncodedPost]) -> list[tupl
     if not posts:
         return []
     view = _scoring_view(model)
-    logits = _classify(view, _fused_rows(view, posts), training=False, rng=None).data
+    logits = _classify(view, _fused_rows(view, posts), None).data
     probs = [prob_of_positive(row[0]) for row in logits]
     return [(1 if prob >= 0.5 else 0, prob) for prob in probs]
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvariantError, ShapeError
+from .errors import DataError, ShapeError
 
 # Additive score for masked attention keys; exp() of it underflows to 0.
 _ATTN_MASK_VALUE = -1e9
@@ -335,14 +335,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _result(yhat * gain.data + bias.data, (x, gain, bias), bp)
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout: zero with probability p and rescale survivors by 1/(1-p)."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: zero with probability p and rescale survivors by
+    1/(1-p), drawn from rng; x itself when rng is None or p is 0."""
     if not 0 <= p < 1:
         raise ValueError(f"dropout probability must satisfy 0 <= p < 1, got {p}")
-    if not training or p == 0:
+    if rng is None or p == 0:
         return x
-    if rng is None:
-        raise ValueError("dropout in training mode needs an rng")
     keep = rng.random(x.data.shape) >= p
     factor = keep.astype(x.data.dtype) / x.data.dtype.type(1 - p)
 
@@ -356,7 +355,7 @@ def _join_rows(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _attend_block(qd, kd, vd, key_pad, n_heads, p, training, rng):
+def _attend_block(qd, kd, vd, key_pad, n_heads, p, rng):
     """Forward of one block of B sequences of T positions (see attention):
     the merged heads [B*T, E] and a closure that maps their gradient to
     those of qd, kd and vd."""
@@ -382,9 +381,7 @@ def _attend_block(qd, kd, vd, key_pad, n_heads, p, training, rng):
     e_scores = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs = e_scores / e_scores.sum(axis=-1, keepdims=True)
     factor = None
-    if training and p > 0:
-        if rng is None:
-            raise ValueError("attention dropout in training mode needs an rng")
+    if rng is not None and p > 0:
         keep = rng.random((b, h, t, t)) >= p
         factor = keep.astype(dtype) / dtype.type(1 - p)
     dropped = probs if factor is None else probs * factor
@@ -408,7 +405,6 @@ def attention(
     n_heads: int,
     blocks: Sequence[np.ndarray],
     p: float,
-    training: bool,
     rng: np.random.Generator | None,
 ) -> Tensor:
     """Multi-head scaled dot-product attention within each sequence of a
@@ -420,7 +416,7 @@ def attention(
     sequence b, viewed as [B, H, T, E/H]. A masked key gets no attention
     mass from any position. The encoder packs sequences of several
     lengths as one unmasked block per length. Attention probabilities
-    get inverted dropout with probability p when training, drawn per
+    get inverted dropout with probability p when rng is given, drawn per
     block in order as one rng.random((B, H, T, T)). Returns the heads
     merged back to [R, E].
     """
@@ -442,7 +438,7 @@ def attention(
     outs, block_bps = [], []
     for key_pad, (lo, hi) in zip(blocks, spans):
         out, block_bp = _attend_block(
-            q.data[lo:hi], k.data[lo:hi], v.data[lo:hi], key_pad, n_heads, p, training, rng
+            q.data[lo:hi], k.data[lo:hi], v.data[lo:hi], key_pad, n_heads, p, rng
         )
         outs.append(out)
         block_bps.append(block_bp)
@@ -541,6 +537,7 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState, lr: float) -> None
         p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
+@np.errstate(all="ignore")
 def train_epoch(
     params: Mapping[str, Tensor], state: AdamState, lr: float, batches: Iterable, batch_loss: Callable
 ) -> float:
@@ -548,24 +545,28 @@ def train_epoch(
     batch_loss(batch); returns the mean loss weighted by len(batch).
     Each step's graph is released once backward has run, before the
     gradient-norm check, Adam and the next batch_loss. A non-finite
-    loss, or a non-finite global gradient norm, raises InvariantError
-    before that step changes any parameter or optimizer state. The
-    squared norm sums one float32 np.vdot per gradient, so a norm past
-    float32 range (about 1.8e19, where Adam's g*g overflows too) also
-    counts."""
+    loss, or a non-finite global gradient norm, raises DataError naming
+    lr before that step changes any parameter or optimizer state: the
+    run diverged, as a too-large learning rate makes it do. numpy's own
+    floating-point warnings are off inside, so these checks alone
+    report the fault. The squared norm sums one float32 np.vdot
+    per gradient, so a norm past float32 range (about 1.8e19, where
+    Adam's g*g overflows too) also counts."""
     loss_total = 0.0
     n_items = 0
     for batch in batches:
         loss = batch_loss(batch)
         value = float(loss.data)
         if not math.isfinite(value):
-            raise InvariantError(f"non-finite batch loss {value}")
+            raise DataError(f"non-finite batch loss {value} at learning rate {lr}")
         zero_grad(params.values())
         backward(loss)
         del loss
         norm_sq = sum(float(np.vdot(p.grad, p.grad)) for p in params.values() if p.grad is not None)
         if not math.isfinite(norm_sq):
-            raise InvariantError(f"non-finite gradient norm (squared norm {norm_sq})")
+            raise DataError(
+                f"non-finite gradient norm (squared norm {norm_sq}) at learning rate {lr}"
+            )
         adam_step(params, state, lr)
         loss_total += value * len(batch)
         n_items += len(batch)

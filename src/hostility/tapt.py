@@ -122,7 +122,7 @@ def run_tapt(
     state = adam_init(params)
 
     def batch_loss(batch):
-        return mlm_loss(params, config, *zip(*batch), training=True, rng=rng)
+        return mlm_loss(params, config, *zip(*batch), rng)
 
     epoch_losses: list[float] = []
     for _ in range(epochs):

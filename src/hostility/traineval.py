@@ -188,7 +188,7 @@ def train_binary(
     rng = np.random.default_rng([hp.seed, FINETUNE_STREAM])
 
     def batch_loss(chunk):
-        logits = forward(model, [encoded[j] for j in chunk], training=True, rng=rng)
+        logits = forward(model, [encoded[j] for j in chunk], rng)
         return cross_entropy(logits, [train_targets[j] for j in chunk])
 
     train_loss: list[float] = []

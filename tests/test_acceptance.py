@@ -138,8 +138,8 @@ def _check_op_grads():
     check(
         lambda: sum_all(
             mul(
-                dropout(d, 0.4, training=True, rng=np.random.default_rng(77)),
-                dropout(d, 0.4, training=True, rng=np.random.default_rng(77)),
+                dropout(d, 0.4, rng=np.random.default_rng(77)),
+                dropout(d, 0.4, rng=np.random.default_rng(77)),
             )
         ),
         {"d": d},
@@ -159,7 +159,7 @@ def _check_op_grads():
                 mul(
                     attention(
                         qkv["q"], qkv["k"], qkv["v"], 2, [key_pad], p,
-                        training=True, rng=np.random.default_rng(78),
+                        rng=np.random.default_rng(78),
                     ),
                     w_attn,
                 )
@@ -178,7 +178,7 @@ def _check_op_grads():
                 mul(
                     attention(
                         qkv7["q"], qkv7["k"], qkv7["v"], 2, blocks, p,
-                        training=True, rng=np.random.default_rng(79),
+                        rng=np.random.default_rng(79),
                     ),
                     w7,
                 )

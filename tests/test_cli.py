@@ -417,6 +417,30 @@ class TestFinetune:
         assert run("finetune", *args, "--tapt", "on", "--epochs", "1") == 0
         assert (tmp_path / "vocab.txt").read_bytes() == tapt_vocab
 
+    def test_single_class_task_refused_before_any_work(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        import hostility.cli
+
+        lines = (data_dir / "tiny_posts.csv").read_text(encoding="utf-8").splitlines()
+        stripped = [
+            line.replace("|defamation", "").replace(",defamation", ",non-hostile")
+            for line in lines
+        ]
+        posts = tmp_path / "posts.csv"
+        posts.write_text("\n".join(stripped) + "\n", encoding="utf-8")
+        trained = []
+        monkeypatch.setattr(
+            hostility.cli, "train_binary", lambda model, *args, **kwargs: trained.append(model)
+        )
+        out = tmp_path / "out"
+        args = common_args(data_dir, out)
+        args[args.index("--data") + 1] = str(posts)
+        assert run("finetune", *args, "--epochs", "2") == 2
+        assert "task 'defamation' holds fewer than two classes" in capsys.readouterr().err
+        assert trained == []
+        assert not out.exists()
+
     def test_missing_tapt_checkpoint(self, data_dir, tmp_path):
         out = tmp_path / "out"
         assert run("finetune", *common_args(data_dir, out), "--tapt", "on") == 2
@@ -587,6 +611,25 @@ class TestHostileHeader:
         assert f"data error: checkpoint declares {HOSTILE_LAYERS} layers in" in err
         assert seconds < 5
         assert not SCORING_OUTPUTS & {p.name for p in run_dir.iterdir()}
+
+
+class TestDivergence:
+    """A learning rate that makes training diverge is a bad setting, not
+    a bug: one data-error line naming the rate, and no numpy warning."""
+
+    @pytest.mark.parametrize(
+        "command, flags, rate",
+        [
+            ("finetune", ["--lr", "1e6", "--epochs", "3"], "1000000.0"),
+            ("tapt", ["--tapt-lr", "1e30"], "1e+30"),
+        ],
+    )
+    def test_exits_2_naming_the_rate(self, data_dir, tmp_path, command, flags, rate):
+        code, err, _ = run_capped(command, *common_args(data_dir, tmp_path / "out"), *flags)
+        assert code == 2, err
+        [line] = err.splitlines()
+        assert line.startswith("data error: non-finite "), err
+        assert line.endswith(f" at learning rate {rate}"), err
 
 
 class TestEvaluate:

@@ -234,7 +234,7 @@ class TestWeights:
 class TestEncode:
     def test_output_shapes_and_finite(self, weights, config, vocab):
         pooled = encode_packed(weights, config, [[CLS_ID, SEP_ID]])
-        hidden, start = _packed_hidden(weights, config, [[CLS_ID, SEP_ID]], False, None)
+        hidden, start = _packed_hidden(weights, config, [[CLS_ID, SEP_ID]], None)
         assert pooled.shape == (1, config.d_model)
         assert hidden.shape == (2, config.d_model)
         assert start.tolist() == [0]
@@ -250,14 +250,14 @@ class TestEncode:
         texts = ["sach ka saath din", "sach", "jhooth khabar nafrat gaali mat bolo", "acha din", "yeh"]
         batch = [encode_ids(vocab, text, config.max_len) for text in texts]
         pooled = encode_packed(weights, config, batch)
-        hidden, start = _packed_hidden(weights, config, batch, False, None)
+        hidden, start = _packed_hidden(weights, config, batch, None)
         assert pooled.shape == (len(batch), config.d_model)
         assert hidden.shape == (sum(len(ids) for ids in batch), config.d_model)
         # Stable length order: "sach" and "yeh" (3), "acha din" (4), ...
         assert start.tolist() == [10, 0, 16, 6, 3]
         for b, ids in enumerate(batch):
             alone = encode_packed(weights, config, [ids])
-            alone_hidden, _ = _packed_hidden(weights, config, [ids], False, None)
+            alone_hidden, _ = _packed_hidden(weights, config, [ids], None)
             np.testing.assert_array_equal(pooled.data[b], alone.data[0])
             np.testing.assert_array_equal(hidden.data[start[b] : start[b] + len(ids)], alone_hidden.data)
 
@@ -272,7 +272,7 @@ class TestEncode:
             on_keys is 1: the output of attention with v = on_keys in
             every column."""
             v = Tensor(np.repeat(on_keys.astype(np.float32)[:, None], config.d_model, axis=1))
-            return attention(q, k, v, config.n_heads, [key_pad], 0.0, False, None).data
+            return attention(q, k, v, config.n_heads, [key_pad], 0.0, None).data
 
         np.testing.assert_allclose(mass(np.ones(len(ids))), 1.0, atol=1e-6)
         # PAD keys receive no attention mass from any position.
@@ -427,6 +427,6 @@ class TestMlmLoss:
 
         def build():
             # A fresh rng per build, so every evaluation draws the same dropout.
-            return mlm_loss(params, config, masked, targets, training=True, rng=np.random.default_rng(3))
+            return mlm_loss(params, config, masked, targets, rng=np.random.default_rng(3))
 
         assert gradcheck(build, params) < 1e-4

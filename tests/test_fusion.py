@@ -163,7 +163,7 @@ class TestForward:
         params = model.named_params()
         state = adam_init(params)
         rng = np.random.default_rng(0)
-        logits = forward(model, [encode_post(model, bundle())], training=True, rng=rng)
+        logits = forward(model, [encode_post(model, bundle())], rng=rng)
         loss = cross_entropy(logits, [1])
         zero_grad(params.values())
         backward(loss)
@@ -192,7 +192,7 @@ class TestForward:
 
         def build():
             # A fresh rng per build, so every evaluation draws the same dropout.
-            logits = forward(model, batch, training=True, rng=np.random.default_rng(6))
+            logits = forward(model, batch, rng=np.random.default_rng(6))
             return cross_entropy(logits, [1, 0, 1])
 
         assert gradcheck(build, params) < 1e-4
@@ -255,9 +255,9 @@ def encoder_graphs(monkeypatch):
     graphs = []
     real_encode_packed = hostility.fusion.encode_packed
 
-    def recording_encode_packed(weights, enc_config, seqs, training=False, rng=None):
+    def recording_encode_packed(weights, enc_config, seqs, rng=None):
         graphs.append([tuple(ids) for ids in seqs])
-        return real_encode_packed(weights, enc_config, seqs, training, rng)
+        return real_encode_packed(weights, enc_config, seqs, rng)
 
     monkeypatch.setattr(hostility.fusion, "encode_packed", recording_encode_packed)
     return graphs

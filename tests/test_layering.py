@@ -46,19 +46,39 @@ def test_imports_only_from_earlier_layers(module):
     assert not later, f"{module} (layer {RANK[module]}) imports {later}"
 
 
-@pytest.mark.parametrize("function, index", [("fusion.forward", 2), ("encoder.mlm_loss", 4)])
+# The calls perfbench/layer_trace.py counts as training, with the
+# position of the dropout generator that marks them.
+TRAINING_FLAG = {"fusion.forward": 2, "encoder.mlm_loss": 4}
+
+
+@pytest.mark.parametrize("function, index", TRAINING_FLAG.items())
 def test_training_flag_position(function, index):
-    """perfbench/layer_trace.py reads `training` from these calls by
-    position when it is not passed by keyword."""
+    """perfbench/layer_trace.py counts a call as training when the
+    argument at this position is truthy: a generator is, None is not.
+    So `rng` must sit there."""
     module, name = function.split(".")
     fn = getattr(importlib.import_module(f"hostility.{module}"), name)
-    assert list(inspect.signature(fn).parameters).index("training") == index
+    assert list(inspect.signature(fn).parameters).index("rng") == index
+
+
+def test_training_flag_passed_by_position():
+    """layer_trace reads `training` by keyword before it reads the
+    position, so a package call that passed `rng=` would count as
+    inference, and one that passed `training=` would shadow the
+    generator."""
+    names = {function.split(".")[1] for function in TRAINING_FLAG}
+    by_keyword = sorted(
+        f"{path.stem}:{node.lineno}"
+        for path, _, node in calls(names)
+        if any(kw.arg in ("rng", "training") for kw in node.keywords)
+    )
+    assert not by_keyword, by_keyword
 
 
 # Defaulted function parameters plus defaulted dataclass fields in the
 # package. Each default is declared once: run settings by the CLI, the
 # rest as module constants, so this count should only fall.
-SETTABLE_VALUES = 18
+SETTABLE_VALUES = 15
 
 
 def settable_values() -> list[str]:
@@ -88,21 +108,23 @@ def test_settable_values_do_not_grow():
     assert len(found) <= SETTABLE_VALUES, "\n".join(found)
 
 
-def callers(names) -> set[str]:
-    """module.name of each top-level function or class of the package
-    (module.<module> for other top-level code) that calls any of names,
-    by name or as an attribute."""
-    found = set()
+def calls(names):
+    """(path, top-level statement, call node) of each call in the package
+    of any of names, by name or as an attribute."""
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            scope = getattr(stmt, "name", "<module>")
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Call):
                     fn = node.func
                     name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
                     if name in names:
-                        found.add(f"{path.stem}.{scope}")
-    return found
+                        yield path, stmt, node
+
+
+def callers(names) -> set[str]:
+    """module.name of each top-level function or class of the package
+    (module.<module> for other top-level code) that calls any of names."""
+    return {f"{path.stem}.{getattr(stmt, 'name', '<module>')}" for path, stmt, _ in calls(names)}
 
 
 # The one training loop: the only function that backpropagates and steps

@@ -178,8 +178,8 @@ class TestRunTapt:
         seen = []
         real_loss = hostility.tapt.mlm_loss
 
-        def recording_loss(params, config, masked_batch, target_batch, **kwargs):
-            loss = real_loss(params, config, masked_batch, target_batch, **kwargs)
+        def recording_loss(params, config, masked_batch, target_batch, *args):
+            loss = real_loss(params, config, masked_batch, target_batch, *args)
             seen.append((len(masked_batch), float(loss.data)))
             return loss
 
@@ -204,9 +204,9 @@ class TestRunTapt:
             selected.append(sum(t != IGNORE_ID for t in targets))
             return masked, targets
 
-        def recording_loss(params, config, masked_batch, target_batch, **kwargs):
+        def recording_loss(params, config, masked_batch, target_batch, *args):
             targets_seen.extend(target_batch)
-            return real_loss(params, config, masked_batch, target_batch, **kwargs)
+            return real_loss(params, config, masked_batch, target_batch, *args)
 
         monkeypatch.setattr(hostility.encoder, "mask_tokens", counting_mask)
         monkeypatch.setattr(hostility.tapt, "mlm_loss", recording_loss)

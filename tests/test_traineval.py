@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import confusion_matrix_scores
 from hostility.encoder import EncoderConfig, Vocab
-from hostility.errors import InvariantError
+from hostility.errors import DataError
 from hostility.fusion import FusionConfig, init_model, model_from_bytes, predict
 from hostility.preprocess import FeatureBundle, LabelTag, RawPost, extract_features
 from hostility.traineval import (
@@ -301,7 +301,7 @@ class TestTrainBinary:
             lambda logits, labels: scale(cross_entropy(logits, labels), float("nan")),
         )
         hp = Hyperparams(epochs=1, lr=1e-3, batch_size=8, seed=0)
-        with pytest.raises(InvariantError, match="non-finite"):
+        with pytest.raises(DataError, match="non-finite"):
             model = init_model(config, vocab, COARSE, base_seed=hp.seed)
             train_binary(model, examples, examples, hp=hp)
 
