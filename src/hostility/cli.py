@@ -179,16 +179,12 @@ def _encoder_config(cfg: argparse.Namespace, vocab_size: int) -> EncoderConfig:
     return make(vocab_size, max_len=cfg.max_len)
 
 
-def _out_dir(cfg: argparse.Namespace) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_artifact(path: Path, data: bytes | str | Callable[[Path], None]) -> None:
     """Write an artifact to a temp file beside path, then rename it into
     place, so a crash mid-write leaves the previous file whole. data is
-    the content (str as UTF-8) or a function that writes a given path."""
+    the content (str as UTF-8) or a function that writes a given path.
+    The directory is made here, so only a command that writes has one."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         if isinstance(data, bytes):
@@ -223,7 +219,7 @@ def _run_meta(cfg: argparse.Namespace) -> dict[str, str]:
 def cmd_preprocess(cfg: argparse.Namespace) -> int:
     posts = load_dataset(cfg.data)
     freq, table = _load_aux(cfg)
-    out = _out_dir(cfg)
+    out = Path(cfg.out)
     histogram = _label_histogram(posts)
     hist_line = " ".join(f"{tag.value}={histogram[tag.value]}" for tag in LabelTag)
     lines = ["id\tcleaned_text\thashtag_flow\temoji_count"]
@@ -257,9 +253,6 @@ def cmd_tapt(cfg: argparse.Namespace) -> int:
     pairs = [(p, extract_features(p.text, freq, table)) for p in corpus_posts]
     corpus = build_tapt_corpus(pairs, include_cleaned=not cfg.no_clean_dup)
     vocab = _derive_vocab(cfg, pairs)
-    out = _out_dir(cfg)
-    _write_artifact(out / "vocab.txt", vocab.save)
-    _write_artifact(out / "tapt_corpus.txt", lambda path: dump_corpus(corpus, path))
     config = _encoder_config(cfg, len(vocab))
     result = run_tapt(
         config,
@@ -270,6 +263,11 @@ def cmd_tapt(cfg: argparse.Namespace) -> int:
         batch_size=cfg.batch_size,
         seed=cfg.seed,
     )
+    # Nothing is written until TAPT has run, so a failing run leaves an
+    # earlier run's files as they were.
+    out = Path(cfg.out)
+    _write_artifact(out / "vocab.txt", vocab.save)
+    _write_artifact(out / "tapt_corpus.txt", lambda path: dump_corpus(corpus, path))
     meta = _run_meta(cfg)
     meta.update(
         {
@@ -312,13 +310,13 @@ def cmd_finetune(cfg: argparse.Namespace) -> int:
         examples[task] = train_examples, list(zip(val_bundles, binary_targets(val, task)))
     pairs = list(zip(train + val, train_bundles + val_bundles))
     vocab = _derive_vocab(cfg, pairs if cfg.tapt_corpus == "all" else pairs[: len(train)])
-    out = _out_dir(cfg)
-    _write_artifact(out / "vocab.txt", vocab.save)
+    out = Path(cfg.out)
     enc_config = _encoder_config(cfg, len(vocab))
     config = FusionConfig(encoder=enc_config, emoji_dim=table.dim)
     tapt_weights = None
     if cfg.tapt == "on":
         tapt_weights = load_encoder_checkpoint(out / "tapt.ckpt", vocab, enc_config)
+    _write_artifact(out / "vocab.txt", vocab.save)
     for index, task in enumerate(ALL_TASKS):
         hp = Hyperparams(
             epochs=cfg.epochs,
@@ -349,24 +347,30 @@ def cmd_finetune(cfg: argparse.Namespace) -> int:
     return 0
 
 
-def _load_scoring_inputs(cfg: argparse.Namespace):
-    """The header pass of evaluate and predict: the vocab, the posts, and
-    the frequency dictionary and emoji table the models expect, checked
-    against the five checkpoint headers before any tensor is read. Each
-    checkpoint must name its task and the run's vocab, and all five must
-    hold one model configuration, so that each post is encoded once for
-    all of them."""
-    out = _out_dir(cfg)
+def _scorer(cfg: argparse.Namespace, split: str):
+    """The header pass, then the model pass as a function score(task,
+    rows=None). The header pass reads the vocab, the five checkpoint
+    headers, the posts, and the frequency dictionary and emoji table the
+    models expect, before any tensor is read: each checkpoint must name
+    its task and the run's vocab, and all five one model configuration,
+    so that each post is encoded once for all of them. score loads that
+    task's model, refuses it if the file's header is no longer the one
+    read, scores the posts of split (or those at rows) and drops the
+    model on return, so at most one model is resident. The first model
+    loaded, coarse, also encodes the posts for all five. Returns (out,
+    posts, score)."""
+    out = Path(cfg.out)
     vocab_path = out / "vocab.txt"
     if not vocab_path.exists():
         raise DataError(f"vocab file not found at {vocab_path}; run finetune first")
     vocab = Vocab.load(vocab_path)
+    headers = {}
     config = None
     for task in ALL_TASKS:
         path = out / f"{task}.ckpt"
         if not path.exists():
             raise DataError(f"checkpoint not found at {path}; run finetune first")
-        meta = read_metadata(path)
+        meta = headers[task] = read_metadata(path)
         try:
             task_config = fusion_config_from_meta(meta, vocab)
         except (DataError, ValueError) as exc:
@@ -386,16 +390,6 @@ def _load_scoring_inputs(cfg: argparse.Namespace):
         raise DataError(
             f"emoji table dimension {table.dim} != model emoji dimension {config.emoji_dim}"
         )
-    return out, vocab, config, posts, freq, table
-
-
-def _scorer(cfg: argparse.Namespace, split: str):
-    """The header pass, then the model pass as a function score(task,
-    rows=None): it loads that task's model, scores the posts of split
-    (or those at rows) and drops the model on return, so at most one
-    model is resident. The first model loaded, coarse, also encodes the
-    posts for all five. Returns (out, posts, score)."""
-    out, vocab, config, posts, freq, table = _load_scoring_inputs(cfg)
     if split != "all":
         train, val = split_dataset(posts, SplitSpec(seed=cfg.seed))
         posts = train if split == "train" else val
@@ -404,8 +398,8 @@ def _scorer(cfg: argparse.Namespace, split: str):
     def score(task: str, rows: Sequence[int] | None = None) -> list[tuple[int, float]]:
         nonlocal encoded
         path = out / f"{task}.ckpt"
-        model, _ = load_model(path, vocab)
-        if model.task != task or model.config != config:
+        model, meta = load_model(path, vocab)
+        if meta != headers[task]:
             raise DataError(f"{path} changed after its header was read")
         if encoded is None:
             encoded = [encode_post(model, extract_features(p.text, freq, table)) for p in posts]
@@ -416,10 +410,7 @@ def _scorer(cfg: argparse.Namespace, split: str):
 
 def cmd_evaluate(cfg: argparse.Namespace) -> int:
     out, posts, score = _scorer(cfg, cfg.split)
-    try:
-        report = evaluate_suite(score, posts)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    report = evaluate_suite(score, posts)
     table_text = render_table(report)
     _write_artifact(out / "metrics.txt", table_text)
     _write_artifact(out / "metrics.kv", render_kv(report))

@@ -8,7 +8,7 @@ classified by a small MLP ending in two logits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -73,27 +73,21 @@ def head_shape_table(config: FusionConfig) -> dict[str, tuple[int, ...]]:
     return table
 
 
+@dataclass(frozen=True, eq=False)
 class FusionModel:
     """Two distinct encoder parameter sets plus the fusion head, each a
-    name -> Tensor dict."""
+    name -> Tensor dict. Models compare and hash by identity."""
 
-    def __init__(
-        self,
-        config: FusionConfig,
-        vocab: Vocab,
-        task: str,
-        text_encoder: dict[str, Tensor],
-        hashtag_encoder: dict[str, Tensor],
-        head: dict[str, Tensor],
-    ):
-        if text_encoder is hashtag_encoder:
+    config: FusionConfig
+    vocab: Vocab
+    task: str
+    text_encoder: dict[str, Tensor]
+    hashtag_encoder: dict[str, Tensor]
+    head: dict[str, Tensor]
+
+    def __post_init__(self):
+        if self.text_encoder is self.hashtag_encoder:
             raise ShapeError("text and hashtag encoders must be distinct parameter sets")
-        self.config = config
-        self.vocab = vocab
-        self.task = task
-        self.text_encoder = text_encoder
-        self.hashtag_encoder = hashtag_encoder
-        self.head = head
 
     def named_params(self) -> dict[str, Tensor]:
         params = {f"text_enc.{k}": p for k, p in self.text_encoder.items()}
@@ -276,13 +270,11 @@ def _scoring_view(model: FusionModel) -> FusionModel:
     def frozen(params: Mapping[str, Tensor]) -> dict[str, Tensor]:
         return {name: Tensor(p.data) for name, p in params.items()}
 
-    return FusionModel(
-        model.config,
-        model.vocab,
-        model.task,
-        frozen(model.text_encoder),
-        frozen(model.hashtag_encoder),
-        frozen(model.head),
+    return replace(
+        model,
+        text_encoder=frozen(model.text_encoder),
+        hashtag_encoder=frozen(model.hashtag_encoder),
+        head=frozen(model.head),
     )
 
 
@@ -357,7 +349,7 @@ def fusion_config_from_meta(metadata: Mapping[str, str], vocab: Vocab) -> Fusion
 
 def _model_from_parsed(
     metadata: dict[str, str], arrays: dict[str, np.ndarray], vocab: Vocab
-) -> tuple[FusionModel, dict[str, str]]:
+) -> FusionModel:
     config = fusion_config_from_meta(metadata, vocab)
     enc_cfg = config.encoder
     # Each layer holds a tensor: refuse a larger count before any shape table.
@@ -377,16 +369,14 @@ def _model_from_parsed(
     hashtag_encoder = params_from_arrays(encoder_shape_table(enc_cfg), hash_arrays, "encoder")
     head = params_from_arrays(head_shape_table(config), head_arrays, "fusion head")
     task = metadata.get("task", "")
-    model = FusionModel(config, vocab, task, text_encoder, hashtag_encoder, head)
-    return model, metadata
+    return FusionModel(config, vocab, task, text_encoder, hashtag_encoder, head)
 
 
 def model_from_bytes(blob: bytes, vocab: Vocab) -> FusionModel:
-    metadata, arrays = parse_checkpoint(blob)
-    model, _ = _model_from_parsed(metadata, arrays, vocab)
-    return model
+    return _model_from_parsed(*parse_checkpoint(blob), vocab)
 
 
 def load_model(path, vocab: Vocab) -> tuple[FusionModel, dict[str, str]]:
+    """The model in a checkpoint file and the file's metadata."""
     metadata, arrays = read_checkpoint(path)
-    return _model_from_parsed(metadata, arrays, vocab)
+    return _model_from_parsed(metadata, arrays, vocab), metadata

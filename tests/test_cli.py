@@ -1,5 +1,6 @@
 import os
 import resource
+import shutil
 import struct
 import subprocess
 import sys
@@ -51,6 +52,22 @@ def short_run_dir(tmp_path_factory, data_dir):
     args[args.index("--max-len") + 1] = "16"
     assert run("finetune", *args, "--epochs", "1") == 0
     return out
+
+
+@pytest.fixture(scope="session")
+def all_corpus_runs(tmp_path_factory, data_dir):
+    """Two finetune runs with the vocab of every post, at seeds 0 and 1:
+    one vocab and one model configuration, other weights. The seed-0 run
+    is scored."""
+    runs = []
+    for seed in ("0", "1"):
+        out = tmp_path_factory.mktemp(f"all_corpus_{seed}")
+        args = common_args(data_dir, out)
+        args[args.index("--seed") + 1] = seed
+        assert run("finetune", *args, "--tapt-corpus", "all", "--epochs", "1") == 0
+        runs.append(out)
+    assert run("evaluate", *common_args(data_dir, runs[0])) == 0
+    return runs
 
 
 def copy_run(trained_dir, dest):
@@ -444,6 +461,7 @@ class TestFinetune:
     def test_missing_tapt_checkpoint(self, data_dir, tmp_path):
         out = tmp_path / "out"
         assert run("finetune", *common_args(data_dir, out), "--tapt", "on") == 2
+        assert not out.exists()
 
     def test_tapt_asymmetry_in_init_checkpoints(self, data_dir, tmp_path, trained_dir):
         out_off = tmp_path / "off"
@@ -469,6 +487,29 @@ class TestFinetune:
         stdout = capsys.readouterr().out
         for task in ALL_TASKS:
             assert f"{task}: best epoch" in stdout
+
+
+class TestFailingRunKeepsEarlierFiles:
+    """A failing tapt or finetune --tapt on writes nothing, so an earlier
+    run's vocab.txt and checkpoints still score."""
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("finetune", ["--tapt", "on"]),  # the run has no tapt.ckpt
+            ("tapt", ["--tapt-lr", "1e30", "--tapt-epochs", "2"]),  # diverges
+        ],
+        ids=["finetune", "tapt"],
+    )
+    def test_files_keep_their_bytes(self, command, flags, data_dir, all_corpus_runs, tmp_path):
+        run_dir = tmp_path / "run"
+        shutil.copytree(all_corpus_runs[0], run_dir)
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        # Its vocab, from the training split alone, differs from the run's.
+        args = common_args(data_dir, run_dir) + ["--tapt-corpus", "train"]
+        assert run(command, *args, *flags) == 2
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+        assert run("evaluate", *common_args(data_dir, run_dir)) == 0
 
 
 def plant_in_last_value(path, value):
@@ -825,23 +866,36 @@ class TestScoringPasses:
         assert not SCORING_OUTPUTS & {p.name for p in run_dir.iterdir()}
 
     def test_checkpoint_replaced_between_passes(
-        self, data_dir, trained_dir, short_run_dir, tmp_path, capsys, monkeypatch
+        self, data_dir, trained_dir, short_run_dir, request, tmp_path, capsys, monkeypatch
     ):
         import hostility.cli
 
-        run_dir = copy_run(trained_dir, tmp_path / "run")
         real_read_metadata = hostility.cli.read_metadata
+        # Another configuration (--max-len 16), then the same configuration
+        # and vocab at another seed.
+        for name, (base, other) in {
+            "max_len": (trained_dir, short_run_dir),
+            "seed": request.getfixturevalue("all_corpus_runs"),
+        }.items():
+            run_dir = copy_run(base, tmp_path / name)
 
-        def read_then_replace_coarse(path):
-            meta = real_read_metadata(path)
-            if path.name == "defamation.ckpt":
-                (run_dir / "coarse.ckpt").write_bytes((short_run_dir / "coarse.ckpt").read_bytes())
-            return meta
+            def read_then_replace_coarse(path):
+                meta = real_read_metadata(path)
+                if path.name == "defamation.ckpt":
+                    (run_dir / "coarse.ckpt").write_bytes((other / "coarse.ckpt").read_bytes())
+                return meta
 
-        monkeypatch.setattr(hostility.cli, "read_metadata", read_then_replace_coarse)
-        assert run("evaluate", *common_args(data_dir, run_dir)) == 2
-        assert "coarse.ckpt changed after its header was read" in capsys.readouterr().err
-        assert not SCORING_OUTPUTS & {p.name for p in run_dir.iterdir()}
+            monkeypatch.setattr(hostility.cli, "read_metadata", read_then_replace_coarse)
+            assert run("evaluate", *common_args(data_dir, run_dir)) == 2, name
+            assert "coarse.ckpt changed after its header was read" in capsys.readouterr().err
+            assert not SCORING_OUTPUTS & {p.name for p in run_dir.iterdir()}
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_missing_out_makes_no_directory(self, command, data_dir, tmp_path, capsys):
+        out = tmp_path / "missing" / "out"
+        assert run(command, *common_args(data_dir, out)) == 2
+        assert "vocab file not found" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     def test_nan_in_last_model_scored(

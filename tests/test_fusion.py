@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -431,6 +432,17 @@ class TestScoringRecordsNoTape:
         for name, p in params.items():
             assert view[name].data is p.data and view[name] is not p
             assert not view[name].requires_grad
+
+    def test_view_is_another_frozen_model(self, config, vocab):
+        model = init_model(config, vocab, "coarse", base_seed=3)
+        view = hostility.fusion._scoring_view(model)
+        assert (view.config, view.vocab, view.task) == (model.config, model.vocab, model.task)
+        # Models compare and hash by identity, and their fields are fixed.
+        assert view != model and len({model, view}) == 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            view.task = "hate"
+        with pytest.raises(ShapeError, match="distinct"):
+            dataclasses.replace(model, hashtag_encoder=model.text_encoder)
 
     def test_peak_memory_below_a_quarter_of_forward(self, vocab):
         # 16 distinct posts of 32 tokens: one 512-row group per encoder.

@@ -1,7 +1,7 @@
 """The package's import layers: each module imports only from earlier
 layers, so the modules of one layer never import each other. Also the
-call signatures that tools outside the package rely on, a ceiling on
-the package's settable values, and the one training loop."""
+call signatures and results that tools outside the package rely on, a
+ceiling on the package's settable values, and the one training loop."""
 
 import ast
 import importlib
@@ -73,6 +73,25 @@ def test_training_flag_passed_by_position():
         if any(kw.arg in ("rng", "training") for kw in node.keywords)
     )
     assert not by_keyword, by_keyword
+
+
+def test_load_model_returns_the_metadata(tmp_path):
+    """perfbench/output_checks.py (check_checkpoints_load) loads each
+    task checkpoint through fusion.load_model, and perfbench/layer_trace.py
+    (_after_load_model) unpacks its result as (model, metadata). So
+    load_model returns the file's whole header beside the model."""
+    from hostility.checkpoint import read_metadata
+    from hostility.encoder import EncoderConfig, Vocab
+    from hostility.fusion import FusionConfig, init_model, load_model, model_to_bytes
+
+    vocab = Vocab.build(["yeh sach hai"])
+    enc = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2, d_ff=16, max_len=8)
+    model = init_model(FusionConfig(enc, emoji_dim=4, mlp_hidden=(4,)), vocab, "hate", base_seed=0)
+    path = tmp_path / "hate.ckpt"
+    path.write_bytes(model_to_bytes(model, extra={"seed": "0"}))
+    loaded, metadata = load_model(path, vocab)
+    assert loaded.task == "hate"
+    assert metadata == read_metadata(path)
 
 
 # Defaulted function parameters plus defaulted dataclass fields in the
