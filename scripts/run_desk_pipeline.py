@@ -3,7 +3,9 @@
 
 Artifacts land in runs/demo/: the adaptation checkpoint, five task
 checkpoints, metrics, and predictions. Everything is seeded, so reruns
-reproduce the same bytes.
+reproduce the same bytes on the same machine, with the same
+numpy/OpenBLAS build and the same BLAS thread count (ROADMAP item 5
+would lift the last condition).
 """
 
 import sys

@@ -2,13 +2,3 @@
 pretraining, and a dual-encoder fusion classifier."""
 
 __version__ = "0.1.0"
-
-from .preprocess import (  # noqa: F401
-    EmojiTable,
-    FeatureBundle,
-    FreqDict,
-    LabelTag,
-    RawPost,
-    extract_features,
-    load_dataset,
-)

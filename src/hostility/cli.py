@@ -2,7 +2,10 @@
 
 Configuration comes from profile defaults, an optional key=value config
 file, and flags (flags win). All randomness derives from one base seed,
-recorded into every artifact's metadata, so reruns are byte-identical.
+recorded into every artifact's metadata, so reruns are byte-identical
+on the same machine, with the same numpy/OpenBLAS build and the same
+BLAS thread count (TAPT's bytes change with the thread count; see
+ROADMAP item 5).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal
 invariant violation.
@@ -42,6 +45,7 @@ from .preprocess import (
     load_freq_dict,
 )
 from .tapt import (
+    TaptCorpus,
     build_tapt_corpus,
     dump_corpus,
     encoder_checkpoint_bytes,
@@ -69,8 +73,6 @@ PROFILES = {
     "desk": {"lr": 1e-3, "batch_size": 8},
     "paper": {"lr": 1e-5, "batch_size": 16},
 }
-
-COMMANDS = ("preprocess", "tapt", "finetune", "evaluate", "predict")
 
 # The largest --max-len: the position table size of IndicBERT, the
 # paper's encoder.
@@ -161,17 +163,15 @@ def _load_aux(
     return freq, table
 
 
-def _derive_vocab(cfg: argparse.Namespace, pairs) -> Vocab:
-    """The shared vocab of the corpus posts, given as (RawPost, FeatureBundle)
-    pairs in any order: the words of each raw text, cleaned text (unless
-    --no-clean-dup) and hashtag flow, so both encoders mostly see in-vocab
-    tokens."""
-    lines = []
-    for post, bundle in pairs:
-        lines += [post.text, bundle.hashtag_flow]
-        if not cfg.no_clean_dup:
-            lines.append(bundle.cleaned_text)
-    return Vocab.build(lines)
+def _corpus_and_vocab(cfg: argparse.Namespace, posts, train, features) -> tuple[TaptCorpus, Vocab]:
+    """The TAPT corpus of the --tapt-corpus posts (train or all, in dataset
+    order) and the vocab of its lines and each of its posts' hashtag flow,
+    so both encoders mostly see in-vocab tokens. tapt and finetune both
+    call this, so finetune --tapt on meets the vocab TAPT trained with.
+    features(post) gives a post's FeatureBundle."""
+    pairs = [(p, features(p)) for p in (train if cfg.tapt_corpus == "train" else posts)]
+    corpus = build_tapt_corpus(pairs, include_cleaned=not cfg.no_clean_dup)
+    return corpus, Vocab.build(corpus.lines + [bundle.hashtag_flow for _, bundle in pairs])
 
 
 def _encoder_config(cfg: argparse.Namespace, vocab_size: int) -> EncoderConfig:
@@ -245,14 +245,11 @@ def cmd_preprocess(cfg: argparse.Namespace) -> int:
 
 def cmd_tapt(cfg: argparse.Namespace) -> int:
     posts = load_dataset(cfg.data)
-    if not posts:
-        raise DataError("dataset is empty")
     freq, table = _load_aux(cfg)
     train, _ = split_dataset(posts, SplitSpec(seed=cfg.seed))
-    corpus_posts = train if cfg.tapt_corpus == "train" else posts
-    pairs = [(p, extract_features(p.text, freq, table)) for p in corpus_posts]
-    corpus = build_tapt_corpus(pairs, include_cleaned=not cfg.no_clean_dup)
-    vocab = _derive_vocab(cfg, pairs)
+    corpus, vocab = _corpus_and_vocab(
+        cfg, posts, train, lambda p: extract_features(p.text, freq, table)
+    )
     config = _encoder_config(cfg, len(vocab))
     result = run_tapt(
         config,
@@ -294,22 +291,21 @@ def cmd_finetune(cfg: argparse.Namespace) -> int:
     posts = load_dataset(cfg.data)
     freq, table = _load_aux(cfg)
     train, val = split_dataset(posts, SplitSpec(seed=cfg.seed))
-    train_bundles = [extract_features(p.text, freq, table) for p in train]
-    val_bundles = [extract_features(p.text, freq, table) for p in val]
+    # Each post is featurized once, for its examples and the vocab.
+    features = {p: extract_features(p.text, freq, table) for p in posts}.__getitem__
     # Every task's examples are checked before anything is written or
     # drawn, so a task that cannot train fails the run before the tasks
     # ahead of it have trained.
     examples = {}
     hostile = binary_targets(train, COARSE)
     for task in ALL_TASKS:
-        train_examples = list(zip(train_bundles, binary_targets(train, task)))
+        train_examples = list(zip(map(features, train), binary_targets(train, task)))
         if task != COARSE and cfg.fine_scope == "hostile":
             train_examples = [ex for ex, is_hostile in zip(train_examples, hostile) if is_hostile]
         if len({target for _, target in train_examples}) < 2:
             raise DataError(f"training split for task {task!r} holds fewer than two classes")
-        examples[task] = train_examples, list(zip(val_bundles, binary_targets(val, task)))
-    pairs = list(zip(train + val, train_bundles + val_bundles))
-    vocab = _derive_vocab(cfg, pairs if cfg.tapt_corpus == "all" else pairs[: len(train)])
+        examples[task] = train_examples, list(zip(map(features, val), binary_targets(val, task)))
+    _, vocab = _corpus_and_vocab(cfg, posts, train, features)
     out = Path(cfg.out)
     enc_config = _encoder_config(cfg, len(vocab))
     config = FusionConfig(encoder=enc_config, emoji_dim=table.dim)
@@ -452,7 +448,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hostility", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
+    for command in _DISPATCH:
         p = sub.add_parser(command)
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--profile", choices=sorted(PROFILES), default="desk")

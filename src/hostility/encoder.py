@@ -13,7 +13,7 @@ exists only while TAPT runs.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
@@ -135,7 +135,7 @@ def paper_config(vocab_size: int, max_len: int = MAX_LEN) -> EncoderConfig:
     return EncoderConfig(vocab_size, d_model=768, n_layers=12, n_heads=12, d_ff=3072, max_len=max_len)
 
 
-_CONFIG_FIELDS = ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len")
+_CONFIG_FIELDS = tuple(field.name for field in fields(EncoderConfig))
 
 
 def config_to_meta(config: EncoderConfig) -> dict[str, str]:

@@ -94,7 +94,7 @@ class FeatureBundle:
 
 
 SEPARATORS = ",;:"
-_SEP_SPLIT = re.compile(r"[,;:]+")
+_SEP_SPLIT = re.compile(f"[{re.escape(SEPARATORS)}]+")
 _URL = re.compile(r"^(https?://|www\.)\S+$")
 RESERVED_WORDS = frozenset({"RT", "FAV"})
 # Only whole whitespace-delimited tokens count as smileys; the separator

@@ -21,10 +21,10 @@ from .numeric import adam_init, cross_entropy, train_epoch
 from .preprocess import FeatureBundle, LabelTag, RawPost
 
 COARSE = "coarse"
-FINE_TASKS = ("fake", "hate", "offensive", "defamation")
+FINE_TASKS = tuple(tag.value for tag in LabelTag if tag is not LabelTag.NON_HOSTILE)
 ALL_TASKS = (COARSE,) + FINE_TASKS
 
-REPORT_ORDER = (COARSE, "defamation", "fake", "hate", "offensive")
+# The report's rows, in order.
 DISPLAY_NAMES = {
     COARSE: "Hostility (Coarse)",
     "defamation": "Defamation",
@@ -32,6 +32,7 @@ DISPLAY_NAMES = {
     "hate": "Hate",
     "offensive": "Offensive",
 }
+REPORT_ORDER = tuple(DISPLAY_NAMES)
 FINE_AGGREGATE_NAME = "Weighted (Fine)"
 
 Example = tuple[FeatureBundle, int]

@@ -1,11 +1,15 @@
 """The package's import layers: each module imports only from earlier
 layers, so the modules of one layer never import each other. Also the
 call signatures and results that tools outside the package rely on, a
-ceiling on the package's settable values, and the one training loop."""
+ceiling on the package's settable values, the one training loop and the
+one corpus-and-vocab step."""
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -164,3 +168,22 @@ PARSERS = ("tokenize_raw", "clean_text", "segment_hashtag", "hashtag_flow")
 def test_one_parse_per_post():
     outside = sorted(c for c in callers(PARSERS) if not c.startswith("preprocess."))
     assert not outside, outside
+
+
+# One corpus-and-vocab step: tapt and finetune --tapt on must derive the
+# same vocab from the same posts, so only this function picks the corpus
+# posts, builds the TAPT corpus and builds the vocab.
+CORPUS_AND_VOCAB = "cli._corpus_and_vocab"
+
+
+def test_one_corpus_and_vocab_step():
+    assert callers(("build_tapt_corpus", "build")) == {CORPUS_AND_VOCAB}
+
+
+def test_package_root_loads_no_numpy():
+    """`import hostility` runs only the package's __init__, which imports
+    no submodule. A BLAS thread-count pin set there (ROADMAP item 5) takes
+    effect only if it runs before numpy loads."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    code = "import hostility, sys; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
