@@ -25,9 +25,7 @@ from .encoder import MAX_LEN, EncoderConfig, Vocab, desk_config, paper_config
 from .errors import DataError, InvariantError, UsageError
 from .fusion import (
     EMOJI_DIM,
-    EncodedPost,
     FusionConfig,
-    encode_post,
     fusion_config_from_meta,
     init_model,
     load_model,
@@ -348,12 +346,11 @@ def _scorer(cfg: argparse.Namespace, split: str):
     rows=None). The header pass reads the vocab, the five checkpoint
     headers, the posts, and the frequency dictionary and emoji table the
     models expect, before any tensor is read: each checkpoint must name
-    its task and the run's vocab, and all five one model configuration,
-    so that each post is encoded once for all of them. score loads that
-    task's model, refuses it if the file's header is no longer the one
-    read, scores the posts of split (or those at rows) and drops the
-    model on return, so at most one model is resident. The first model
-    loaded, coarse, also encodes the posts for all five. Returns (out,
+    its task and the run's vocab, and all five one model configuration.
+    It then extracts each post's features once for all five. score loads
+    that task's model, refuses it if the file's header is no longer the
+    one read, scores the posts of split (or those at rows) and drops the
+    model on return, so at most one model is resident. Returns (out,
     posts, score)."""
     out = Path(cfg.out)
     vocab_path = out / "vocab.txt"
@@ -389,17 +386,14 @@ def _scorer(cfg: argparse.Namespace, split: str):
     if split != "all":
         train, val = split_dataset(posts, SplitSpec(seed=cfg.seed))
         posts = train if split == "train" else val
-    encoded: list[EncodedPost] | None = None
+    features = [extract_features(p.text, freq, table) for p in posts]
 
     def score(task: str, rows: Sequence[int] | None = None) -> list[tuple[int, float]]:
-        nonlocal encoded
         path = out / f"{task}.ckpt"
         model, meta = load_model(path, vocab)
         if meta != headers[task]:
             raise DataError(f"{path} changed after its header was read")
-        if encoded is None:
-            encoded = [encode_post(model, extract_features(p.text, freq, table)) for p in posts]
-        return predict_batch(model, encoded if rows is None else [encoded[i] for i in rows])
+        return predict_batch(model, features if rows is None else [features[i] for i in rows])
 
     return out, posts, score
 

@@ -139,30 +139,9 @@ def _project(head: Mapping[str, Tensor], prefix: str, pooled: Tensor) -> Tensor:
     return add_bias(matmul(h, head[f"{prefix}.w2"]), head[f"{prefix}.b2"])
 
 
-@dataclass(frozen=True)
-class EncodedPost:
-    """A feature bundle in model input form: the token ids of both
-    encoders and the emoji mean vector."""
-
-    text_ids: list[int]
-    hash_ids: list[int]
-    emoji_vec: np.ndarray
-
-
-def encode_post(model: FusionModel, bundle: FeatureBundle) -> EncodedPost:
-    """The bundle in model input form. It depends only on the model's
-    vocab and config, so training encodes each example once per run and
-    scoring each post once for all five task models."""
-    cfg = model.config
-    vec = np.asarray(bundle.emoji_vec)
-    if vec.shape != (cfg.emoji_dim,):
-        raise ShapeError(f"emoji vector shape {vec.shape} != ({cfg.emoji_dim},)")
-    max_len = cfg.encoder.max_len
-    return EncodedPost(
-        encode_ids(model.vocab, bundle.cleaned_text, max_len),
-        encode_ids(model.vocab, bundle.hashtag_flow, max_len),
-        vec,
-    )
+def _token_ids(model: FusionModel, texts: Sequence[str]) -> list[list[int]]:
+    max_len = model.config.encoder.max_len
+    return [encode_ids(model.vocab, text, max_len) for text in texts]
 
 
 def _fused_input(
@@ -173,8 +152,11 @@ def _fused_input(
 ) -> Tensor:
     """The fusion-layer input of a batch: [B, fused_dim] from pooled rows
     [B, E], or a stack [B, 1, fused_dim] from pooled rows [B, 1, E]."""
-    dtype = model.head["fusion.w"].data.dtype
-    emoji = np.stack(emoji_vecs).astype(dtype)
+    dim = model.config.emoji_dim
+    for vec in emoji_vecs:
+        if np.shape(vec) != (dim,):
+            raise ShapeError(f"emoji vector shape {np.shape(vec)} != ({dim},)")
+    emoji = np.stack(emoji_vecs).astype(model.head["fusion.w"].data.dtype)
     emoji = Tensor(emoji.reshape(text_pooled.shape[:-1] + emoji.shape[-1:]))
     return concat_rows(
         [
@@ -199,15 +181,17 @@ def _classify(model: FusionModel, fused_in: Tensor, rng: np.random.Generator | N
 
 def forward(
     model: FusionModel,
-    batch: Sequence[EncodedPost],
+    batch: Sequence[FeatureBundle],
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Logits [B, 2] for a batch of encoded posts; each encoder runs the
-    batch as one packed graph (see encoder.encode_packed), and dropout
-    applies only when an rng is given."""
+    """Logits [B, 2] for a batch of FeatureBundles; each encoder runs the
+    batch's token ids as one packed graph (see encoder.encode_packed),
+    and dropout applies only when an rng is given."""
     enc_cfg = model.config.encoder
-    text_pooled = encode_packed(model.text_encoder, enc_cfg, [x.text_ids for x in batch], rng)
-    hash_pooled = encode_packed(model.hashtag_encoder, enc_cfg, [x.hash_ids for x in batch], rng)
+    text_ids = _token_ids(model, [x.cleaned_text for x in batch])
+    hash_ids = _token_ids(model, [x.hashtag_flow for x in batch])
+    text_pooled = encode_packed(model.text_encoder, enc_cfg, text_ids, rng)
+    hash_pooled = encode_packed(model.hashtag_encoder, enc_cfg, hash_ids, rng)
     fused_in = _fused_input(model, text_pooled, hash_pooled, [x.emoji_vec for x in batch])
     return _classify(model, fused_in, rng)
 
@@ -250,15 +234,15 @@ def _pooled_rows(
     return np.stack([rows[tuple(ids)] for ids in seqs])[:, None, :]
 
 
-def _fused_rows(model: FusionModel, encoded: Sequence[EncodedPost]) -> Tensor:
+def _fused_rows(model: FusionModel, posts: Sequence[FeatureBundle]) -> Tensor:
     """The fusion-layer inputs of the posts as a stack [N, 1, fused_dim],
     in input order; both encoders go through `_pooled_rows`."""
     enc_cfg = model.config.encoder
-    text_rows = _pooled_rows(model.text_encoder, enc_cfg, [x.text_ids for x in encoded])
-    hash_rows = _pooled_rows(model.hashtag_encoder, enc_cfg, [x.hash_ids for x in encoded])
-    return _fused_input(
-        model, Tensor(text_rows), Tensor(hash_rows), [x.emoji_vec for x in encoded]
-    )
+    text_ids = _token_ids(model, [x.cleaned_text for x in posts])
+    hash_ids = _token_ids(model, [x.hashtag_flow for x in posts])
+    text_rows = _pooled_rows(model.text_encoder, enc_cfg, text_ids)
+    hash_rows = _pooled_rows(model.hashtag_encoder, enc_cfg, hash_ids)
+    return _fused_input(model, Tensor(text_rows), Tensor(hash_rows), [x.emoji_vec for x in posts])
 
 
 def _scoring_view(model: FusionModel) -> FusionModel:
@@ -281,12 +265,12 @@ def _scoring_view(model: FusionModel) -> FusionModel:
 def fused_vector(model: FusionModel, bundle: FeatureBundle) -> np.ndarray:
     """The concatenated feature vector fed to the fusion layer (length
     2*d_model + emoji_dim)."""
-    return _fused_rows(_scoring_view(model), [encode_post(model, bundle)]).data[0, 0].copy()
+    return _fused_rows(_scoring_view(model), [bundle]).data[0, 0].copy()
 
 
-def predict_batch(model: FusionModel, posts: Sequence[EncodedPost]) -> list[tuple[int, float]]:
-    """(label, positive-class probability) per encoded post (see
-    encode_post), in input order; label is 1 iff prob >= 0.5.
+def predict_batch(model: FusionModel, posts: Sequence[FeatureBundle]) -> list[tuple[int, float]]:
+    """(label, positive-class probability) per FeatureBundle, in input
+    order; label is 1 iff prob >= 0.5.
 
     The head runs once, on the posts' fusion inputs stacked as
     [N, 1, fused_dim]: each [1, F] @ W of the stack gets the BLAS kernel
@@ -304,7 +288,7 @@ def predict_batch(model: FusionModel, posts: Sequence[EncodedPost]) -> list[tupl
 def predict(model: FusionModel, bundle: FeatureBundle) -> tuple[int, float]:
     """(label, positive-class probability) of one post: predict_batch of
     that post alone."""
-    return predict_batch(model, [encode_post(model, bundle)])[0]
+    return predict_batch(model, [bundle])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -444,9 +444,10 @@ def parse_labels(field: str) -> frozenset[LabelTag]:
 
 
 def load_dataset(path) -> list[RawPost]:
-    """Parse the delimited dataset: header "id,text,labels", unique ids,
-    double-quoted text with doubled-quote escaping, '|'-joined lowercase
-    labels."""
+    """Parse the delimited dataset: header "id,text,labels", unique ids
+    that are non-empty and hold no tab or line break (they lead the
+    lines of the TSV outputs), double-quoted text with doubled-quote
+    escaping, '|'-joined lowercase labels."""
     posts = []
     ids = set()
     with _open_text(path, newline="") as fh:
@@ -462,6 +463,8 @@ def load_dataset(path) -> list[RawPost]:
                     raise DataError(f"expected 3 fields, got {len(row)}")
                 if row[0] in ids:
                     raise DataError(f"repeated id {row[0]!r}")
+                if "\t" in row[0] or row[0].splitlines() != [row[0]]:
+                    raise DataError(f"id {row[0]!r} is empty or holds a tab or a line break")
                 ids.add(row[0])
                 posts.append(RawPost(id=row[0], text=row[1], labels=parse_labels(row[2])))
         except StopIteration:

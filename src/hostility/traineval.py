@@ -16,7 +16,7 @@ import numpy as np
 
 from .encoder import FINETUNE_STREAM, SPLIT_STREAM
 from .errors import InvariantError
-from .fusion import FusionModel, encode_post, forward, model_to_bytes, predict_batch
+from .fusion import FusionModel, forward, model_to_bytes, predict_batch
 from .numeric import adam_init, cross_entropy, train_epoch
 from .preprocess import FeatureBundle, LabelTag, RawPost
 
@@ -182,14 +182,12 @@ def train_binary(
     if len(set(train_targets)) < 2:
         raise ValueError(f"training split for task {model.task!r} has a single class")
     val_targets = [t for _, t in val]
-    encoded = [encode_post(model, bundle) for bundle, _ in train]
-    val_encoded = [encode_post(model, bundle) for bundle, _ in val]
     params = model.named_params()
     state = adam_init(params)
     rng = np.random.default_rng([hp.seed, FINETUNE_STREAM])
 
     def batch_loss(chunk):
-        logits = forward(model, [encoded[j] for j in chunk], rng)
+        logits = forward(model, [train[j][0] for j in chunk], rng)
         return cross_entropy(logits, [train_targets[j] for j in chunk])
 
     train_loss: list[float] = []
@@ -199,7 +197,7 @@ def train_binary(
         order = rng.permutation(len(train))
         chunks = (order[i : i + hp.batch_size] for i in range(0, len(order), hp.batch_size))
         train_loss.append(train_epoch(params, state, hp.lr, chunks, batch_loss))
-        val_preds = [label for label, _ in predict_batch(model, val_encoded)]
+        val_preds = [label for label, _ in predict_batch(model, [bundle for bundle, _ in val])]
         macro = f1_scores(val_preds, val_targets).macro_f1
         val_macro_f1.append(macro)
         if macro > best:

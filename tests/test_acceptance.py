@@ -24,7 +24,6 @@ from hostility.encoder import (
 )
 from hostility.fusion import (
     FusionConfig,
-    encode_post,
     forward,
     fused_vector,
     hashtag_encoder_init,
@@ -222,7 +221,7 @@ def test_c01_gradient_integrity():
             label = int(rng.integers(0, 2))
 
             def build():
-                return cross_entropy(forward(model, [encode_post(model, bundle)]), [label])
+                return cross_entropy(forward(model, [bundle]), [label])
 
             analytic = analytic_grads(build, params)
             numeric = finite_difference_grads(lambda: float(build().data), params)

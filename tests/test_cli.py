@@ -15,7 +15,8 @@ import pytest
 from hostility.checkpoint import checkpoint_bytes, read_checkpoint
 from hostility.cli import _encoder_config, _write_artifact, main, resolve_config
 from hostility.encoder import desk_config, paper_config
-from hostility.traineval import ALL_TASKS, SplitSpec, split_dataset
+from hostility.preprocess import LabelTag, extract_features
+from hostility.traineval import ALL_TASKS, FINE_TASKS, SplitSpec, split_dataset
 
 
 def run(*args):
@@ -409,9 +410,17 @@ class TestFinetune:
         # before the next task trains.
         assert alive_on_entry == [0] * len(ALL_TASKS)
 
-    def test_extracts_each_post_once(self, data_dir, tmp_path, monkeypatch, fixture_posts):
+    @pytest.mark.parametrize("command", ["finetune", "evaluate", "predict"])
+    def test_extracts_each_post_once(
+        self, command, data_dir, trained_dir, tmp_path, monkeypatch, fixture_posts
+    ):
         import hostility.preprocess
 
+        out = tmp_path / "out"
+        extra = ["--epochs", "1"]
+        if command != "finetune":
+            copy_run(trained_dir, out)
+            extra = []
         calls = {"tokenize_raw": 0, "segment_hashtag": 0}
         for name in calls:
             real = getattr(hostility.preprocess, name)
@@ -421,9 +430,39 @@ class TestFinetune:
                 return real(*args)
 
             monkeypatch.setattr(hostility.preprocess, name, counting)
-        assert run("finetune", *common_args(data_dir, tmp_path / "out"), "--epochs", "1") == 0
+        assert run(command, *common_args(data_dir, out), *extra) == 0
+        # Scoring reads every post (evaluate's --split is all), whatever
+        # the number of models.
         hashtags = sum(w.startswith("#") for p in fixture_posts for w in p.text.split())
         assert calls == {"tokenize_raw": len(fixture_posts), "segment_hashtag": hashtags}
+
+    @pytest.mark.parametrize("scope", ["all", "hostile"])
+    def test_fine_scope_picks_the_training_posts(
+        self, scope, data_dir, tmp_path, monkeypatch, fixture_posts, fixture_freq,
+        fixture_emoji_table,
+    ):
+        import hostility.cli
+
+        real_train_binary = hostility.cli.train_binary
+        trained = {}
+
+        def recording_train_binary(model, train, *args, **kwargs):
+            trained[model.task] = [bundle.cleaned_text for bundle, _ in train]
+            return real_train_binary(model, train, *args, **kwargs)
+
+        monkeypatch.setattr(hostility.cli, "train_binary", recording_train_binary)
+        args = common_args(data_dir, tmp_path / "out")
+        assert run("finetune", *args, "--epochs", "1", "--fine-scope", scope) == 0
+        train, _ = split_dataset(fixture_posts, SplitSpec(seed=0))
+        hostile = [p for p in train if LabelTag.NON_HOSTILE not in p.labels]
+        assert 0 < len(hostile) < len(train)
+
+        def cleaned(posts):
+            table = fixture_emoji_table
+            return [extract_features(p.text, fixture_freq, table).cleaned_text for p in posts]
+
+        fine = cleaned(hostile if scope == "hostile" else train)
+        assert trained == {"coarse": cleaned(train), **{task: fine for task in FINE_TASKS}}
 
     @pytest.mark.parametrize("corpus", ["train", "all"])
     @pytest.mark.parametrize("clean_dup", [[], ["--no-clean-dup"]])

@@ -13,15 +13,14 @@ from hostility.encoder import (
     EncoderConfig,
     Vocab,
     desk_config,
+    encode_ids,
     encoder_shape_table,
     init_params,
     paper_config,
 )
 from hostility.errors import DataError, ShapeError
 from hostility.fusion import (
-    EncodedPost,
     FusionConfig,
-    encode_post,
     forward,
     fused_vector,
     hashtag_encoder_init,
@@ -73,7 +72,7 @@ class TestDimensionLaw:
         model = init_model(config, vocab, "coarse", base_seed=0)
         vec = fused_vector(model, bundle())
         assert vec.shape == (config.fused_dim,)
-        logits = forward(model, [encode_post(model, bundle())])
+        logits = forward(model, [bundle()])
         assert logits.shape == (1, 2)
 
     def test_batch_rows_match_single_posts(self, config, vocab):
@@ -87,9 +86,9 @@ class TestDimensionLaw:
         # Text lengths 5, 3, 7 and hashtag lengths 5, 2, 3: neither
         # encoder's batch is in length order.
         posts = [bundle(), bundle("yeh", "", fill=1.0), bundle("sach ka saath dena hai", "sach")]
-        batch = forward(model, [encode_post(model, b) for b in posts]).data
+        batch = forward(model, posts).data
         assert batch.shape == (3, 2)
-        singles = [forward(model, [encode_post(model, b)]).data[0] for b in posts]
+        singles = [forward(model, [b]).data[0] for b in posts]
         for row, single in zip(batch, singles):
             assert np.abs(row - single).max() <= 1e-6
         for i in range(3):
@@ -135,26 +134,26 @@ class TestInitModel:
 class TestForward:
     def test_inference_deterministic(self, config, vocab):
         model = init_model(config, vocab, "coarse", base_seed=1)
-        a = forward(model, [encode_post(model, bundle())]).data
-        b = forward(model, [encode_post(model, bundle())]).data
+        a = forward(model, [bundle()]).data
+        b = forward(model, [bundle()]).data
         np.testing.assert_array_equal(a, b)
 
     def test_emoji_vector_length_checked(self, config, vocab):
         model = init_model(config, vocab, "coarse", base_seed=1)
         with pytest.raises(ShapeError, match="emoji"):
-            forward(model, [encode_post(model, bundle(dim=5))])
+            forward(model, [bundle(dim=5)])
 
     def test_emoji_block_perturbs_logits(self, config, vocab):
         model = init_model(config, vocab, "coarse", base_seed=1)
         # force a nonzero fusion column for the emoji block
         model.head["fusion.w"].data[2 * 16 + 1, :] = 0.5
-        zero = forward(model, [encode_post(model, bundle(fill=0.0))]).data
-        nonzero = forward(model, [encode_post(model, bundle(fill=1.0))]).data
+        zero = forward(model, [bundle(fill=0.0)]).data
+        nonzero = forward(model, [bundle(fill=1.0)]).data
         assert np.abs(zero - nonzero).max() > 1e-6
 
     def test_empty_flow_uses_uniform_path(self, config, vocab):
         model = init_model(config, vocab, "coarse", base_seed=1)
-        logits = forward(model, [encode_post(model, bundle(flow=""))])
+        logits = forward(model, [bundle(flow="")])
         assert np.isfinite(logits.data).all()
 
     def test_gradients_reach_both_encoders(self, config, vocab):
@@ -164,7 +163,7 @@ class TestForward:
         params = model.named_params()
         state = adam_init(params)
         rng = np.random.default_rng(0)
-        logits = forward(model, [encode_post(model, bundle())], rng=rng)
+        logits = forward(model, [bundle()], rng=rng)
         loss = cross_entropy(logits, [1])
         zero_grad(params.values())
         backward(loss)
@@ -189,7 +188,7 @@ class TestForward:
         # At this point every ReLU input lies more than h from its kink.
         rng = np.random.default_rng(1)
         flows = [("sach ka saath", ""), ("yeh", "sach hai"), ("acha din", "")]
-        batch = [encode_post(model, FeatureBundle(t, f, rng.normal(size=4), 0)) for t, f in flows]
+        batch = [FeatureBundle(t, f, rng.normal(size=4), 0) for t, f in flows]
 
         def build():
             # A fresh rng per build, so every evaluation draws the same dropout.
@@ -241,12 +240,8 @@ def _mixed_posts():
     return posts
 
 
-def _encoded(model, posts):
-    return [encode_post(model, p) for p in posts]
-
-
 def _alone(model, post):
-    prob = prob_of_positive(forward(model, [encode_post(model, post)]).data[0])
+    prob = prob_of_positive(forward(model, [post]).data[0])
     return (1 if prob >= 0.5 else 0, prob)
 
 
@@ -273,19 +268,18 @@ class TestPredictBatch:
         posts = _mixed_posts()
         for seed in range(3):
             model = init_model(config, vocab, "coarse", base_seed=seed)
-            assert predict_batch(model, _encoded(model, posts)) == [_alone(model, p) for p in posts]
+            assert predict_batch(model, posts) == [_alone(model, p) for p in posts]
 
     def test_input_order(self, config, vocab):
         model = init_model(config, vocab, "coarse", base_seed=4)
-        encoded = _encoded(model, _mixed_posts())
-        assert predict_batch(model, encoded[::-1]) == predict_batch(model, encoded)[::-1]
+        posts = _mixed_posts()
+        assert predict_batch(model, posts[::-1]) == predict_batch(model, posts)[::-1]
 
     def test_encoded_and_raw_posts_agree(self, config, vocab):
         model = init_model(config, vocab, "coarse", base_seed=4)
         posts = _mixed_posts()
-        encoded = _encoded(model, posts)
-        assert predict_batch(model, encoded) == [predict(model, p) for p in posts]
-        assert predict(model, posts[3]) == predict_batch(model, encoded)[3]
+        assert predict_batch(model, posts) == [predict(model, p) for p in posts]
+        assert predict(model, posts[3]) == predict_batch(model, posts)[3]
 
     def test_empty(self, config, vocab):
         assert predict_batch(init_model(config, vocab, "coarse", base_seed=0), []) == []
@@ -293,10 +287,10 @@ class TestPredictBatch:
     def test_distinct_inputs_in_packed_graphs(self, config, vocab, encoder_graphs):
         model = init_model(config, vocab, "coarse", base_seed=1)
         posts = _mixed_posts()
-        encoded = _encoded(model, posts)
-        predict_batch(model, encoded)
-        texts = {tuple(x.text_ids) for x in encoded}
-        hashtags = {tuple(x.hash_ids) for x in encoded}
+        predict_batch(model, posts)
+        max_len = config.encoder.max_len
+        texts = {tuple(encode_ids(vocab, x.cleaned_text, max_len)) for x in posts}
+        hashtags = {tuple(encode_ids(vocab, x.hashtag_flow, max_len)) for x in posts}
         assert len(texts) < len(posts) and len(hashtags) < len(posts)
         # Every distinct sequence is encoded exactly once.
         seen = [ids for graph in encoder_graphs for ids in graph]
@@ -323,7 +317,7 @@ class TestPredictBatch:
         expected = [_alone(model, p) for p in posts]
         encoder_graphs.clear()
         monkeypatch.setattr(hostility.fusion, "SCORE_ROWS", 12)
-        assert predict_batch(model, _encoded(model, posts)) == expected
+        assert predict_batch(model, posts) == expected
         seen = [ids for graph in encoder_graphs for ids in graph]
         assert len(seen) == len(set(seen)) == 30 + 7 + 1 + 2
         # 30 texts of five tokens go two to a graph, those of 6 to 12
@@ -406,10 +400,10 @@ def _peak_bytes(run) -> int:
 class TestScoringRecordsNoTape:
     def test_scoring_ops_have_no_grad_and_no_parents(self, config, vocab, op_outputs):
         model = init_model(config, vocab, "coarse", base_seed=3)
-        forward(model, [encode_post(model, bundle())])
+        forward(model, [bundle()])
         assert any(t.requires_grad and t._parents for t in op_outputs)
         op_outputs.clear()
-        predict_batch(model, _encoded(model, _mixed_posts()))
+        predict_batch(model, _mixed_posts())
         fused_vector(model, bundle())
         assert len(op_outputs) > 100
         for t in op_outputs:
@@ -418,7 +412,7 @@ class TestScoringRecordsNoTape:
     def test_parameters_keep_grad_and_values(self, config, vocab):
         model = init_model(config, vocab, "coarse", base_seed=3)
         before = {name: p.data.copy() for name, p in model.named_params().items()}
-        predict_batch(model, _encoded(model, _mixed_posts()))
+        predict_batch(model, _mixed_posts())
         fused_vector(model, bundle())
         for name, p in model.named_params().items():
             assert p.requires_grad and p.grad is None
@@ -450,11 +444,12 @@ class TestScoringRecordsNoTape:
         model = init_model(config, vocab, "coarse", base_seed=0)
         rng = np.random.default_rng(0)
 
-        def ids():
-            return [CLS_ID, *rng.integers(5, len(vocab), size=30).tolist(), SEP_ID]
+        def words():
+            return " ".join(rng.choice(vocab.tokens[5:], size=30))
 
-        posts = [EncodedPost(ids(), ids(), np.zeros(300, dtype=np.float32)) for _ in range(16)]
-        assert len({tuple(x.text_ids) for x in posts}) == 16
+        emoji = np.zeros(300, dtype=np.float32)
+        posts = [FeatureBundle(words(), words(), emoji, 0) for _ in range(16)]
+        assert len({tuple(encode_ids(vocab, x.cleaned_text, 32)) for x in posts}) == 16
         scoring = _peak_bytes(lambda: predict_batch(model, posts))
         taped = _peak_bytes(lambda: forward(model, posts))
         assert scoring < 0.25 * taped
@@ -478,7 +473,7 @@ class TestPersistence:
         for p in params.values():
             assert p.data.flags.writeable and p.requires_grad
         before = params["fusion.w"].data.copy()
-        loss = cross_entropy(forward(model, [encode_post(model, bundle())]), [1])
+        loss = cross_entropy(forward(model, [bundle()]), [1])
         backward(loss)
         adam_step(params, adam_init(params), 1e-2)
         assert not np.array_equal(params["fusion.w"].data, before)

@@ -488,6 +488,14 @@ class TestDataset:
         with pytest.raises(DataError, match=r"bad\.csv: line 3: repeated id 'a'"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("bad_id", ["", "a\tb", "x\ny", "x\r\ny", "x\u2028y"])
+    def test_id_that_breaks_a_tsv_line(self, tmp_path, bad_id):
+        # predictions.tsv and features.tsv lead each line with the id.
+        path = tmp_path / "bad.csv"
+        path.write_text(f'id,text,labels\na,x y,hate\n"{bad_id}",z w,hate\n', encoding="utf-8")
+        with pytest.raises(DataError, match=r"bad\.csv: line \d+: id .* is empty or holds a tab"):
+            load_dataset(path)
+
     def test_unlabeled_rows_allowed(self, tmp_path):
         path = tmp_path / "ok.csv"
         path.write_text("id,text,labels\nx,koi baat,\n", encoding="utf-8")
