@@ -54,7 +54,6 @@ from .traineval import (
     ALL_TASKS,
     COARSE,
     FINE_TASKS,
-    Hyperparams,
     SplitSpec,
     assemble_labels,
     binary_targets,
@@ -312,17 +311,19 @@ def cmd_finetune(cfg: argparse.Namespace) -> int:
         tapt_weights = load_encoder_checkpoint(out / "tapt.ckpt", vocab, enc_config)
     _write_artifact(out / "vocab.txt", vocab.save)
     for index, task in enumerate(ALL_TASKS):
-        hp = Hyperparams(
-            epochs=cfg.epochs,
-            lr=cfg.lr,
-            batch_size=cfg.batch_size,
-            seed=cfg.seed + index,
-        )
-        model = init_model(config, vocab, task, tapt_weights, base_seed=hp.seed)
+        seed = cfg.seed + index
+        model = init_model(config, vocab, task, tapt_weights, base_seed=seed)
         meta = _run_meta(cfg)
         meta["tapt"] = cfg.tapt
         _write_artifact(out / f"{task}.init.ckpt", model_to_bytes(model, extra=meta))
-        run = train_binary(model, *examples[task], hp=hp)
+        run = train_binary(
+            model,
+            *examples[task],
+            epochs=cfg.epochs,
+            lr=cfg.lr,
+            batch_size=cfg.batch_size,
+            seed=seed,
+        )
         # Free the trained parameters before the next task draws its own.
         del model
         _write_artifact(out / f"{task}.ckpt", run.best_checkpoint)

@@ -9,7 +9,7 @@ classified by a small MLP ending in two logits.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -146,17 +146,19 @@ def _token_ids(model: FusionModel, texts: Sequence[str]) -> list[list[int]]:
 
 def _fused_input(
     model: FusionModel,
-    text_pooled: Tensor,
-    hash_pooled: Tensor,
-    emoji_vecs: Sequence[np.ndarray],
+    posts: Sequence[FeatureBundle],
+    pool: Callable[[Mapping[str, Tensor], list[list[int]]], Tensor],
 ) -> Tensor:
-    """The fusion-layer input of a batch: [B, fused_dim] from pooled rows
+    """The fusion-layer input of the posts, with each encoder's token ids
+    pooled by pool(encoder_params, ids): [B, fused_dim] from pooled rows
     [B, E], or a stack [B, 1, fused_dim] from pooled rows [B, 1, E]."""
+    text_pooled = pool(model.text_encoder, _token_ids(model, [x.cleaned_text for x in posts]))
+    hash_pooled = pool(model.hashtag_encoder, _token_ids(model, [x.hashtag_flow for x in posts]))
     dim = model.config.emoji_dim
-    for vec in emoji_vecs:
-        if np.shape(vec) != (dim,):
-            raise ShapeError(f"emoji vector shape {np.shape(vec)} != ({dim},)")
-    emoji = np.stack(emoji_vecs).astype(model.head["fusion.w"].data.dtype)
+    for x in posts:
+        if np.shape(x.emoji_vec) != (dim,):
+            raise ShapeError(f"emoji vector shape {np.shape(x.emoji_vec)} != ({dim},)")
+    emoji = np.stack([x.emoji_vec for x in posts]).astype(model.head["fusion.w"].data.dtype)
     emoji = Tensor(emoji.reshape(text_pooled.shape[:-1] + emoji.shape[-1:]))
     return concat_rows(
         [
@@ -188,11 +190,7 @@ def forward(
     batch's token ids as one packed graph (see encoder.encode_packed),
     and dropout applies only when an rng is given."""
     enc_cfg = model.config.encoder
-    text_ids = _token_ids(model, [x.cleaned_text for x in batch])
-    hash_ids = _token_ids(model, [x.hashtag_flow for x in batch])
-    text_pooled = encode_packed(model.text_encoder, enc_cfg, text_ids, rng)
-    hash_pooled = encode_packed(model.hashtag_encoder, enc_cfg, hash_ids, rng)
-    fused_in = _fused_input(model, text_pooled, hash_pooled, [x.emoji_vec for x in batch])
+    fused_in = _fused_input(model, batch, lambda p, ids: encode_packed(p, enc_cfg, ids, rng))
     return _classify(model, fused_in, rng)
 
 
@@ -238,11 +236,7 @@ def _fused_rows(model: FusionModel, posts: Sequence[FeatureBundle]) -> Tensor:
     """The fusion-layer inputs of the posts as a stack [N, 1, fused_dim],
     in input order; both encoders go through `_pooled_rows`."""
     enc_cfg = model.config.encoder
-    text_ids = _token_ids(model, [x.cleaned_text for x in posts])
-    hash_ids = _token_ids(model, [x.hashtag_flow for x in posts])
-    text_rows = _pooled_rows(model.text_encoder, enc_cfg, text_ids)
-    hash_rows = _pooled_rows(model.hashtag_encoder, enc_cfg, hash_ids)
-    return _fused_input(model, Tensor(text_rows), Tensor(hash_rows), [x.emoji_vec for x in posts])
+    return _fused_input(model, posts, lambda p, ids: Tensor(_pooled_rows(p, enc_cfg, ids)))
 
 
 def _scoring_view(model: FusionModel) -> FusionModel:
@@ -337,8 +331,9 @@ def _model_from_parsed(
     config = fusion_config_from_meta(metadata, vocab)
     enc_cfg = config.encoder
     # Each layer holds a tensor: refuse a larger count before any shape table.
-    if enc_cfg.n_layers > len(arrays):
-        raise DataError(f"checkpoint declares {enc_cfg.n_layers} layers in {len(arrays)} tensors")
+    for count, layers in ((enc_cfg.n_layers, "layers"), (len(config.mlp_hidden), "hidden layers")):
+        if count > len(arrays):
+            raise DataError(f"checkpoint declares {count} {layers} in {len(arrays)} tensors")
     text_arrays = {}
     hash_arrays = {}
     head_arrays = {}

@@ -136,14 +136,6 @@ def f1_scores(preds: Sequence[int], golds: Sequence[int]) -> TaskScores:
 
 
 @dataclass(frozen=True)
-class Hyperparams:
-    epochs: int
-    lr: float
-    batch_size: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class TrainRun:
     """Per-epoch traces, the 1-based best epoch and its checkpoint blob."""
 
@@ -165,13 +157,16 @@ def train_binary(
     model: FusionModel,
     train: Sequence[Example],
     val: Sequence[Example],
-    hp: Hyperparams,
+    epochs: int,
+    lr: float,
+    batch_size: int,
+    seed: int,
 ) -> TrainRun:
     """End-to-end cross-entropy training of one fusion model in place,
     one packed batch graph per encoder (see fusion.forward) and one
     optimizer step per mini-batch.
 
-    model is the freshly drawn init_model(..., base_seed=hp.seed); its
+    model is the freshly drawn init_model(..., base_seed=seed); its
     task names the run. Both encoders are tuned jointly. The training
     split must contain both classes; a single-class validation split is
     tolerated (its absent class simply scores zero).
@@ -184,7 +179,7 @@ def train_binary(
     val_targets = [t for _, t in val]
     params = model.named_params()
     state = adam_init(params)
-    rng = np.random.default_rng([hp.seed, FINETUNE_STREAM])
+    rng = np.random.default_rng([seed, FINETUNE_STREAM])
 
     def batch_loss(chunk):
         logits = forward(model, [train[j][0] for j in chunk], rng)
@@ -193,10 +188,10 @@ def train_binary(
     train_loss: list[float] = []
     val_macro_f1: list[float] = []
     best, best_epoch, best_checkpoint = -1.0, 0, b""
-    for epoch in range(1, hp.epochs + 1):
+    for epoch in range(1, epochs + 1):
         order = rng.permutation(len(train))
-        chunks = (order[i : i + hp.batch_size] for i in range(0, len(order), hp.batch_size))
-        train_loss.append(train_epoch(params, state, hp.lr, chunks, batch_loss))
+        chunks = (order[i : i + batch_size] for i in range(0, len(order), batch_size))
+        train_loss.append(train_epoch(params, state, lr, chunks, batch_loss))
         val_preds = [label for label, _ in predict_batch(model, [bundle for bundle, _ in val])]
         macro = f1_scores(val_preds, val_targets).macro_f1
         val_macro_f1.append(macro)
@@ -206,7 +201,7 @@ def train_binary(
             # are never alive at once.
             best_checkpoint = b""
             best_checkpoint = model_to_bytes(
-                model, extra={"seed": str(hp.seed), "best_epoch": str(epoch)}
+                model, extra={"seed": str(seed), "best_epoch": str(epoch)}
             )
     if best_epoch != best_epoch_of(val_macro_f1):
         raise InvariantError("checkpoint selection does not match the F1 trace")

@@ -54,7 +54,6 @@ from hostility.tapt import RAW, TaptCorpus, build_tapt_corpus, run_tapt
 from hostility.traineval import (
     COARSE,
     FINE_TASKS,
-    Hyperparams,
     assemble_labels,
     f1_scores,
     train_binary,
@@ -392,9 +391,8 @@ def test_c08_learning_sanity():
                 examples.append((FeatureBundle(text, "", np.zeros(300, dtype=np.float32), 0), 0))
         toy_vocab = Vocab.build([b.cleaned_text for b, _ in examples])
         toy_config = FusionConfig(encoder=desk_config(len(toy_vocab), max_len=16))
-        hp = Hyperparams(epochs=50, lr=1e-3, batch_size=8, seed=0)
-        model = init_model(toy_config, toy_vocab, COARSE, base_seed=hp.seed)
-        run = train_binary(model, examples, examples, hp=hp)
+        model = init_model(toy_config, toy_vocab, COARSE, base_seed=0)
+        run = train_binary(model, examples, examples, epochs=50, lr=1e-3, batch_size=8, seed=0)
         assert max(run.val_macro_f1) >= 0.99
 
 

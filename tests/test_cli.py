@@ -643,6 +643,9 @@ class TestTaptCheckpoint:
 # A checkpoint header may declare more layers than its file holds; none
 # of the commands that read one may build a shape table that large.
 HOSTILE_LAYERS = "99999999"
+# Entries of a hostile mlp_hidden: unbounded, they drive scoring into one
+# error line that names each hidden layer's missing tensors.
+HOSTILE_HIDDEN = 2_000_000
 MEMORY_CAP = 1 << 30
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -681,14 +684,25 @@ class TestHostileHeader:
         assert seconds < 5
         assert not (out / "coarse.init.ckpt").exists()
 
+    @pytest.mark.parametrize(
+        "key, value, declared",
+        [
+            ("enc.n_layers", HOSTILE_LAYERS, f"{HOSTILE_LAYERS} layers"),
+            ("mlp_hidden", ",".join(["1"] * HOSTILE_HIDDEN), f"{HOSTILE_HIDDEN} hidden layers"),
+        ],
+        ids=["enc.n_layers", "mlp_hidden"],
+    )
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
-    def test_task_checkpoints(self, data_dir, trained_dir, tmp_path, command):
+    def test_task_checkpoints(self, data_dir, trained_dir, tmp_path, command, key, value, declared):
         run_dir = copy_run(trained_dir, tmp_path / "run")
         for task in ALL_TASKS:
-            rewrite_metadata(run_dir / f"{task}.ckpt", "enc.n_layers", HOSTILE_LAYERS)
+            rewrite_metadata(run_dir / f"{task}.ckpt", key, value)
         code, err, seconds = run_capped(command, *common_args(data_dir, run_dir))
-        assert (code, "Traceback" in err) == (2, False), err
-        assert f"data error: checkpoint declares {HOSTILE_LAYERS} layers in" in err
+        assert (code, "Traceback" in err) == (2, False), err[:1000]
+        assert f"data error: checkpoint declares {declared} in" in err, err[:1000]
+        # One short line, not one that lists each layer's missing tensors.
+        [line] = err.splitlines()
+        assert len(line) < 200, line[:1000]
         assert seconds < 5
         assert not SCORING_OUTPUTS & {p.name for p in run_dir.iterdir()}
 

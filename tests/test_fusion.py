@@ -138,10 +138,11 @@ class TestForward:
         b = forward(model, [bundle()]).data
         np.testing.assert_array_equal(a, b)
 
-    def test_emoji_vector_length_checked(self, config, vocab):
+    @pytest.mark.parametrize("run", [forward, predict_batch], ids=["forward", "predict_batch"])
+    def test_emoji_vector_length_checked(self, config, vocab, run):
         model = init_model(config, vocab, "coarse", base_seed=1)
         with pytest.raises(ShapeError, match="emoji"):
-            forward(model, [bundle(dim=5)])
+            run(model, [bundle(dim=5)])
 
     def test_emoji_block_perturbs_logits(self, config, vocab):
         model = init_model(config, vocab, "coarse", base_seed=1)

@@ -1,8 +1,8 @@
 """The package's import layers: each module imports only from earlier
 layers, so the modules of one layer never import each other. Also the
 call signatures and results that tools outside the package rely on, a
-ceiling on the package's settable values, the one training loop and the
-one corpus-and-vocab step."""
+ceiling on the package's settable values, the one training loop, the one
+fused input and the one corpus-and-vocab step."""
 
 import ast
 import importlib
@@ -157,6 +157,15 @@ TRAINING_LOOP = "numeric.train_epoch"
 
 def test_one_training_loop():
     assert callers(("backward", "adam_step")) == {TRAINING_LOOP}
+
+
+# One fused input: training and scoring build the fusion-layer input in
+# one function and differ only in how each encoder pools.
+FUSED_INPUT = "fusion._fused_input"
+
+
+def test_one_fused_input():
+    assert callers(("_token_ids",)) == {FUSED_INPUT}
 
 
 # One parse per post: only preprocess tokenizes, cleans and segments a

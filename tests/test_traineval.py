@@ -14,7 +14,6 @@ from hostility.traineval import (
     ALL_TASKS,
     COARSE,
     FINE_TASKS,
-    Hyperparams,
     SplitSpec,
     assemble_labels,
     best_epoch_of,
@@ -287,8 +286,8 @@ class TestTrainBinary:
         examples, vocab, config = toy_setup
         ones = [e for e in examples if e[1] == 1]
         with pytest.raises(ValueError, match="single class"):
-            hp = Hyperparams(epochs=1, lr=1e-3, batch_size=8, seed=0)
-            train_binary(init_model(config, vocab, COARSE, base_seed=0), ones, examples, hp=hp)
+            model = init_model(config, vocab, COARSE, base_seed=0)
+            train_binary(model, ones, examples, epochs=1, lr=1e-3, batch_size=8, seed=0)
 
     def test_nan_batch_loss_raises(self, toy_setup, monkeypatch):
         import hostility.traineval
@@ -300,25 +299,30 @@ class TestTrainBinary:
             "cross_entropy",
             lambda logits, labels: scale(cross_entropy(logits, labels), float("nan")),
         )
-        hp = Hyperparams(epochs=1, lr=1e-3, batch_size=8, seed=0)
         with pytest.raises(DataError, match="non-finite"):
-            model = init_model(config, vocab, COARSE, base_seed=hp.seed)
-            train_binary(model, examples, examples, hp=hp)
+            model = init_model(config, vocab, COARSE, base_seed=0)
+            train_binary(model, examples, examples, epochs=1, lr=1e-3, batch_size=8, seed=0)
 
     def test_overfits_separable_toy_set(self, toy_setup):
         examples, vocab, config = toy_setup
-        hp = Hyperparams(epochs=30, lr=1e-3, batch_size=8, seed=0)
-        model = init_model(config, vocab, COARSE, base_seed=hp.seed)
-        run = train_binary(model, examples, examples, hp=hp)
+        model = init_model(config, vocab, COARSE, base_seed=0)
+        run = train_binary(model, examples, examples, epochs=30, lr=1e-3, batch_size=8, seed=0)
         assert run.val_macro_f1[run.best_epoch - 1] >= 0.99
         assert run.val_macro_f1[run.best_epoch - 1] == max(run.val_macro_f1)
         assert run.best_epoch == best_epoch_of(run.val_macro_f1)
 
     def test_deterministic_checkpoints(self, toy_setup):
         examples, vocab, config = toy_setup
-        hp = Hyperparams(epochs=2, lr=1e-3, batch_size=8, seed=5)
         a, b = (
-            train_binary(init_model(config, vocab, "fake", base_seed=hp.seed), examples, examples, hp=hp)
+            train_binary(
+                init_model(config, vocab, "fake", base_seed=5),
+                examples,
+                examples,
+                epochs=2,
+                lr=1e-3,
+                batch_size=8,
+                seed=5,
+            )
             for _ in range(2)
         )
         assert a.best_checkpoint == b.best_checkpoint
@@ -326,9 +330,8 @@ class TestTrainBinary:
 
     def test_best_checkpoint_reproduces_trace_value(self, toy_setup):
         examples, vocab, config = toy_setup
-        hp = Hyperparams(epochs=3, lr=1e-3, batch_size=8, seed=1)
-        model = init_model(config, vocab, COARSE, base_seed=hp.seed)
-        run = train_binary(model, examples, examples, hp=hp)
+        model = init_model(config, vocab, COARSE, base_seed=1)
+        run = train_binary(model, examples, examples, epochs=3, lr=1e-3, batch_size=8, seed=1)
         model = model_from_bytes(run.best_checkpoint, vocab)
         preds = [predict(model, bundle)[0] for bundle, _ in examples]
         macro = f1_scores(preds, [t for _, t in examples]).macro_f1
@@ -361,17 +364,16 @@ class TestTrainBinary:
             "f1_scores",
             lambda preds, golds: replace(real_f1_scores(preds, golds), macro_f1=next(rising) / 100),
         )
-        hp = Hyperparams(epochs=4, lr=1e-3, batch_size=8, seed=2)
-        run = train_binary(init_model(config, vocab, COARSE, base_seed=hp.seed), examples, examples, hp)
+        model = init_model(config, vocab, COARSE, base_seed=2)
+        run = train_binary(model, examples, examples, epochs=4, lr=1e-3, batch_size=8, seed=2)
         assert run.best_epoch == 4
         assert alive_at_build == [[], [], [], []]
         assert alive == {4}
 
     def test_trace_lengths(self, toy_setup):
         examples, vocab, config = toy_setup
-        hp = Hyperparams(epochs=4, lr=1e-3, batch_size=8, seed=2)
-        model = init_model(config, vocab, COARSE, base_seed=hp.seed)
-        run = train_binary(model, examples, examples, hp=hp)
+        model = init_model(config, vocab, COARSE, base_seed=2)
+        run = train_binary(model, examples, examples, epochs=4, lr=1e-3, batch_size=8, seed=2)
         assert len(run.val_macro_f1) == 4
         assert len(run.train_loss) == 4
 
