@@ -23,14 +23,13 @@ from .errors import DataError, ShapeError
 from .numeric import (
     Tensor,
     add,
-    add_bias,
     attention,
     cross_entropy,
     dropout,
     embedding_lookup,
     gather_rows,
     layer_norm,
-    matmul,
+    linear,
     relu,
 )
 from .preprocess import _open_text
@@ -286,18 +285,15 @@ def _encode_rows(
         p = f"layers.{i}"
         normed = layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
         q, k, v = (
-            add_bias(matmul(normed, params[f"{p}.attn.w{n}"]), params[f"{p}.attn.b{n}"])
-            for n in "qkv"
+            linear(normed, params[f"{p}.attn.w{n}"], params[f"{p}.attn.b{n}"]) for n in "qkv"
         )
         heads = attention(q, k, v, config.n_heads, blocks, DROPOUT_P, rng)
-        attn_out = add_bias(matmul(heads, params[f"{p}.attn.wo"]), params[f"{p}.attn.bo"])
+        attn_out = linear(heads, params[f"{p}.attn.wo"], params[f"{p}.attn.bo"])
         x = add(x, dropout(attn_out, DROPOUT_P, rng))
         normed = layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
-        ff = add_bias(
-            matmul(
-                relu(add_bias(matmul(normed, params[f"{p}.ffn.w1"]), params[f"{p}.ffn.b1"])),
-                params[f"{p}.ffn.w2"],
-            ),
+        ff = linear(
+            relu(linear(normed, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"])),
+            params[f"{p}.ffn.w2"],
             params[f"{p}.ffn.b2"],
         )
         x = add(x, dropout(ff, DROPOUT_P, rng))
@@ -421,5 +417,5 @@ def mlm_loss(
         labels.extend(int(targets[i]) for i in positions)
         row_weights.extend([1.0 / (len(positions) * len(per_line))] * len(positions))
     selected = gather_rows(hidden, rows)
-    logits = add_bias(matmul(selected, params["mlm.w"]), params["mlm.b"])
+    logits = linear(selected, params["mlm.w"], params["mlm.b"])
     return cross_entropy(logits, labels, row_weights)

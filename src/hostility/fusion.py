@@ -31,7 +31,7 @@ from .encoder import (
     params_from_arrays,
 )
 from .errors import DataError, ShapeError
-from .numeric import Tensor, add_bias, concat_rows, dropout, matmul, relu
+from .numeric import Tensor, concat_rows, dropout, linear, relu
 from .preprocess import FeatureBundle
 
 # At most this many token rows (the sum of sequence lengths) per encoder
@@ -135,8 +135,8 @@ def init_model(
 
 
 def _project(head: Mapping[str, Tensor], prefix: str, pooled: Tensor) -> Tensor:
-    h = relu(add_bias(matmul(pooled, head[f"{prefix}.w1"]), head[f"{prefix}.b1"]))
-    return add_bias(matmul(h, head[f"{prefix}.w2"]), head[f"{prefix}.b2"])
+    h = relu(linear(pooled, head[f"{prefix}.w1"], head[f"{prefix}.b1"]))
+    return linear(h, head[f"{prefix}.w2"], head[f"{prefix}.b2"])
 
 
 def _token_ids(model: FusionModel, texts: Sequence[str]) -> list[list[int]]:
@@ -174,11 +174,11 @@ def _classify(model: FusionModel, fused_in: Tensor, rng: np.random.Generator | N
     input; dropout only when an rng is given."""
     cfg = model.config
     head = model.head
-    x = add_bias(matmul(fused_in, head["fusion.w"]), head["fusion.b"])
+    x = linear(fused_in, head["fusion.w"], head["fusion.b"])
     for i in range(len(cfg.mlp_hidden)):
-        x = add_bias(matmul(x, head[f"mlp.{i}.w"]), head[f"mlp.{i}.b"])
+        x = linear(x, head[f"mlp.{i}.w"], head[f"mlp.{i}.b"])
         x = dropout(relu(x), DROPOUT_P, rng)
-    return add_bias(matmul(x, head["mlp.out.w"]), head["mlp.out.b"])
+    return linear(x, head["mlp.out.w"], head["mlp.out.b"])
 
 
 def forward(

@@ -2,11 +2,16 @@
 
 Every forward op records its inputs and a closure that pushes gradients
 back to them; backward() walks the recorded graph in reverse topological
-order. The op set is deliberately coarse (matmul, layer norm, row
-softmax, fused multi-head attention, ...) — just what a small
+order. The op set is deliberately coarse (linear, matmul, layer norm,
+row softmax, fused multi-head attention, ...) — just what a small
 transformer stack needs. float32 is
 the training dtype; float64 graphs are supported so finite-difference
 checks can run at full precision.
+
+Each gradient array is held by one tensor (disjoint views of one array
+count as distinct): a closure hands the array it computes to an input,
+which keeps it as its .grad on first arrival and adds later arrivals
+into it in place.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+        t.grad = np.asarray(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
@@ -142,7 +147,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def bp(g):
         _accum(a, g)
-        _accum(b, g)
+        _accum(b, g.copy())
 
     return _result(a.data + b.data, (a, b), bp)
 
@@ -158,6 +163,26 @@ def add_bias(x: Tensor, bias: Tensor) -> Tensor:
         _accum(bias, g.reshape(-1, g.shape[-1]).sum(axis=0))
 
     return _result(x.data + bias.data, (x, bias), bp)
+
+
+def linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """x @ w + bias as one op, with the arithmetic of
+    add_bias(matmul(x, w), bias) and no pre-bias product on the tape."""
+    xd, wd = x.data, w.data
+    if xd.ndim not in (2, 3) or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
+        raise ShapeError(f"linear mismatch: {xd.shape} @ {wd.shape}")
+    if bias.data.shape != (wd.shape[1],):
+        raise ShapeError(f"linear bias mismatch: {xd.shape} @ {wd.shape} + {bias.data.shape}")
+
+    def bp(g):
+        rows = g.reshape(-1, g.shape[-1])
+        _accum(bias, rows.sum(axis=0))
+        _accum(x, g @ wd.T)
+        _accum(w, xd.reshape(-1, xd.shape[-1]).T @ rows)
+
+    out = xd @ wd
+    out += bias.data
+    return _result(out, (x, w, bias), bp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -190,7 +215,7 @@ def relu(x: Tensor) -> Tensor:
 
 def sum_all(x: Tensor) -> Tensor:
     def bp(g):
-        _accum(x, np.broadcast_to(g, x.data.shape))
+        _accum(x, np.full(x.data.shape, g, dtype=x.data.dtype))
 
     return _result(x.data.sum(), (x,), bp)
 
@@ -530,11 +555,18 @@ def adam_step(params: Mapping[str, Tensor], state: AdamState, lr: float) -> None
             raise ShapeError(f"grad shape {g.shape} != param shape {p.data.shape} for {name}")
         m = state.m[name]
         v = state.v[name]
+        # The operations of p -= lr * (m / c1) / (sqrt(v / c2) + eps), in
+        # the same order, through two scratch arrays.
+        step, denom = np.empty_like(g), np.empty_like(g)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        np.multiply(g, g, out=step)
+        v += np.multiply(step, 1.0 - ADAM_BETA2, out=step)
+        np.multiply(np.divide(m, c1, out=step), lr, out=step)
+        np.sqrt(np.divide(v, c2, out=denom), out=denom)
+        denom += ADAM_EPS
+        p.data -= np.divide(step, denom, out=step)
 
 
 @np.errstate(all="ignore")

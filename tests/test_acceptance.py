@@ -40,6 +40,7 @@ from hostility.numeric import (
     embedding_lookup,
     gather_rows,
     layer_norm,
+    linear,
     matmul,
     mul,
     relu,
@@ -100,6 +101,7 @@ def _check_op_grads():
 
     bias = t64(rng.normal(size=4), requires_grad=True)
     check(lambda: sum_all(mul(add_bias(x, bias), add_bias(x, bias))), {"x": x, "bias": bias})
+    check(lambda: sum_all(mul(linear(b, x, bias), linear(b, x, bias))), {"b": b, "x": x, "bias": bias})
 
     r = t64(np.where(np.abs(rng.normal(size=(3, 3))) < 0.05, 0.4, rng.normal(size=(3, 3))), requires_grad=True)
     check(lambda: sum_all(mul(relu(r), relu(r))), {"r": r})

@@ -14,9 +14,11 @@ import pytest
 
 from hostility.checkpoint import checkpoint_bytes, read_checkpoint
 from hostility.cli import _encoder_config, _write_artifact, main, resolve_config
-from hostility.encoder import desk_config, paper_config
+from hostility.encoder import Vocab, desk_config, paper_config
+from hostility.fusion import forward, load_model
+from hostility.numeric import adam_init, cross_entropy, train_epoch
 from hostility.preprocess import LabelTag, extract_features
-from hostility.traineval import ALL_TASKS, FINE_TASKS, SplitSpec, split_dataset
+from hostility.traineval import ALL_TASKS, COARSE, FINE_TASKS, SplitSpec, binary_targets, split_dataset
 
 
 def run(*args):
@@ -871,6 +873,37 @@ class TestTrainingPasses:
         # every op output), finetune 6.3 (8.7 with that and the previous
         # task's best-checkpoint blob).
         assert peak < bound * size
+
+
+class TestTrainingStep:
+    def test_one_step_peaks_under_1_8_parameter_sizes(
+        self, trained_dir, fixture_posts, fixture_freq, fixture_emoji_table
+    ):
+        model, _ = load_model(trained_dir / "coarse.ckpt", Vocab.load(trained_dir / "vocab.txt"))
+        posts = fixture_posts[:8]  # one batch of the desk profile
+        batch = [extract_features(p.text, fixture_freq, fixture_emoji_table) for p in posts]
+        targets = binary_targets(posts, COARSE)
+        params = model.named_params()
+        state = adam_init(params)
+        rng = np.random.default_rng(0)
+
+        def batch_loss(bundles):
+            return cross_entropy(forward(model, bundles, rng), targets)
+
+        train_epoch(params, state, 1e-3, [batch], batch_loss)  # gradients and moments exist
+        tracemalloc.start()
+        try:
+            train_epoch(params, state, 1e-3, [batch], batch_loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Traced peak of one step, in parameter sizes: 1.69, the step's
+        # graph, its gradients and Adam's two scratch arrays. It was 2.03
+        # when the tape copied each gradient on first arrival and kept
+        # each linear layer's pre-bias product, and Adam made a
+        # temporary per operation.
+        size = sum(p.data.nbytes for p in params.values())
+        assert peak < 1.8 * size
 
 
 class TestScoringPasses:

@@ -346,6 +346,16 @@ def _encoder_widths():
     return sorted(shapes)
 
 
+def _products(rng, w):
+    """x @ w as matmul, and x @ w + b as linear, the op the encoder and
+    the head run, with a bias b drawn from rng."""
+    b = Tensor(rng.uniform(-0.05, 0.05, size=w.shape[1]).astype(np.float32))
+    return (
+        lambda x: hostility.numeric.matmul(Tensor(x), w).data,
+        lambda x: hostility.numeric.linear(Tensor(x), w, b).data,
+    )
+
+
 class TestBlasRowInvariance:
     """Packed scoring is bit-identical to scoring each post alone only
     while these hold for the BLAS numpy is linked against."""
@@ -356,10 +366,10 @@ class TestBlasRowInvariance:
         rng = np.random.default_rng(k * 7 + p)
         w = Tensor(rng.uniform(-0.05, 0.05, size=(k, p)).astype(np.float32))
         x = rng.standard_normal((9, 1, k)).astype(np.float32)
-        stacked = hostility.numeric.matmul(Tensor(x), w).data
-        for i in range(len(x)):
-            alone = hostility.numeric.matmul(Tensor(x[i]), w).data
-            np.testing.assert_array_equal(stacked[i], alone)
+        for product in _products(rng, w):
+            stacked = product(x)
+            for i in range(len(x)):
+                np.testing.assert_array_equal(stacked[i], product(x[i]))
 
     @pytest.mark.parametrize("shape", _encoder_widths())
     def test_sequence_rows_independent_of_graph_height_and_offset(self, shape):
@@ -367,11 +377,11 @@ class TestBlasRowInvariance:
         rng = np.random.default_rng(k * 11 + p)
         w = Tensor(rng.uniform(-0.05, 0.05, size=(k, p)).astype(np.float32))
         graph = rng.standard_normal((512, k)).astype(np.float32)
-        tall = hostility.numeric.matmul(Tensor(graph), w).data
-        for offset, length in ((0, 2), (0, 64), (3, 5), (131, 17), (255, 33), (510, 2)):
-            rows = np.ascontiguousarray(graph[offset : offset + length])
-            alone = hostility.numeric.matmul(Tensor(rows), w).data
-            np.testing.assert_array_equal(tall[offset : offset + length], alone)
+        for product in _products(rng, w):
+            tall = product(graph)
+            for offset, length in ((0, 2), (0, 64), (3, 5), (131, 17), (255, 33), (510, 2)):
+                rows = np.ascontiguousarray(graph[offset : offset + length])
+                np.testing.assert_array_equal(tall[offset : offset + length], product(rows))
 
 
 @pytest.fixture
@@ -406,7 +416,13 @@ class TestScoringRecordsNoTape:
         op_outputs.clear()
         predict_batch(model, _mixed_posts())
         fused_vector(model, bundle())
-        assert len(op_outputs) > 100
+        # Both calls run each encoder's q, k, v, o, ffn1 and ffn2 per
+        # layer and the two-layer text and hashtag projections;
+        # predict_batch also runs the fusion layer, the MLP and the output
+        # layer. Each of these linear layers records at least one output.
+        encoder_linears = 2 * 6 * config.encoder.n_layers
+        classifier_linears = 1 + len(config.mlp_hidden) + 1
+        assert len(op_outputs) >= 2 * (encoder_linears + 4) + classifier_linears
         for t in op_outputs:
             assert not t.requires_grad and t._parents == () and t._backprop is None
 

@@ -2,7 +2,7 @@
 layers, so the modules of one layer never import each other. Also the
 call signatures and results that tools outside the package rely on, a
 ceiling on the package's settable values, the one training loop, the one
-fused input and the one corpus-and-vocab step."""
+linear op, the one fused input and the one corpus-and-vocab step."""
 
 import ast
 import importlib
@@ -157,6 +157,13 @@ TRAINING_LOOP = "numeric.train_epoch"
 
 def test_one_training_loop():
     assert callers(("backward", "adam_step")) == {TRAINING_LOOP}
+
+
+# One linear op: every layer runs x @ w + b as numeric.linear, which
+# keeps no pre-bias product on the tape. matmul and add_bias stay in
+# numeric for the tests that check each op alone.
+def test_one_linear_op():
+    assert callers(("matmul", "add_bias")) == set()
 
 
 # One fused input: training and scoring build the fusion-layer input in

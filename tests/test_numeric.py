@@ -34,6 +34,7 @@ from hostility.numeric import (
     embedding_lookup,
     gather_rows,
     layer_norm,
+    linear,
     matmul,
     mul,
     relu,
@@ -265,6 +266,16 @@ class TestGradcheckPerOp:
 
         self._check(build, {"x": x, "w": w, "b": b})
 
+    @pytest.mark.parametrize("shape", [(3, 4), (3, 1, 4)], ids=["matrix", "stack"])
+    def test_linear(self, shape):
+        rng = np.random.default_rng(18)
+        x = t64(rng.normal(size=shape), requires_grad=True)
+        w = t64(rng.normal(size=(4, 4)), requires_grad=True)
+        b = t64(rng.normal(size=4), requires_grad=True)
+        # x reaches the loss through linear and through mul, so its two
+        # gradients accumulate.
+        self._check(lambda: sum_all(mul(linear(x, w, b), x)), {"x": x, "w": w, "b": b})
+
     def test_relu_away_from_kink(self):
         rng = np.random.default_rng(4)
         vals = rng.normal(size=(3, 3))
@@ -324,6 +335,71 @@ class TestGradcheckPerOp:
         x = t64(rng.normal(size=(4, 5)), requires_grad=True)
         labels = [0, 3, 2, 4]
         self._check(lambda: cross_entropy(x, labels), {"x": x})
+
+
+def assert_one_holder(leaves):
+    """Each leaf's gradient is its own writable array."""
+    grads = [leaf.grad for leaf in leaves]
+    assert all(g.flags.writeable for g in grads)
+    for i, g in enumerate(grads):
+        for other in grads[i + 1 :]:
+            assert not np.shares_memory(g, other)
+
+
+class TestOneGradientHolder:
+    """Closures hand the gradient arrays they compute to their inputs
+    without a copy, so an op that handed one array to two tensors would
+    let one tensor's later accumulation change the other's gradient."""
+
+    @staticmethod
+    def _leaves(rng, *shapes):
+        return [t64(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+
+    def test_add_of_one_leaf_twice(self):
+        rng = np.random.default_rng(40)
+        (x,) = self._leaves(rng, (3, 4))
+        c = rng.normal(size=(3, 4))
+        backward(sum_all(mul(add(x, x), t64(c))))
+        assert_one_holder([x])
+        np.testing.assert_array_equal(x.grad, 2 * c)
+
+    def test_add_of_two_leaves(self):
+        rng = np.random.default_rng(41)
+        a, b = self._leaves(rng, (3, 4), (3, 4))
+        c = rng.normal(size=(3, 4))
+        # Backward reaches the add before mul(a, a), so a shared array
+        # would add a's second gradient into b's.
+        backward(sum_all(add(mul(a, a), mul(add(a, b), t64(c)))))
+        assert_one_holder([a, b])
+        np.testing.assert_array_equal(b.grad, c)
+        np.testing.assert_allclose(a.grad, c + 2 * a.data, rtol=1e-12)
+
+    def test_concat_rows_with_a_repeated_part(self):
+        rng = np.random.default_rng(42)
+        x, y = self._leaves(rng, (3, 2), (3, 4))
+        c = rng.normal(size=(3, 8))
+        backward(sum_all(mul(concat_rows([x, y, x]), t64(c))))
+        assert_one_holder([x, y])
+        np.testing.assert_array_equal(x.grad, c[:, :2] + c[:, 6:])
+        np.testing.assert_array_equal(y.grad, c[:, 2:6])
+
+    def test_linear_with_its_input_reused(self):
+        rng = np.random.default_rng(43)
+        x, w, b = self._leaves(rng, (3, 4), (4, 4), (4,))
+        y = x.data @ w.data + b.data
+        backward(sum_all(mul(linear(x, w, b), x)))
+        assert_one_holder([x, w, b])
+        np.testing.assert_allclose(x.grad, x.data @ w.data.T + y, rtol=1e-12)
+        np.testing.assert_allclose(w.grad, x.data.T @ x.data, rtol=1e-12)
+        np.testing.assert_allclose(b.grad, x.data.sum(axis=0), rtol=1e-12)
+
+    def test_sum_all(self):
+        rng = np.random.default_rng(44)
+        x, y = self._leaves(rng, (2, 3), (2, 3))
+        backward(add(sum_all(x), sum_all(mul(y, y))))
+        assert_one_holder([x, y])
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+        np.testing.assert_array_equal(y.grad, 2 * y.data)
 
 
 class TestDropout:
