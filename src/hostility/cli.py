@@ -244,8 +244,10 @@ def cmd_tapt(cfg: argparse.Namespace) -> int:
     posts = load_dataset(cfg.data)
     freq, table = _load_aux(cfg)
     train, _ = split_dataset(posts, SplitSpec(seed=cfg.seed))
+    # TAPT reads no emoji vector: an entry-less table skips each post's mean.
+    no_emoji = EmojiTable(table.dim, {})
     corpus, vocab = _corpus_and_vocab(
-        cfg, posts, train, lambda p: extract_features(p.text, freq, table)
+        cfg, posts, train, lambda p: extract_features(p.text, freq, no_emoji)
     )
     config = _encoder_config(cfg, len(vocab))
     result = run_tapt(

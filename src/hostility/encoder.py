@@ -3,11 +3,12 @@
 Pre-norm residual blocks, CLS pooling, word-level vocabulary with five
 fixed specials. Training, TAPT and scoring all run a batch of sequences
 as one graph, packed end to end without padding (`encode_packed`). Two
-named profiles: "desk" (small, exercised by tests) and "paper"
-(768-dim, 12 layers). A parameter set is a plain name -> Tensor dict
-drawn by `init_params` from a shape table: `encoder_shape_table` for
-the encoder body, `mlm_head_shape_table` for the MLM output head that
-exists only while TAPT runs.
+named profiles: "desk" (small, exercised by tests, one weight set per
+layer) and "paper" (768-dim, 12 layers that share one weight set, as in
+ALBERT, the design of the paper's IndicBERT). A parameter set is a
+plain name -> Tensor dict drawn by `init_params` from a shape table:
+`encoder_shape_table` for the encoder body, `mlm_head_shape_table` for
+the MLM output head that exists only while TAPT runs.
 """
 
 from __future__ import annotations
@@ -113,6 +114,8 @@ class EncoderConfig:
     n_heads: int
     d_ff: int
     max_len: int
+    # One layer weight set (layers.0.*) applied at every depth.
+    shared_layers: bool
 
     def __post_init__(self):
         for name in ("d_model", "n_layers", "n_heads", "d_ff", "max_len"):
@@ -127,18 +130,25 @@ class EncoderConfig:
 
 
 def desk_config(vocab_size: int, max_len: int = MAX_LEN) -> EncoderConfig:
-    return EncoderConfig(vocab_size, d_model=64, n_layers=2, n_heads=4, d_ff=256, max_len=max_len)
+    return EncoderConfig(
+        vocab_size, d_model=64, n_layers=2, n_heads=4, d_ff=256, max_len=max_len,
+        shared_layers=False
+    )
 
 
 def paper_config(vocab_size: int, max_len: int = MAX_LEN) -> EncoderConfig:
-    return EncoderConfig(vocab_size, d_model=768, n_layers=12, n_heads=12, d_ff=3072, max_len=max_len)
+    return EncoderConfig(
+        vocab_size, d_model=768, n_layers=12, n_heads=12, d_ff=3072, max_len=max_len,
+        shared_layers=True
+    )
 
 
 _CONFIG_FIELDS = tuple(field.name for field in fields(EncoderConfig))
 
 
 def config_to_meta(config: EncoderConfig) -> dict[str, str]:
-    meta = {f"enc.{name}": str(getattr(config, name)) for name in _CONFIG_FIELDS}
+    """The enc.* header keys of config; shared_layers reads 0 or 1."""
+    meta = {f"enc.{name}": str(int(getattr(config, name))) for name in _CONFIG_FIELDS}
     meta["enc.dropout_p"] = repr(DROPOUT_P)
     return meta
 
@@ -150,12 +160,15 @@ def check_dropout_meta(meta: Mapping[str, str], key: str) -> None:
 
 
 def config_from_meta(meta: Mapping[str, str]) -> EncoderConfig:
+    shared = meta.get("enc.shared_layers")
+    if shared not in ("0", "1"):
+        raise DataError(f"checkpoint enc.shared_layers={shared!r}; it must be 0 or 1")
     try:
         kwargs = {name: int(meta[f"enc.{name}"]) for name in _CONFIG_FIELDS}
     except (KeyError, ValueError) as exc:
         raise DataError(f"checkpoint metadata missing encoder config: {exc}") from None
     check_dropout_meta(meta, "enc.dropout_p")
-    return EncoderConfig(**kwargs)
+    return EncoderConfig(**{**kwargs, "shared_layers": shared == "1"})
 
 
 # Values drawn per rng.uniform call when initialising a weight tensor.
@@ -226,13 +239,14 @@ def params_from_arrays(
 
 
 def encoder_shape_table(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
-    """Names and shapes of the encoder body's parameters, in draw order."""
+    """Names and shapes of the encoder body's parameters, in draw order:
+    one layers.<i> set per layer, or layers.0 alone when they are shared."""
     e, v = config.d_model, config.vocab_size
     table: dict[str, tuple[int, ...]] = {
         "tok_emb": (v, e),
         "pos_emb": (config.max_len, e),
     }
-    for i in range(config.n_layers):
+    for i in range(1 if config.shared_layers else config.n_layers):
         p = f"layers.{i}"
         table[f"{p}.ln1.gain"] = (e,)
         table[f"{p}.ln1.bias"] = (e,)
@@ -282,7 +296,7 @@ def _encode_rows(
     pos = embedding_lookup(params["pos_emb"], positions)
     x = dropout(add(tok, pos), DROPOUT_P, rng)
     for i in range(config.n_layers):
-        p = f"layers.{i}"
+        p = f"layers.{0 if config.shared_layers else i}"
         normed = layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
         q, k, v = (
             linear(normed, params[f"{p}.attn.w{n}"], params[f"{p}.attn.b{n}"]) for n in "qkv"

@@ -331,6 +331,8 @@ def _model_from_parsed(
     config = fusion_config_from_meta(metadata, vocab)
     enc_cfg = config.encoder
     # Each layer holds a tensor: refuse a larger count before any shape table.
+    # Shared encoder layers hold one set at every depth, so there this
+    # bounds the declared depth only by the file's tensor count.
     for count, layers in ((enc_cfg.n_layers, "layers"), (len(config.mlp_hidden), "hidden layers")):
         if count > len(arrays):
             raise DataError(f"checkpoint declares {count} {layers} in {len(arrays)} tensors")

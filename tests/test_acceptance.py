@@ -207,7 +207,7 @@ def test_c01_gradient_integrity():
     with criterion(1, "gradient integrity", max_seconds=60):
         _check_op_grads()
         vocab = Vocab.build(["aa bb cc"])
-        enc = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2, d_ff=8, max_len=8)
+        enc = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2, d_ff=8, max_len=8, shared_layers=False)
         config = FusionConfig(encoder=enc, emoji_dim=4, mlp_hidden=(4,))
         words = ["aa", "bb", "cc"]
         for graph_seed in (0, 1, 2):
@@ -334,7 +334,7 @@ def test_c06_weight_transfer_asymmetry():
     with criterion(6, "weight-transfer asymmetry"):
         lines = ["sach khabar acha din", "jhooth nafrat gaali bolo", "sach acha bolo din"]
         vocab = Vocab.build(lines)
-        enc = EncoderConfig(vocab_size=len(vocab), d_model=16, n_layers=1, n_heads=2, d_ff=32, max_len=12)
+        enc = EncoderConfig(vocab_size=len(vocab), d_model=16, n_layers=1, n_heads=2, d_ff=32, max_len=12, shared_layers=False)
         corpus = TaptCorpus(lines, [RAW] * len(lines))
         adapted = run_tapt(enc, vocab, corpus, epochs=3, lr=1e-3, batch_size=4, seed=11).weights
         config = FusionConfig(encoder=enc, emoji_dim=4, mlp_hidden=(4,))

@@ -347,6 +347,31 @@ class TestTapt:
         train, _ = split_dataset(fixture_posts, SplitSpec(seed=0))
         assert sorted(texts) == sorted(p.text for p in train)
 
+    def test_reads_no_emoji_vector(self, data_dir, tmp_path, monkeypatch, fixture_posts):
+        import hostility.preprocess
+
+        tables = []
+        real = hostility.preprocess.mean_emoji_vector
+
+        def recording(emojis, table):
+            tables.append(table)
+            return real(emojis, table)
+
+        monkeypatch.setattr(hostility.preprocess, "mean_emoji_vector", recording)
+        assert run("tapt", *common_args(data_dir, tmp_path / "out"), "--tapt-epochs", "1") == 0
+        train, _ = split_dataset(fixture_posts, SplitSpec(seed=0))
+        assert len(tables) == len(train)
+        assert all(t.entries == {} and t.dim == 300 for t in tables)
+
+    def test_broken_emoji_file_is_data_error(self, data_dir, tmp_path, capsys):
+        emoji = tmp_path / "emoji.txt"
+        emoji.write_text("1 300\n\U0001F600 0.5\n", encoding="utf-8")
+        args = common_args(data_dir, tmp_path / "out")
+        args[args.index("--emoji") + 1] = str(emoji)
+        assert run("tapt", *args, "--tapt-epochs", "1") == 2
+        assert str(emoji) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_tiny_dataset_is_data_error(self, tmp_path):
         data = tmp_path / "small.csv"
         data.write_text("id,text,labels\na,x,non-hostile\nb,y,hate\n", encoding="utf-8")
@@ -607,6 +632,39 @@ class TestDropoutRate:
         rewrite_metadata(out / "tapt.ckpt", "enc.dropout_p", "0.2")
         assert run("finetune", *common_args(data_dir, out), "--tapt", "on", "--epochs", "1") == 2
         assert "enc.dropout_p='0.2'" in capsys.readouterr().err
+        assert not (out / "coarse.init.ckpt").exists()
+
+
+def set_or_drop_metadata(path, key, value):
+    """rewrite_metadata, or drop key when value is None."""
+    meta, tensors = read_checkpoint(path)
+    meta.pop(key)
+    path.write_bytes(checkpoint_bytes(meta if value is None else {**meta, key: value}, tensors))
+
+
+class TestSharedLayersKey:
+    """enc.shared_layers reads 0 or 1; another value, or no key (a run
+    written before the key existed), exits 2 naming the key."""
+
+    @pytest.mark.parametrize("value", ["2", None], ids=["2", "missing"])
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_task_checkpoints(self, data_dir, trained_dir, tmp_path, capsys, command, value):
+        run_dir = copy_run(trained_dir, tmp_path / "run")
+        assert read_checkpoint(run_dir / "coarse.ckpt")[0]["enc.shared_layers"] == "0"
+        for task in ALL_TASKS:
+            set_or_drop_metadata(run_dir / f"{task}.ckpt", "enc.shared_layers", value)
+        assert run(command, *common_args(data_dir, run_dir)) == 2
+        assert f"enc.shared_layers={value!r}; it must be 0 or 1" in capsys.readouterr().err
+        assert not SCORING_OUTPUTS & {p.name for p in run_dir.iterdir()}
+
+    @pytest.mark.parametrize("value", ["2", None], ids=["2", "missing"])
+    def test_tapt_checkpoint(self, data_dir, trained_dir, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "tapt.ckpt").write_bytes((trained_dir / "tapt.ckpt").read_bytes())
+        set_or_drop_metadata(out / "tapt.ckpt", "enc.shared_layers", value)
+        assert run("finetune", *common_args(data_dir, out), "--tapt", "on", "--epochs", "1") == 2
+        assert f"enc.shared_layers={value!r}; it must be 0 or 1" in capsys.readouterr().err
         assert not (out / "coarse.init.ckpt").exists()
 
 

@@ -51,7 +51,7 @@ def vocab():
 
 @pytest.fixture(scope="module")
 def config(vocab):
-    return EncoderConfig(vocab_size=len(vocab), d_model=16, n_layers=2, n_heads=2, d_ff=32, max_len=24)
+    return EncoderConfig(vocab_size=len(vocab), d_model=16, n_layers=2, n_heads=2, d_ff=32, max_len=24, shared_layers=False)
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +127,7 @@ class TestEncodeIds:
         assert encode_ids(vocab, "<cls> <UNK> <Sep>", 16) == [CLS_ID, UNK_ID, UNK_ID, UNK_ID, SEP_ID]
 
 
-SIZES = dict(vocab_size=10, d_model=8, n_layers=1, n_heads=2, d_ff=8, max_len=8)
+SIZES = dict(vocab_size=10, d_model=8, n_layers=1, n_heads=2, d_ff=8, max_len=8, shared_layers=False)
 
 
 class TestConfig:
@@ -155,6 +155,22 @@ class TestConfig:
         with pytest.raises(DataError, match="enc.dropout_p"):
             config_from_meta(meta)
 
+    def test_meta_records_shared_layers_as_0_or_1(self):
+        for make, value in ((desk_config, "0"), (paper_config, "1")):
+            meta = config_to_meta(make(100))
+            assert meta["enc.shared_layers"] == value
+            assert config_from_meta(meta) == make(100)
+
+    @pytest.mark.parametrize("value", ["2", "True", "01", "", None])
+    def test_meta_with_another_shared_layers_value_rejected(self, config, value):
+        meta = config_to_meta(config)
+        if value is None:
+            del meta["enc.shared_layers"]  # a checkpoint written before the key existed
+        else:
+            meta["enc.shared_layers"] = value
+        with pytest.raises(DataError, match=f"enc.shared_layers={value!r}"):
+            config_from_meta(meta)
+
     @pytest.mark.parametrize("name", ["d_model", "n_layers", "n_heads", "d_ff", "max_len"])
     def test_sizes_below_one_rejected(self, name):
         with pytest.raises(ShapeError, match=f"{name} must be >= 1"):
@@ -167,6 +183,16 @@ class TestWeights:
         assert set(weights) == set(table)
         for name, shape in table.items():
             assert weights[name].data.shape == shape, name
+
+    def test_paper_encoder_holds_one_layer_set(self):
+        table = encoder_shape_table(paper_config(1734))
+        assert {name.split(".")[1] for name in table if name.startswith("layers.")} == {"0"}
+        assert sum(math.prod(shape) for shape in table.values()) == 8_519_424
+
+    def test_shared_table_is_the_one_layer_table(self):
+        shared = EncoderConfig(**{**SIZES, "n_layers": 3, "shared_layers": True})
+        one = EncoderConfig(**SIZES)
+        assert list(encoder_shape_table(shared).items()) == list(encoder_shape_table(one).items())
 
     def test_mlm_head_shapes(self, head, config):
         assert head["mlm.w"].data.shape == (config.d_model, config.vocab_size)
@@ -290,6 +316,17 @@ class TestEncode:
         unsorted = encode_packed(weights, config, seqs[::-1])
         np.testing.assert_array_equal(unsorted.data, pooled.data[::-1])
 
+    def test_shared_layers_apply_layer_0_at_every_depth(self, weights, config, vocab):
+        shared = EncoderConfig(**{**vars(config), "shared_layers": True})
+        params = {n: p for n, p in weights.items() if not n.startswith("layers.1.")}
+        layer_0 = {n: p for n, p in params.items() if n.startswith("layers.0.")}
+        # The per-layer encoder with layers.1 set to layers.0's tensors.
+        copied = {**params, **{n.replace(".0.", ".1.", 1): p for n, p in layer_0.items()}}
+        seqs = [encode_ids(vocab, text, config.max_len) for text in ("yeh sach hai", "acha din")]
+        np.testing.assert_array_equal(
+            encode_packed(params, shared, seqs).data, encode_packed(copied, config, seqs).data
+        )
+
     def test_packed_checks_ids_and_lengths(self, weights, config):
         with pytest.raises(ValueError, match=f"token id {config.vocab_size} out of range"):
             encode_packed(weights, config, [[CLS_ID, SEP_ID], [CLS_ID, config.vocab_size, SEP_ID]])
@@ -411,8 +448,18 @@ class TestMlmLoss:
         # CLS rows.
         assert calls == [[5, 1]]
 
-    def test_gradients_match_finite_differences_with_dropout(self, vocab):
-        config = EncoderConfig(len(vocab), d_model=8, n_layers=1, n_heads=2, d_ff=8, max_len=8)
+    # The central differences' own error grows as h**2: on the two shared
+    # layers it reads 6.2e-4 at h=1e-4 (6.2e-2 at 1e-3) on the embeddings,
+    # so that case steps at h=1e-5, where it reads 2.4e-5.
+    @pytest.mark.parametrize(
+        "n_layers, shared, h",
+        [(1, False, 1e-4), (2, True, 1e-5)],
+        ids=["one-layer", "two-shared-layers"],
+    )
+    def test_gradients_match_finite_differences_with_dropout(self, vocab, n_layers, shared, h):
+        config = EncoderConfig(
+            len(vocab), d_model=8, n_layers=n_layers, n_heads=2, d_ff=8, max_len=8, shared_layers=shared
+        )
         params = init_params(
             {**encoder_shape_table(config), **mlm_head_shape_table(config)},
             np.random.default_rng(12),
@@ -429,4 +476,4 @@ class TestMlmLoss:
             # A fresh rng per build, so every evaluation draws the same dropout.
             return mlm_loss(params, config, masked, targets, rng=np.random.default_rng(3))
 
-        assert gradcheck(build, params) < 1e-4
+        assert gradcheck(build, params, h=h) < 1e-4

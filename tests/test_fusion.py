@@ -48,7 +48,7 @@ def vocab():
 
 @pytest.fixture(scope="module")
 def config(vocab):
-    enc = EncoderConfig(vocab_size=len(vocab), d_model=16, n_layers=1, n_heads=2, d_ff=32, max_len=16)
+    enc = EncoderConfig(vocab_size=len(vocab), d_model=16, n_layers=1, n_heads=2, d_ff=32, max_len=16, shared_layers=False)
     return FusionConfig(encoder=enc, emoji_dim=6, mlp_hidden=(8, 4))
 
 
@@ -125,7 +125,7 @@ class TestInitModel:
         assert same_params(without.text_encoder, text_encoder_init(config.encoder, 9))
 
     def test_shape_mismatch_rejected(self, config, vocab):
-        other = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2, d_ff=16, max_len=16)
+        other = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2, d_ff=16, max_len=16, shared_layers=False)
         wrong = init_params(encoder_shape_table(other), np.random.default_rng(0))
         with pytest.raises(ShapeError):
             init_model(config, vocab, "coarse", tapt_weights=wrong, base_seed=0)
@@ -180,7 +180,7 @@ class TestForward:
 
 
     def test_gradients_match_finite_differences_with_dropout(self, vocab):
-        enc = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2, d_ff=8, max_len=8)
+        enc = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2, d_ff=8, max_len=8, shared_layers=False)
         model = init_model(FusionConfig(encoder=enc, emoji_dim=4, mlp_hidden=(4,)), vocab, "coarse", base_seed=7)
         params = model.named_params()
         for p in params.values():
@@ -513,3 +513,45 @@ class TestPersistence:
         other = Vocab.build(["totally different words here"])
         with pytest.raises(DataError, match="vocab hash"):
             model_from_bytes(blob, other)
+
+
+def shared_config(config):
+    """config with a two-layer encoder that shares one layer weight set."""
+    return dataclasses.replace(
+        config, encoder=dataclasses.replace(config.encoder, n_layers=2, shared_layers=True)
+    )
+
+
+class TestSharedLayersPersistence:
+    def test_roundtrip(self, config, vocab):
+        model = init_model(shared_config(config), vocab, "hate", base_seed=6)
+        blob = model_to_bytes(model, {})
+        meta, tensors = parse_checkpoint(blob)
+        assert meta["enc.shared_layers"] == "1" and meta["enc.n_layers"] == "2"
+        # Each encoder holds tok_emb, pos_emb, one 16-tensor layer set and ln_f.
+        assert len(tensors) == 2 * 20 + len(head_shape_table(config))
+        loaded = model_from_bytes(blob, vocab)
+        assert loaded.config == model.config
+        assert same_params(loaded.named_params(), model.named_params())
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("enc.n_layers", "99999999", "checkpoint declares 99999999 layers in 56 tensors"),
+            ("enc.shared_layers", "2", "enc.shared_layers='2'"),
+        ],
+    )
+    def test_header_refused_before_any_shape_table(
+        self, config, vocab, monkeypatch, key, value, expected
+    ):
+        model = init_model(shared_config(config), vocab, "hate", base_seed=6)
+        # extra is written last, so it overrides the key.
+        blob = model_to_bytes(model, {key: value})
+
+        def no_table(*args):
+            raise AssertionError("a shape table was built before the checks")
+
+        monkeypatch.setattr(hostility.fusion, "encoder_shape_table", no_table)
+        monkeypatch.setattr(hostility.fusion, "head_shape_table", no_table)
+        with pytest.raises(DataError, match=expected):
+            model_from_bytes(blob, vocab)

@@ -89,7 +89,7 @@ def test_load_model_returns_the_metadata(tmp_path):
     from hostility.fusion import FusionConfig, init_model, load_model, model_to_bytes
 
     vocab = Vocab.build(["yeh sach hai"])
-    enc = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2, d_ff=16, max_len=8)
+    enc = EncoderConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2, d_ff=16, max_len=8, shared_layers=False)
     model = init_model(FusionConfig(enc, emoji_dim=4, mlp_hidden=(4,)), vocab, "hate", base_seed=0)
     path = tmp_path / "hate.ckpt"
     path.write_bytes(model_to_bytes(model, extra={"seed": "0"}))

@@ -641,7 +641,7 @@ class TestTrainEpoch:
     def _mlm_run():
         """A two-layer encoder under the masked-LM loss with dropout on:
         embedding, attention, layer norm and gather closures."""
-        config = EncoderConfig(12, d_model=8, n_layers=2, n_heads=2, d_ff=8, max_len=8)
+        config = EncoderConfig(12, d_model=8, n_layers=2, n_heads=2, d_ff=8, max_len=8, shared_layers=False)
         params = init_params(
             {**encoder_shape_table(config), **mlm_head_shape_table(config)}, np.random.default_rng(4)
         )

@@ -106,7 +106,7 @@ def setup():
     corpus = synthetic_corpus()
     vocab = Vocab.build(corpus.lines)
     config = EncoderConfig(
-        vocab_size=len(vocab), d_model=16, n_layers=1, n_heads=2, d_ff=32, max_len=12
+        vocab_size=len(vocab), d_model=16, n_layers=1, n_heads=2, d_ff=32, max_len=12, shared_layers=False
     )
     return corpus, vocab, config
 
@@ -219,7 +219,7 @@ class TestRunTapt:
 
 
 class TestEncoderCheckpoint:
-    CONFIG = EncoderConfig(vocab_size=8, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_len=8)
+    CONFIG = EncoderConfig(vocab_size=8, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_len=8, shared_layers=False)
     VOCAB = Vocab.build(["sach khabar acha"])
 
     def test_roundtrip(self, tmp_path):

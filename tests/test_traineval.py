@@ -277,7 +277,7 @@ def separable_examples(n=32, emoji_dim=4):
 def toy_setup():
     examples = separable_examples()
     vocab = Vocab.build([b.cleaned_text for b, _ in examples])
-    enc = EncoderConfig(vocab_size=len(vocab), d_model=16, n_layers=1, n_heads=2, d_ff=32, max_len=12)
+    enc = EncoderConfig(vocab_size=len(vocab), d_model=16, n_layers=1, n_heads=2, d_ff=32, max_len=12, shared_layers=False)
     return examples, vocab, FusionConfig(encoder=enc, emoji_dim=4, mlp_hidden=(8,))
 
 
