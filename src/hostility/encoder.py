@@ -41,6 +41,10 @@ N_SPECIALS = len(SPECIALS)
 IGNORE_ID = -1
 # The longest token sequence, CLS and SEP included, unless --max-len sets it.
 MAX_LEN = 128
+# The deepest encoder a checkpoint may declare: ALBERT-large's 24, twice the
+# paper profile's. A shared layer set holds its tensors once at any depth,
+# so a file's tensor count alone does not bound the depth.
+MAX_LAYERS = 24
 # The dropout rate of the encoder and of the fusion head.
 DROPOUT_P = 0.1
 # The share of non-special positions that BERT-style masking selects.
@@ -160,7 +164,9 @@ def check_dropout_meta(meta: Mapping[str, str], key: str) -> None:
 
 
 def config_from_meta(meta: Mapping[str, str]) -> EncoderConfig:
-    shared = meta.get("enc.shared_layers")
+    # A header written before enc.shared_layers existed holds a set per layer.
+    meta = {"enc.shared_layers": "0", **meta}
+    shared = meta["enc.shared_layers"]
     if shared not in ("0", "1"):
         raise DataError(f"checkpoint enc.shared_layers={shared!r}; it must be 0 or 1")
     try:

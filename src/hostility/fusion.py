@@ -18,6 +18,7 @@ from .encoder import (
     DROPOUT_P,
     HASHTAG_INIT_STREAM,
     HEAD_INIT_STREAM,
+    MAX_LAYERS,
     TEXT_INIT_STREAM,
     EncoderConfig,
     Vocab,
@@ -331,11 +332,13 @@ def _model_from_parsed(
     config = fusion_config_from_meta(metadata, vocab)
     enc_cfg = config.encoder
     # Each layer holds a tensor: refuse a larger count before any shape table.
-    # Shared encoder layers hold one set at every depth, so there this
-    # bounds the declared depth only by the file's tensor count.
+    # A shared encoder layer set is held once at any depth, so MAX_LAYERS
+    # bounds the depth as well.
     for count, layers in ((enc_cfg.n_layers, "layers"), (len(config.mlp_hidden), "hidden layers")):
         if count > len(arrays):
             raise DataError(f"checkpoint declares {count} {layers} in {len(arrays)} tensors")
+    if enc_cfg.n_layers > MAX_LAYERS:
+        raise DataError(f"checkpoint declares {enc_cfg.n_layers} layers; at most {MAX_LAYERS}")
     text_arrays = {}
     hash_arrays = {}
     head_arrays = {}

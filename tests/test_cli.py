@@ -608,21 +608,26 @@ class TestNonFiniteCheckpoint:
 
 
 def rewrite_metadata(path, key, value):
+    """Set key in the checkpoint at path to value, or drop it when value is None."""
     meta, tensors = read_checkpoint(path)
-    path.write_bytes(checkpoint_bytes({**meta, key: value}, tensors))
+    meta[key] = value
+    path.write_bytes(checkpoint_bytes({k: v for k, v in meta.items() if v is not None}, tensors))
 
 
 class TestDropoutRate:
-    """DROPOUT_P is the only rate; a checkpoint that records another
-    exits 2 naming the key."""
+    """DROPOUT_P is the only rate and enc.shared_layers reads 0 or 1; a
+    checkpoint that records another value exits 2 naming the key."""
 
-    @pytest.mark.parametrize("key", ["enc.dropout_p", "dropout_p"])
-    def test_task_checkpoints(self, data_dir, trained_dir, tmp_path, capsys, key):
+    @pytest.mark.parametrize(
+        "key, value", [("enc.dropout_p", "0.2"), ("dropout_p", "0.2"), ("enc.shared_layers", "2")],
+        ids=["enc.dropout_p", "dropout_p", "enc.shared_layers"],
+    )
+    def test_task_checkpoints(self, data_dir, trained_dir, tmp_path, capsys, key, value):
         run_dir = copy_run(trained_dir, tmp_path / "run")
         for task in ALL_TASKS:
-            rewrite_metadata(run_dir / f"{task}.ckpt", key, "0.2")
+            rewrite_metadata(run_dir / f"{task}.ckpt", key, value)
         assert run("evaluate", *common_args(data_dir, run_dir)) == 2
-        assert f"{key}='0.2'" in capsys.readouterr().err
+        assert f"{key}={value!r}" in capsys.readouterr().err
         assert not (run_dir / "metrics.kv").exists()
 
     def test_tapt_checkpoint(self, data_dir, trained_dir, tmp_path, capsys):
@@ -635,37 +640,14 @@ class TestDropoutRate:
         assert not (out / "coarse.init.ckpt").exists()
 
 
-def set_or_drop_metadata(path, key, value):
-    """rewrite_metadata, or drop key when value is None."""
-    meta, tensors = read_checkpoint(path)
-    meta.pop(key)
-    path.write_bytes(checkpoint_bytes(meta if value is None else {**meta, key: value}, tensors))
-
-
-class TestSharedLayersKey:
-    """enc.shared_layers reads 0 or 1; another value, or no key (a run
-    written before the key existed), exits 2 naming the key."""
-
-    @pytest.mark.parametrize("value", ["2", None], ids=["2", "missing"])
-    @pytest.mark.parametrize("command", ["evaluate", "predict"])
-    def test_task_checkpoints(self, data_dir, trained_dir, tmp_path, capsys, command, value):
-        run_dir = copy_run(trained_dir, tmp_path / "run")
-        assert read_checkpoint(run_dir / "coarse.ckpt")[0]["enc.shared_layers"] == "0"
-        for task in ALL_TASKS:
-            set_or_drop_metadata(run_dir / f"{task}.ckpt", "enc.shared_layers", value)
-        assert run(command, *common_args(data_dir, run_dir)) == 2
-        assert f"enc.shared_layers={value!r}; it must be 0 or 1" in capsys.readouterr().err
-        assert not SCORING_OUTPUTS & {p.name for p in run_dir.iterdir()}
-
-    @pytest.mark.parametrize("value", ["2", None], ids=["2", "missing"])
-    def test_tapt_checkpoint(self, data_dir, trained_dir, tmp_path, capsys, value):
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / "tapt.ckpt").write_bytes((trained_dir / "tapt.ckpt").read_bytes())
-        set_or_drop_metadata(out / "tapt.ckpt", "enc.shared_layers", value)
-        assert run("finetune", *common_args(data_dir, out), "--tapt", "on", "--epochs", "1") == 2
-        assert f"enc.shared_layers={value!r}; it must be 0 or 1" in capsys.readouterr().err
-        assert not (out / "coarse.init.ckpt").exists()
+def test_run_written_before_shared_layers_key_scores_the_same(data_dir, trained_dir, tmp_path):
+    """Checkpoints without enc.shared_layers hold a layer set per depth."""
+    runs = [copy_run(trained_dir, tmp_path / name) for name in ("now", "before")]
+    for task in ALL_TASKS:
+        rewrite_metadata(runs[1] / f"{task}.ckpt", "enc.shared_layers", None)
+    for run_dir in runs:
+        assert run("evaluate", *common_args(data_dir, run_dir)) == 0
+    assert (runs[0] / "metrics.kv").read_bytes() == (runs[1] / "metrics.kv").read_bytes()
 
 
 class TestTaptCheckpoint:

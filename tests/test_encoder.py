@@ -161,13 +161,14 @@ class TestConfig:
             assert meta["enc.shared_layers"] == value
             assert config_from_meta(meta) == make(100)
 
-    @pytest.mark.parametrize("value", ["2", "True", "01", "", None])
+    def test_meta_written_before_shared_layers_reads_unshared(self):
+        meta = config_to_meta(desk_config(100))
+        del meta["enc.shared_layers"]
+        assert config_from_meta(meta) == desk_config(100)
+
+    @pytest.mark.parametrize("value", ["2", "True", "01", ""])
     def test_meta_with_another_shared_layers_value_rejected(self, config, value):
-        meta = config_to_meta(config)
-        if value is None:
-            del meta["enc.shared_layers"]  # a checkpoint written before the key existed
-        else:
-            meta["enc.shared_layers"] = value
+        meta = {**config_to_meta(config), "enc.shared_layers": value}
         with pytest.raises(DataError, match=f"enc.shared_layers={value!r}"):
             config_from_meta(meta)
 

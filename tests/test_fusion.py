@@ -9,6 +9,7 @@ import hostility.numeric
 from hostility.checkpoint import checkpoint_bytes, parse_checkpoint
 from hostility.encoder import (
     CLS_ID,
+    MAX_LAYERS,
     SEP_ID,
     EncoderConfig,
     Vocab,
@@ -522,6 +523,16 @@ def shared_config(config):
     )
 
 
+def refused_before_any_shape_table(blob, vocab, monkeypatch, expected):
+    def no_table(*args):
+        raise AssertionError("a shape table was built before the checks")
+
+    monkeypatch.setattr(hostility.fusion, "encoder_shape_table", no_table)
+    monkeypatch.setattr(hostility.fusion, "head_shape_table", no_table)
+    with pytest.raises(DataError, match=expected):
+        model_from_bytes(blob, vocab)
+
+
 class TestSharedLayersPersistence:
     def test_roundtrip(self, config, vocab):
         model = init_model(shared_config(config), vocab, "hate", base_seed=6)
@@ -547,11 +558,17 @@ class TestSharedLayersPersistence:
         model = init_model(shared_config(config), vocab, "hate", base_seed=6)
         # extra is written last, so it overrides the key.
         blob = model_to_bytes(model, {key: value})
+        refused_before_any_shape_table(blob, vocab, monkeypatch, expected)
 
-        def no_table(*args):
-            raise AssertionError("a shape table was built before the checks")
-
-        monkeypatch.setattr(hostility.fusion, "encoder_shape_table", no_table)
-        monkeypatch.setattr(hostility.fusion, "head_shape_table", no_table)
-        with pytest.raises(DataError, match=expected):
-            model_from_bytes(blob, vocab)
+    def test_depth_within_the_tensor_count_refused_above_max_layers(
+        self, config, vocab, monkeypatch
+    ):
+        # Each width-1 hidden layer adds two tiny tensors, so the file holds
+        # more tensors than its declared depth without a second layer set.
+        hostile = dataclasses.replace(shared_config(config), mlp_hidden=(1,) * 200)
+        model = init_model(hostile, vocab, "hate", base_seed=6)
+        n_tensors = len(parse_checkpoint(model_to_bytes(model, {}))[1])
+        assert n_tensors > 400
+        blob = model_to_bytes(model, {"enc.n_layers": str(n_tensors)})
+        expected = f"declares {n_tensors} layers; at most {MAX_LAYERS}$"
+        refused_before_any_shape_table(blob, vocab, monkeypatch, expected)
