@@ -4,8 +4,10 @@
 Artifacts land in runs/demo/: the adaptation checkpoint, five task
 checkpoints, metrics, and predictions. Everything is seeded, so reruns
 reproduce the same bytes on the same machine, with the same
-numpy/OpenBLAS build and the same BLAS thread count (ROADMAP item 5
-would lift the last condition).
+numpy/OpenBLAS build and the same BLAS thread count. On this desk
+profile the thread count changes the bytes of `tapt` and of the
+`finetune --tapt on` after it; on the paper profile it changes every
+stage's, scoring included (ROADMAP item 5 would lift the condition).
 """
 
 import sys

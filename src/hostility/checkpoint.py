@@ -135,5 +135,10 @@ def read_metadata(path) -> dict[str, str]:
 
 
 def read_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """parse_checkpoint of a checkpoint file. Errors name the file."""
     with open(path, "rb") as fh:
-        return parse_checkpoint(fh.read())
+        blob = fh.read()
+    try:
+        return parse_checkpoint(blob)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

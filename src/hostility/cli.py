@@ -4,8 +4,9 @@ Configuration comes from profile defaults, an optional key=value config
 file, and flags (flags win). All randomness derives from one base seed,
 recorded into every artifact's metadata, so reruns are byte-identical
 on the same machine, with the same numpy/OpenBLAS build and the same
-BLAS thread count (TAPT's bytes change with the thread count; see
-ROADMAP item 5).
+BLAS thread count. The thread count changes the bytes of `tapt` and of
+`finetune --tapt on` on the desk profile, and of every stage, scoring
+included, on the paper profile (see ROADMAP item 5).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal
 invariant violation.
@@ -371,6 +372,14 @@ def _scorer(cfg: argparse.Namespace, split: str):
             task_config = fusion_config_from_meta(meta, vocab)
         except (DataError, ValueError) as exc:
             raise DataError(f"{path}: {exc}") from None
+        # A file holds at least fusion.w, [F, F] float32, so a larger F is
+        # refused before it sizes the emoji vectors.
+        f = task_config.fused_dim
+        if 4 * f * f > path.stat().st_size:
+            raise DataError(
+                f"{path}: enc.d_model={task_config.encoder.d_model} and "
+                f"emoji_dim={task_config.emoji_dim} make fusion.w {f}x{f}, larger than the file"
+            )
         if meta.get("task", "") != task:
             raise DataError(f"{path} holds a {meta.get('task', '')!r} model, not {task!r}")
         if config is None:

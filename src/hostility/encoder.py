@@ -163,6 +163,15 @@ def check_dropout_meta(meta: Mapping[str, str], key: str) -> None:
         raise DataError(f"checkpoint {key}={meta.get(key)!r}; the only dropout rate is {DROPOUT_P}")
 
 
+def header_int(key: str, value: str) -> int:
+    """int(value) for the checkpoint header entry key; a DataError names
+    key and the value's first 40 characters when it is not an integer."""
+    try:
+        return int(value)
+    except ValueError:
+        raise DataError(f"checkpoint {key} {value[:40]!r} is not an integer") from None
+
+
 def config_from_meta(meta: Mapping[str, str]) -> EncoderConfig:
     # A header written before enc.shared_layers existed holds a set per layer.
     meta = {"enc.shared_layers": "0", **meta}
@@ -170,8 +179,8 @@ def config_from_meta(meta: Mapping[str, str]) -> EncoderConfig:
     if shared not in ("0", "1"):
         raise DataError(f"checkpoint enc.shared_layers={shared!r}; it must be 0 or 1")
     try:
-        kwargs = {name: int(meta[f"enc.{name}"]) for name in _CONFIG_FIELDS}
-    except (KeyError, ValueError) as exc:
+        kwargs = {name: header_int(f"enc.{name}", meta[f"enc.{name}"]) for name in _CONFIG_FIELDS}
+    except KeyError as exc:
         raise DataError(f"checkpoint metadata missing encoder config: {exc}") from None
     check_dropout_meta(meta, "enc.dropout_p")
     return EncoderConfig(**{**kwargs, "shared_layers": shared == "1"})

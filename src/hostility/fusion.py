@@ -28,6 +28,7 @@ from .encoder import (
     encode_ids,
     encode_packed,
     encoder_shape_table,
+    header_int,
     init_params,
     params_from_arrays,
 )
@@ -47,6 +48,10 @@ class FusionConfig:
     encoder: EncoderConfig
     emoji_dim: int = EMOJI_DIM
     mlp_hidden: tuple[int, ...] = (256, 64)
+
+    def __post_init__(self):
+        if self.emoji_dim < 0:
+            raise ShapeError(f"emoji_dim must be >= 0, got {self.emoji_dim}")
 
     @property
     def fused_dim(self) -> int:
@@ -320,10 +325,12 @@ def fusion_config_from_meta(metadata: Mapping[str, str], vocab: Vocab) -> Fusion
     enc_cfg = config_from_meta(metadata)
     check_dropout_meta(metadata, "dropout_p")
     try:
-        mlp_hidden = tuple(int(x) for x in metadata["mlp_hidden"].split(",") if x)
-        return FusionConfig(enc_cfg, emoji_dim=int(metadata["emoji_dim"]), mlp_hidden=mlp_hidden)
-    except (KeyError, ValueError) as exc:
+        hidden = metadata["mlp_hidden"].split(",")
+        emoji_dim = header_int("emoji_dim", metadata["emoji_dim"])
+    except KeyError as exc:
         raise DataError(f"checkpoint metadata missing fusion config: {exc}") from None
+    mlp_hidden = tuple(header_int("mlp_hidden entry", x) for x in hidden if x)
+    return FusionConfig(enc_cfg, emoji_dim=emoji_dim, mlp_hidden=mlp_hidden)
 
 
 def _model_from_parsed(

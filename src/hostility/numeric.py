@@ -269,44 +269,29 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     return _result(x.data[:, start:stop].copy(), (x,), bp)
 
 
-def _scatter_rows(t: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
-    """Add row i of g into row idx[i] of t's gradient, in place; repeated
-    indices sum."""
-    if t.requires_grad:
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        np.add.at(t.grad, idx, g)
-
-
 def gather_rows(x: Tensor, rows: Sequence[int]) -> Tensor:
+    """Rows rows[i] of the matrix x, in order: a row gather, as an
+    embedding lookup is. Backward adds row i of the gradient into row
+    rows[i] of x's, in place, so repeated rows sum."""
     if x.data.ndim != 2:
         raise ShapeError(f"gather_rows expects a matrix, got shape {x.data.shape}")
     idx = np.asarray(rows, dtype=np.intp)
-    if idx.size == 0:
-        raise ShapeError("gather_rows needs at least one row index")
-    if (idx < 0).any() or (idx >= x.data.shape[0]).any():
-        raise ShapeError(f"row index out of range for {x.data.shape[0]} rows")
+    if idx.ndim != 1 or idx.size == 0:
+        raise ShapeError("gather_rows needs a non-empty 1-d row index sequence")
+    bad = (idx < 0) | (idx >= len(x.data))
+    if bad.any():
+        raise ValueError(f"token id {idx[bad][0]} out of range for table of {len(x.data)} rows")
 
     def bp(g):
-        _scatter_rows(x, idx, g)
+        if x.requires_grad:
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            np.add.at(x.grad, idx, g)
 
     return _result(x.data[idx], (x,), bp)
 
 
-def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
-    if table.data.ndim != 2:
-        raise ShapeError(f"embedding table must be a matrix, got {table.data.shape}")
-    idx = np.asarray(ids, dtype=np.intp)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ShapeError("embedding_lookup needs a non-empty 1-d id sequence")
-    bad = (idx < 0) | (idx >= len(table.data))
-    if bad.any():
-        raise ValueError(f"token id {idx[bad][0]} out of range for table of {len(table.data)} rows")
-
-    def bp(g):
-        _scatter_rows(table, idx, g)
-
-    return _result(table.data[idx], (table,), bp)
+embedding_lookup = gather_rows
 
 
 # ---------------------------------------------------------------------------
@@ -360,20 +345,34 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _result(yhat * gain.data + bias.data, (x, gain, bias), bp)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout: zero with probability p and rescale survivors by
-    1/(1-p), drawn from rng; x itself when rng is None or p is 0."""
+def _dropout_mask(
+    shape: tuple[int, ...], p: float, rng: np.random.Generator | None, dtype: np.dtype
+) -> Callable[[np.ndarray], np.ndarray] | None:
+    """Inverted dropout's draw over an array of shape: a function that
+    zeroes the entries where rng.random(shape) < p and rescales the rest
+    by 1/(1-p) in dtype, keeping the draw as a bool mask. None when rng
+    is None or p is 0."""
     if not 0 <= p < 1:
         raise ValueError(f"dropout probability must satisfy 0 <= p < 1, got {p}")
     if rng is None or p == 0:
+        return None
+    keep = rng.random(shape) >= p
+    scale = dtype.type(1) / dtype.type(1 - p)
+    # Bit for bit a * (keep / (1 - p)): a * 1 and a * 0 are exact.
+    return lambda a: a * keep * scale
+
+
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: zero with probability p and rescale survivors by
+    1/(1-p), drawn from rng; x itself when rng is None or p is 0."""
+    drop = _dropout_mask(x.data.shape, p, rng, x.data.dtype)
+    if drop is None:
         return x
-    keep = rng.random(x.data.shape) >= p
-    factor = keep.astype(x.data.dtype) / x.data.dtype.type(1 - p)
 
     def bp(g):
-        _accum(x, g * factor)
+        _accum(x, drop(g))
 
-    return _result(x.data * factor, (x,), bp)
+    return _result(drop(x.data), (x,), bp)
 
 
 def _join_rows(parts: list[np.ndarray]) -> np.ndarray:
@@ -405,22 +404,18 @@ def _attend_block(qd, kd, vd, key_pad, n_heads, p, rng):
         scores = scores + np.where(key_pad, _ATTN_MASK_VALUE, 0.0).astype(dtype)[:, None, None, :]
     e_scores = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs = e_scores / e_scores.sum(axis=-1, keepdims=True)
-    factor = None
-    if rng is not None and p > 0:
-        keep = rng.random((b, h, t, t)) >= p
-        factor = keep.astype(dtype) / dtype.type(1 - p)
-    dropped = probs if factor is None else probs * factor
+    # Backward keeps probs and the bool mask, and rebuilds the dropped
+    # probabilities from them.
+    drop = _dropout_mask((b, h, t, t), p, rng, dtype) or (lambda a: a)
 
     def block_bp(g):
         gh = heads(g)
-        gv = merge(dropped.transpose(0, 1, 3, 2) @ gh)
-        g_probs = gh @ vh.transpose(0, 1, 3, 2)
-        if factor is not None:
-            g_probs = g_probs * factor
+        gv = merge(drop(probs).transpose(0, 1, 3, 2) @ gh)
+        g_probs = drop(gh @ vh.transpose(0, 1, 3, 2))
         g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * c
         return merge(g_scores @ kh), merge(g_scores.transpose(0, 1, 3, 2) @ qh), gv
 
-    return merge(dropped @ vh), block_bp
+    return merge(drop(probs) @ vh), block_bp
 
 
 def attention(
@@ -445,8 +440,6 @@ def attention(
     block in order as one rng.random((B, H, T, T)). Returns the heads
     merged back to [R, E].
     """
-    if not 0 <= p < 1:
-        raise ValueError(f"dropout probability must satisfy 0 <= p < 1, got {p}")
     if q.data.ndim != 2 or q.data.shape != k.data.shape or q.data.shape != v.data.shape:
         raise ShapeError(
             f"attention mismatch: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}"

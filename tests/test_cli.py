@@ -15,9 +15,15 @@ import pytest
 from hostility.checkpoint import checkpoint_bytes, read_checkpoint
 from hostility.cli import _encoder_config, _write_artifact, main, resolve_config
 from hostility.encoder import Vocab, desk_config, paper_config
-from hostility.fusion import forward, load_model
+from hostility.fusion import FusionConfig, forward, init_model, load_model
 from hostility.numeric import adam_init, cross_entropy, train_epoch
-from hostility.preprocess import LabelTag, extract_features
+from hostility.preprocess import (
+    LabelTag,
+    extract_features,
+    load_dataset,
+    load_emoji_table,
+    load_freq_dict,
+)
 from hostility.traineval import ALL_TASKS, COARSE, FINE_TASKS, SplitSpec, binary_targets, split_dataset
 
 
@@ -748,6 +754,63 @@ class TestHostileHeader:
         assert seconds < 5
         assert not SCORING_OUTPUTS & {p.name for p in run_dir.iterdir()}
 
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (
+                "2147483648",
+                "enc.d_model=64 and emoji_dim=2147483648 make fusion.w 2147483776x2147483776",
+            ),
+            ("-1", "emoji_dim must be >= 0, got -1"),
+        ],
+        ids=["2**31", "-1"],
+    )
+    def test_emoji_dim_without_emoji_table(self, data_dir, trained_dir, tmp_path, value, expected):
+        """Without --emoji, scoring sizes each post's emoji vector by the
+        header's emoji_dim."""
+        run_dir = copy_run(trained_dir, tmp_path / "run")
+        for task in ALL_TASKS:
+            rewrite_metadata(run_dir / f"{task}.ckpt", "emoji_dim", value)
+        args = common_args(data_dir, run_dir)
+        flag = args.index("--emoji")
+        del args[flag : flag + 2]
+        code, err, seconds = run_capped("evaluate", *args)
+        assert (code, "Traceback" in err) == (2, False), err[:1000]
+        [line] = err.splitlines()
+        assert line.startswith(f"data error: {run_dir / 'coarse.ckpt'}: {expected}"), line[:1000]
+        assert seconds < 5
+        assert not SCORING_OUTPUTS & {p.name for p in run_dir.iterdir()}
+
+
+def truncate_tensors(path):
+    """Cut the tensor records of the checkpoint at path in half, keeping
+    its header whole."""
+    blob = path.read_bytes()
+    header = 16 + struct.unpack_from("<I", blob, 12)[0]
+    path.write_bytes(blob[: header + (len(blob) - header) // 2])
+
+
+class TestTruncatedTensors:
+    """A checkpoint cut short after its header exits 2 naming the file."""
+
+    def test_task_checkpoint(self, data_dir, trained_dir, tmp_path, capsys):
+        run_dir = copy_run(trained_dir, tmp_path / "run")
+        truncate_tensors(run_dir / "coarse.ckpt")
+        assert run("evaluate", *common_args(data_dir, run_dir)) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {run_dir / 'coarse.ckpt'}: truncated checkpoint\n"
+        assert not SCORING_OUTPUTS & {p.name for p in run_dir.iterdir()}
+
+    def test_tapt_checkpoint(self, data_dir, trained_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "tapt.ckpt").write_bytes((trained_dir / "tapt.ckpt").read_bytes())
+        truncate_tensors(out / "tapt.ckpt")
+        assert run("finetune", *common_args(data_dir, out), "--tapt", "on", "--epochs", "1") == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {out / 'tapt.ckpt'}: truncated checkpoint\n"
+        assert not (out / "coarse.init.ckpt").exists()
+
 
 class TestDivergence:
     """A learning rate that makes training diverge is a bad setting, not
@@ -944,6 +1007,42 @@ class TestTrainingStep:
         # temporary per operation.
         size = sum(p.data.nbytes for p in params.values())
         assert peak < 1.8 * size
+
+    def test_paper_step_peaks_under_6_parameter_sizes(self, tmp_path):
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+        try:
+            from workload_gen import write_inputs
+        finally:
+            sys.path.pop(0)
+        write_inputs(tmp_path, "mixed", 16, 1)  # one batch of the paper profile
+        posts = load_dataset(tmp_path / "posts.csv")
+        freq, table = load_freq_dict(tmp_path / "freq.tsv"), load_emoji_table(tmp_path / "emoji.txt")
+        batch = [extract_features(p.text, freq, table) for p in posts]
+        vocab = Vocab.build([b.cleaned_text for b in batch] + [b.hashtag_flow for b in batch])
+        config = FusionConfig(paper_config(len(vocab), max_len=32), emoji_dim=table.dim)
+        model = init_model(config, vocab, COARSE, base_seed=0)
+        targets = binary_targets(posts, COARSE)
+        params = model.named_params()
+        state = adam_init(params)
+        rng = np.random.default_rng(0)
+
+        def batch_loss(bundles):
+            return cross_entropy(forward(model, bundles, rng), targets)
+
+        train_epoch(params, state, 1e-5, [batch], batch_loss)  # gradients and moments exist
+        tracemalloc.start()
+        try:
+            train_epoch(params, state, 1e-5, [batch], batch_loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Traced peak of one paper step, in parameter sizes: 5.76, most of
+        # it the tape's activations. It was 6.14 when dropout and attention
+        # kept a float copy of each bool mask and attention kept its
+        # dropped probabilities beside the probabilities. The bound leaves
+        # 4% over 5.76.
+        size = sum(p.data.nbytes for p in params.values())
+        assert peak < 6.0 * size
 
 
 class TestScoringPasses:

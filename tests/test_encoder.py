@@ -172,6 +172,12 @@ class TestConfig:
         with pytest.raises(DataError, match=f"enc.shared_layers={value!r}"):
             config_from_meta(meta)
 
+    @pytest.mark.parametrize("name, value", [("d_model", "x"), ("n_layers", "1.5"), ("vocab_size", "")])
+    def test_meta_with_a_non_integer_size_names_the_key(self, config, name, value):
+        meta = {**config_to_meta(config), f"enc.{name}": value}
+        with pytest.raises(DataError, match=f"^checkpoint enc.{name} {value!r} is not an integer$"):
+            config_from_meta(meta)
+
     @pytest.mark.parametrize("name", ["d_model", "n_layers", "n_heads", "d_ff", "max_len"])
     def test_sizes_below_one_rejected(self, name):
         with pytest.raises(ShapeError, match=f"{name} must be >= 1"):

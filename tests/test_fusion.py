@@ -504,6 +504,10 @@ class TestPersistence:
         with pytest.raises(ShapeError, match="n_heads must be >= 1"):
             load_model(path, vocab)
 
+    def test_negative_emoji_dim_rejected(self, config):
+        with pytest.raises(ShapeError, match="emoji_dim must be >= 0, got -1"):
+            FusionConfig(config.encoder, emoji_dim=-1, mlp_hidden=(4,))
+
     def test_bytes_deterministic(self, config, vocab):
         a = model_to_bytes(init_model(config, vocab, "fake", base_seed=2), {})
         b = model_to_bytes(init_model(config, vocab, "fake", base_seed=2), {})
@@ -550,6 +554,9 @@ class TestSharedLayersPersistence:
         [
             ("enc.n_layers", "99999999", "checkpoint declares 99999999 layers in 56 tensors"),
             ("enc.shared_layers", "2", "enc.shared_layers='2'"),
+            ("mlp_hidden", "8,x", "checkpoint mlp_hidden entry 'x' is not an integer"),
+            ("emoji_dim", "six", "checkpoint emoji_dim 'six' is not an integer"),
+            ("enc.d_model", "x", "checkpoint enc.d_model 'x' is not an integer"),
         ],
     )
     def test_header_refused_before_any_shape_table(

@@ -2,7 +2,8 @@
 layers, so the modules of one layer never import each other. Also the
 call signatures and results that tools outside the package rely on, a
 ceiling on the package's settable values, the one training loop, the one
-linear op, the one fused input and the one corpus-and-vocab step."""
+linear op, the one row gather, the one dropout-mask draw, the one fused
+input and the one corpus-and-vocab step."""
 
 import ast
 import importlib
@@ -164,6 +165,22 @@ def test_one_training_loop():
 # numeric for the tests that check each op alone.
 def test_one_linear_op():
     assert callers(("matmul", "add_bias")) == set()
+
+
+# One row gather: an embedding lookup is numeric.gather_rows under a
+# second name, not a second body.
+def test_one_row_gather():
+    numeric = importlib.import_module("hostility.numeric")
+    assert numeric.embedding_lookup is numeric.gather_rows
+
+
+# One dropout-mask draw: within numeric, dropout and attention both draw
+# their mask through one helper, which checks p and keeps the draw as bool.
+DROPOUT_MASK = "numeric._dropout_mask"
+
+
+def test_one_dropout_mask_draw():
+    assert {c for c in callers(("random",)) if c.startswith("numeric.")} == {DROPOUT_MASK}
 
 
 # One fused input: training and scoring build the fusion-layer input in

@@ -128,7 +128,9 @@ class TestForwardSemantics:
         with pytest.raises(ValueError, match="token id -1 out of range for table of 3 rows"):
             embedding_lookup(Tensor(np.zeros((3, 2))), [0, -1, 5])
 
-    @pytest.mark.parametrize("op", [embedding_lookup, gather_rows])
+    @pytest.mark.parametrize(
+        "op", [embedding_lookup, gather_rows], ids=["embedding_lookup", "gather_rows"]
+    )
     def test_lookup_backward_writes_one_table_sized_gradient(self, op):
         table = Tensor(np.zeros((4096, 64), dtype=np.float32), requires_grad=True)
         ids = np.array([5, 9, 5, 4095])
