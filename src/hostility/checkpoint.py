@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import os
 import struct
-from typing import Callable, Mapping
+from contextlib import contextmanager
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, ShapeError
 
 MAGIC = b"TAPTCKPT"
 VERSION = 2
@@ -117,6 +118,16 @@ def parse_checkpoint(blob: bytes) -> tuple[dict[str, str], dict[str, np.ndarray]
     return metadata, tensors
 
 
+@contextmanager
+def naming_file(path) -> Iterator[None]:
+    """Re-raise a DataError or ShapeError raised in the block, of the same
+    type, with path before its message."""
+    try:
+        yield
+    except (DataError, ShapeError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def read_metadata(path) -> dict[str, str]:
     """The metadata of a checkpoint file, read from its header alone; no
     tensor record is read or checked. Errors name the file."""
@@ -128,17 +139,13 @@ def read_metadata(path) -> dict[str, str]:
                 raise DataError("truncated checkpoint")
             return fh.read(n)
 
-        try:
+        with naming_file(path):
             return _read_header(take)
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from None
 
 
 def read_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     """parse_checkpoint of a checkpoint file. Errors name the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    try:
+    with naming_file(path):
         return parse_checkpoint(blob)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None

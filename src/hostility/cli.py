@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .checkpoint import read_metadata
+from .checkpoint import naming_file, read_metadata
 from .encoder import MAX_LEN, EncoderConfig, Vocab, desk_config, paper_config
 from .errors import DataError, InvariantError, UsageError
 from .fusion import (
@@ -350,7 +350,9 @@ def _scorer(cfg: argparse.Namespace, split: str):
     rows=None). The header pass reads the vocab, the five checkpoint
     headers, the posts, and the frequency dictionary and emoji table the
     models expect, before any tensor is read: each checkpoint must name
-    its task and the run's vocab, and all five one model configuration.
+    its task and the run's vocab, pass fusion_config_from_meta's depth
+    and byte bounds for its file's size, and all five must hold one
+    model configuration.
     It then extracts each post's features once for all five. score loads
     that task's model, refuses it if the file's header is no longer the
     one read, scores the posts of split (or those at rows) and drops the
@@ -368,18 +370,8 @@ def _scorer(cfg: argparse.Namespace, split: str):
         if not path.exists():
             raise DataError(f"checkpoint not found at {path}; run finetune first")
         meta = headers[task] = read_metadata(path)
-        try:
-            task_config = fusion_config_from_meta(meta, vocab)
-        except (DataError, ValueError) as exc:
-            raise DataError(f"{path}: {exc}") from None
-        # A file holds at least fusion.w, [F, F] float32, so a larger F is
-        # refused before it sizes the emoji vectors.
-        f = task_config.fused_dim
-        if 4 * f * f > path.stat().st_size:
-            raise DataError(
-                f"{path}: enc.d_model={task_config.encoder.d_model} and "
-                f"emoji_dim={task_config.emoji_dim} make fusion.w {f}x{f}, larger than the file"
-            )
+        with naming_file(path):
+            task_config = fusion_config_from_meta(meta, vocab, path.stat().st_size)
         if meta.get("task", "") != task:
             raise DataError(f"{path} holds a {meta.get('task', '')!r} model, not {task!r}")
         if config is None:

@@ -41,9 +41,10 @@ N_SPECIALS = len(SPECIALS)
 IGNORE_ID = -1
 # The longest token sequence, CLS and SEP included, unless --max-len sets it.
 MAX_LEN = 128
-# The deepest encoder a checkpoint may declare: ALBERT-large's 24, twice the
-# paper profile's. A shared layer set holds its tensors once at any depth,
-# so a file's tensor count alone does not bound the depth.
+# The most encoder layers, and the most fusion-head hidden layers (runs
+# write 2), a checkpoint may declare: ALBERT-large's depth of 24, twice the
+# paper profile's. A shared layer set holds its bytes once at any depth, so
+# a file's size alone does not bound the depth.
 MAX_LAYERS = 24
 # The dropout rate of the encoder and of the fusion head.
 DROPOUT_P = 0.1

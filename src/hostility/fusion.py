@@ -8,12 +8,13 @@ classified by a small MLP ending in two logits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .checkpoint import checkpoint_bytes, parse_checkpoint, read_checkpoint
+from .checkpoint import checkpoint_bytes, naming_file, parse_checkpoint, read_checkpoint
 from .encoder import (
     DROPOUT_P,
     HASHTAG_INIT_STREAM,
@@ -314,9 +315,11 @@ def model_to_bytes(model: FusionModel, extra: Mapping[str, str]) -> bytes:
     return checkpoint_bytes(_fusion_meta(model, extra), tensors)
 
 
-def fusion_config_from_meta(metadata: Mapping[str, str], vocab: Vocab) -> FusionConfig:
+def fusion_config_from_meta(metadata: Mapping[str, str], vocab: Vocab, room: int) -> FusionConfig:
     """The model configuration a fusion checkpoint's metadata declares.
-    Metadata of another kind, or of a model built on another vocab,
+    Metadata of another kind, of a model built on another vocab, with
+    more than MAX_LAYERS encoder or hidden layers (checked before any
+    shape table is built), or whose tensors need more than room bytes
     raises DataError."""
     if metadata.get("kind") != "fusion":
         raise DataError("checkpoint does not hold a fusion model")
@@ -330,22 +333,23 @@ def fusion_config_from_meta(metadata: Mapping[str, str], vocab: Vocab) -> Fusion
     except KeyError as exc:
         raise DataError(f"checkpoint metadata missing fusion config: {exc}") from None
     mlp_hidden = tuple(header_int("mlp_hidden entry", x) for x in hidden if x)
-    return FusionConfig(enc_cfg, emoji_dim=emoji_dim, mlp_hidden=mlp_hidden)
+    config = FusionConfig(enc_cfg, emoji_dim=emoji_dim, mlp_hidden=mlp_hidden)
+    for count, layers in ((enc_cfg.n_layers, "layers"), (len(mlp_hidden), "hidden layers")):
+        if count > MAX_LAYERS:
+            raise DataError(f"checkpoint declares {count} {layers}; at most {MAX_LAYERS}")
+    tables = (encoder_shape_table(enc_cfg),) * 2 + (head_shape_table(config),)
+    need = 4 * sum(math.prod(shape) for table in tables for shape in table.values())
+    if need > room:
+        raise DataError(f"checkpoint declares {need} bytes of tensors; the file holds {room}")
+    return config
 
 
 def _model_from_parsed(
     metadata: dict[str, str], arrays: dict[str, np.ndarray], vocab: Vocab
 ) -> FusionModel:
-    config = fusion_config_from_meta(metadata, vocab)
+    room = sum(arr.nbytes for arr in arrays.values())
+    config = fusion_config_from_meta(metadata, vocab, room)
     enc_cfg = config.encoder
-    # Each layer holds a tensor: refuse a larger count before any shape table.
-    # A shared encoder layer set is held once at any depth, so MAX_LAYERS
-    # bounds the depth as well.
-    for count, layers in ((enc_cfg.n_layers, "layers"), (len(config.mlp_hidden), "hidden layers")):
-        if count > len(arrays):
-            raise DataError(f"checkpoint declares {count} {layers} in {len(arrays)} tensors")
-    if enc_cfg.n_layers > MAX_LAYERS:
-        raise DataError(f"checkpoint declares {enc_cfg.n_layers} layers; at most {MAX_LAYERS}")
     text_arrays = {}
     hash_arrays = {}
     head_arrays = {}
@@ -368,6 +372,8 @@ def model_from_bytes(blob: bytes, vocab: Vocab) -> FusionModel:
 
 
 def load_model(path, vocab: Vocab) -> tuple[FusionModel, dict[str, str]]:
-    """The model in a checkpoint file and the file's metadata."""
+    """The model in a checkpoint file and the file's metadata. Errors
+    name the file."""
     metadata, arrays = read_checkpoint(path)
-    return _model_from_parsed(metadata, arrays, vocab), metadata
+    with naming_file(path):
+        return _model_from_parsed(metadata, arrays, vocab), metadata

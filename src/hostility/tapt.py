@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .checkpoint import checkpoint_bytes, read_checkpoint
+from .checkpoint import checkpoint_bytes, naming_file, read_checkpoint, read_metadata
 from .encoder import (
     N_SPECIALS,
     TAPT_MASK_STREAM,
@@ -146,15 +146,25 @@ def encoder_checkpoint_bytes(
 
 
 def load_encoder_checkpoint(path, vocab: Vocab, config: EncoderConfig) -> dict[str, Tensor]:
-    """The body in the TAPT checkpoint at path, checked for kind, config and
-    vocab hash against this run before its tensors meet the run's shape table."""
+    """The body in the TAPT checkpoint at path. Its header is checked for
+    kind, config and vocab hash against this run before any tensor is
+    read, and its tensors then meet the run's shape table. Errors name
+    the file."""
     if not os.path.exists(path):
         raise DataError(f"TAPT checkpoint not found at {path}; run the tapt command first")
-    metadata, arrays = read_checkpoint(path)
-    if metadata.get("kind") != "encoder":
-        raise DataError(f"{path}: checkpoint does not hold encoder weights")
-    if config_from_meta(metadata) != config:
-        raise DataError("TAPT checkpoint encoder configuration does not match this run")
-    if metadata.get("vocab_sha256") != vocab.sha256():
-        raise DataError("vocab hash mismatch between checkpoint and current vocab")
-    return params_from_arrays(encoder_shape_table(config), arrays, "encoder")
+    metadata = read_metadata(path)
+    with naming_file(path):
+        if metadata.get("kind") != "encoder":
+            raise DataError("checkpoint does not hold encoder weights")
+        theirs = config_to_meta(config_from_meta(metadata))
+        for key, ours in config_to_meta(config).items():
+            if theirs[key] != ours:
+                raise DataError(
+                    "TAPT checkpoint encoder configuration does not match this run: "
+                    f"{key} is {theirs[key]} in the checkpoint, {ours} in this run"
+                )
+        if metadata.get("vocab_sha256") != vocab.sha256():
+            raise DataError("vocab hash mismatch between checkpoint and current vocab")
+    _, arrays = read_checkpoint(path)
+    with naming_file(path):
+        return params_from_arrays(encoder_shape_table(config), arrays, "encoder")

@@ -1,3 +1,4 @@
+import math
 import os
 import resource
 import shutil
@@ -14,8 +15,8 @@ import pytest
 
 from hostility.checkpoint import checkpoint_bytes, read_checkpoint
 from hostility.cli import _encoder_config, _write_artifact, main, resolve_config
-from hostility.encoder import Vocab, desk_config, paper_config
-from hostility.fusion import FusionConfig, forward, init_model, load_model
+from hostility.encoder import MAX_LAYERS, Vocab, desk_config, encoder_shape_table, paper_config
+from hostility.fusion import FusionConfig, forward, head_shape_table, init_model, load_model
 from hostility.numeric import adam_init, cross_entropy, train_epoch
 from hostility.preprocess import (
     LabelTag,
@@ -728,7 +729,10 @@ class TestHostileHeader:
         args = common_args(data_dir, out)
         code, err, seconds = run_capped("finetune", *args, "--tapt", "on", "--epochs", "1")
         assert (code, "Traceback" in err) == (2, False), err
-        assert "data error: TAPT checkpoint encoder configuration does not match" in err
+        assert err == (
+            f"data error: {out / 'tapt.ckpt'}: TAPT checkpoint encoder configuration does not "
+            f"match this run: enc.n_layers is {HOSTILE_LAYERS} in the checkpoint, 2 in this run\n"
+        )
         assert seconds < 5
         assert not (out / "coarse.init.ckpt").exists()
 
@@ -747,20 +751,18 @@ class TestHostileHeader:
             rewrite_metadata(run_dir / f"{task}.ckpt", key, value)
         code, err, seconds = run_capped(command, *common_args(data_dir, run_dir))
         assert (code, "Traceback" in err) == (2, False), err[:1000]
-        assert f"data error: checkpoint declares {declared} in" in err, err[:1000]
         # One short line, not one that lists each layer's missing tensors.
         [line] = err.splitlines()
         assert len(line) < 200, line[:1000]
+        path = run_dir / "coarse.ckpt"
+        assert line == f"data error: {path}: checkpoint declares {declared}; at most {MAX_LAYERS}"
         assert seconds < 5
         assert not SCORING_OUTPUTS & {p.name for p in run_dir.iterdir()}
 
     @pytest.mark.parametrize(
         "value, expected",
         [
-            (
-                "2147483648",
-                "enc.d_model=64 and emoji_dim=2147483648 make fusion.w 2147483776x2147483776",
-            ),
+            ("2147483648", "checkpoint declares {need} bytes of tensors; the file holds {size}"),
             ("-1", "emoji_dim must be >= 0, got -1"),
         ],
         ids=["2**31", "-1"],
@@ -777,7 +779,12 @@ class TestHostileHeader:
         code, err, seconds = run_capped("evaluate", *args)
         assert (code, "Traceback" in err) == (2, False), err[:1000]
         [line] = err.splitlines()
-        assert line.startswith(f"data error: {run_dir / 'coarse.ckpt'}: {expected}"), line[:1000]
+        path = run_dir / "coarse.ckpt"
+        if value != "-1":
+            vocab_size = len(Vocab.load(run_dir / "vocab.txt"))
+            config = FusionConfig(desk_config(vocab_size, max_len=32), emoji_dim=int(value))
+            expected = expected.format(need=tensor_bytes(config), size=path.stat().st_size)
+        assert line.startswith(f"data error: {path}: {expected}"), line[:1000]
         assert seconds < 5
         assert not SCORING_OUTPUTS & {p.name for p in run_dir.iterdir()}
 
@@ -790,15 +797,26 @@ def truncate_tensors(path):
     path.write_bytes(blob[: header + (len(blob) - header) // 2])
 
 
+def tensor_bytes(config):
+    """The float32 bytes of a fusion model's parameters under config."""
+    tables = [encoder_shape_table(config.encoder)] * 2 + [head_shape_table(config)]
+    return 4 * sum(math.prod(shape) for table in tables for shape in table.values())
+
+
 class TestTruncatedTensors:
     """A checkpoint cut short after its header exits 2 naming the file."""
 
     def test_task_checkpoint(self, data_dir, trained_dir, tmp_path, capsys):
         run_dir = copy_run(trained_dir, tmp_path / "run")
-        truncate_tensors(run_dir / "coarse.ckpt")
+        path = run_dir / "coarse.ckpt"
+        need = sum(arr.nbytes for arr in read_checkpoint(path)[1].values())
+        truncate_tensors(path)
         assert run("evaluate", *common_args(data_dir, run_dir)) == 2
         err = capsys.readouterr().err
-        assert err == f"data error: {run_dir / 'coarse.ckpt'}: truncated checkpoint\n"
+        size = path.stat().st_size
+        assert err == (
+            f"data error: {path}: checkpoint declares {need} bytes of tensors; the file holds {size}\n"
+        )
         assert not SCORING_OUTPUTS & {p.name for p in run_dir.iterdir()}
 
     def test_tapt_checkpoint(self, data_dir, trained_dir, tmp_path, capsys):
@@ -1063,7 +1081,7 @@ class TestScoringPasses:
         assert peak < 3 * size
 
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
-    @pytest.mark.parametrize("fault", ["missing", "task", "config", "vocab"])
+    @pytest.mark.parametrize("fault", ["missing", "task", "config", "vocab", "depth", "truncated"])
     def test_header_pass_refuses_before_any_tensor(
         self, command, fault, data_dir, trained_dir, short_run_dir, tmp_path, capsys, monkeypatch
     ):
@@ -1080,14 +1098,43 @@ class TestScoringPasses:
         elif fault == "config":
             last.write_bytes((short_run_dir / "defamation.ckpt").read_bytes())
             expected = "defamation.ckpt holds a model configured unlike coarse.ckpt"
-        else:
+        elif fault == "vocab":
             meta["vocab_sha256"] = "0" * 64
             last.write_bytes(checkpoint_bytes(meta, tensors))
             expected = "defamation.ckpt: vocab hash mismatch"
+        elif fault == "depth":
+            # Every file, so that no header differs from coarse.ckpt's.
+            for task in ALL_TASKS:
+                rewrite_metadata(run_dir / f"{task}.ckpt", "enc.n_layers", HOSTILE_LAYERS)
+            expected = f"coarse.ckpt: checkpoint declares {HOSTILE_LAYERS} layers; at most"
+        else:
+            truncate_tensors(last)
+            need = sum(arr.nbytes for arr in tensors.values())
+            expected = (
+                f"defamation.ckpt: checkpoint declares {need} bytes of tensors; "
+                f"the file holds {last.stat().st_size}\n"
+            )
         loads, parsed = record_loads(monkeypatch)
         assert run(command, *common_args(data_dir, run_dir)) == 2
         assert expected in capsys.readouterr().err
         assert loads == [] and parsed == []
+        assert not SCORING_OUTPUTS & {p.name for p in run_dir.iterdir()}
+
+    def test_model_pass_refusal_names_the_file(
+        self, data_dir, trained_dir, tmp_path, capsys, monkeypatch
+    ):
+        run_dir = copy_run(trained_dir, tmp_path / "run")
+        path = run_dir / "coarse.ckpt"
+        meta, tensors = read_checkpoint(path)
+        tensors["renamed"] = tensors.pop("fusion.b")
+        path.write_bytes(checkpoint_bytes(meta, tensors))
+        loads, _ = record_loads(monkeypatch)
+        assert run("evaluate", *common_args(data_dir, run_dir)) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path}: fusion head tensors mismatch: "
+            "missing ['fusion.b'], extra ['renamed']\n"
+        )
+        assert loads == ["coarse"]
         assert not SCORING_OUTPUTS & {p.name for p in run_dir.iterdir()}
 
     def test_checkpoint_replaced_between_passes(

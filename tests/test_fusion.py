@@ -552,7 +552,7 @@ class TestSharedLayersPersistence:
     @pytest.mark.parametrize(
         "key, value, expected",
         [
-            ("enc.n_layers", "99999999", "checkpoint declares 99999999 layers in 56 tensors"),
+            ("enc.n_layers", "99999999", f"^checkpoint declares 99999999 layers; at most {MAX_LAYERS}$"),
             ("enc.shared_layers", "2", "enc.shared_layers='2'"),
             ("mlp_hidden", "8,x", "checkpoint mlp_hidden entry 'x' is not an integer"),
             ("emoji_dim", "six", "checkpoint emoji_dim 'six' is not an integer"),
@@ -579,3 +579,21 @@ class TestSharedLayersPersistence:
         blob = model_to_bytes(model, {"enc.n_layers": str(n_tensors)})
         expected = f"declares {n_tensors} layers; at most {MAX_LAYERS}$"
         refused_before_any_shape_table(blob, vocab, monkeypatch, expected)
+
+    def test_depth_beyond_the_tensors_refused_by_their_bytes(self, config, vocab):
+        """A header that says 3 unshared layers over a file of 2."""
+
+        def model(n_layers):
+            enc = dataclasses.replace(config.encoder, n_layers=n_layers)
+            return init_model(dataclasses.replace(config, encoder=enc), vocab, "hate", base_seed=6)
+
+        def nbytes(m):
+            return sum(p.data.nbytes for p in m.named_params().values())
+
+        held = model(2)
+        blob = model_to_bytes(held, {"enc.n_layers": "3"})
+        need, room = nbytes(model(3)), nbytes(held)
+        with pytest.raises(
+            DataError, match=f"^checkpoint declares {need} bytes of tensors; the file holds {room}$"
+        ):
+            model_from_bytes(blob, vocab)
