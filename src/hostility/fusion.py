@@ -53,6 +53,8 @@ class FusionConfig:
     def __post_init__(self):
         if self.emoji_dim < 0:
             raise ShapeError(f"emoji_dim must be >= 0, got {self.emoji_dim}")
+        if any(hidden < 1 for hidden in self.mlp_hidden):
+            raise ShapeError(f"mlp_hidden entries must be >= 1, got {min(self.mlp_hidden)}")
 
     @property
     def fused_dim(self) -> int:
@@ -347,8 +349,7 @@ def fusion_config_from_meta(metadata: Mapping[str, str], vocab: Vocab, room: int
 def _model_from_parsed(
     metadata: dict[str, str], arrays: dict[str, np.ndarray], vocab: Vocab
 ) -> FusionModel:
-    room = sum(arr.nbytes for arr in arrays.values())
-    config = fusion_config_from_meta(metadata, vocab, room)
+    config = fusion_config_from_meta(metadata, vocab, sum(a.nbytes for a in arrays.values()))
     enc_cfg = config.encoder
     text_arrays = {}
     hash_arrays = {}

@@ -1,5 +1,5 @@
-import math
 import os
+import re
 import resource
 import shutil
 import struct
@@ -15,8 +15,8 @@ import pytest
 
 from hostility.checkpoint import checkpoint_bytes, read_checkpoint
 from hostility.cli import _encoder_config, _write_artifact, main, resolve_config
-from hostility.encoder import MAX_LAYERS, Vocab, desk_config, encoder_shape_table, paper_config
-from hostility.fusion import FusionConfig, forward, head_shape_table, init_model, load_model
+from hostility.encoder import MAX_LAYERS, Vocab, desk_config, paper_config
+from hostility.fusion import FusionConfig, forward, init_model, load_model
 from hostility.numeric import adam_init, cross_entropy, train_epoch
 from hostility.preprocess import (
     LabelTag,
@@ -760,19 +760,25 @@ class TestHostileHeader:
         assert not SCORING_OUTPUTS & {p.name for p in run_dir.iterdir()}
 
     @pytest.mark.parametrize(
-        "value, expected",
+        "header, expected",
         [
-            ("2147483648", "checkpoint declares {need} bytes of tensors; the file holds {size}"),
-            ("-1", "emoji_dim must be >= 0, got -1"),
+            ({"emoji_dim": "2147483648"}, "checkpoint declares "),
+            ({"emoji_dim": "-1"}, "emoji_dim must be >= 0, got -1"),
+            (
+                {"emoji_dim": "2147483648", "mlp_hidden": "-2147483776"},
+                "mlp_hidden entries must be >= 1, got -2147483776",
+            ),
         ],
-        ids=["2**31", "-1"],
+        ids=["2**31", "-1", "2**31-negative-mlp_hidden"],
     )
-    def test_emoji_dim_without_emoji_table(self, data_dir, trained_dir, tmp_path, value, expected):
+    def test_emoji_dim_without_emoji_table(self, data_dir, trained_dir, tmp_path, header, expected):
         """Without --emoji, scoring sizes each post's emoji vector by the
-        header's emoji_dim."""
+        header's emoji_dim. A negative hidden width must not offset the
+        fusion.w bytes that emoji_dim declares."""
         run_dir = copy_run(trained_dir, tmp_path / "run")
         for task in ALL_TASKS:
-            rewrite_metadata(run_dir / f"{task}.ckpt", "emoji_dim", value)
+            for key, value in header.items():
+                rewrite_metadata(run_dir / f"{task}.ckpt", key, value)
         args = common_args(data_dir, run_dir)
         flag = args.index("--emoji")
         del args[flag : flag + 2]
@@ -780,11 +786,13 @@ class TestHostileHeader:
         assert (code, "Traceback" in err) == (2, False), err[:1000]
         [line] = err.splitlines()
         path = run_dir / "coarse.ckpt"
-        if value != "-1":
-            vocab_size = len(Vocab.load(run_dir / "vocab.txt"))
-            config = FusionConfig(desk_config(vocab_size, max_len=32), emoji_dim=int(value))
-            expected = expected.format(need=tensor_bytes(config), size=path.stat().st_size)
-        assert line.startswith(f"data error: {path}: {expected}"), line[:1000]
+        prefix = f"data error: {path}: "
+        assert line.startswith(prefix + expected), line[:1000]
+        if expected == "checkpoint declares ":
+            bound = r"checkpoint declares (\d+) bytes of tensors; the file holds (\d+)"
+            need, size = re.fullmatch(bound, line[len(prefix) :]).groups()
+            # fusion.w alone is at least (2**31)**2 float32s.
+            assert int(size) == path.stat().st_size < 4 * 2**62 <= int(need)
         assert seconds < 5
         assert not SCORING_OUTPUTS & {p.name for p in run_dir.iterdir()}
 
@@ -795,12 +803,6 @@ def truncate_tensors(path):
     blob = path.read_bytes()
     header = 16 + struct.unpack_from("<I", blob, 12)[0]
     path.write_bytes(blob[: header + (len(blob) - header) // 2])
-
-
-def tensor_bytes(config):
-    """The float32 bytes of a fusion model's parameters under config."""
-    tables = [encoder_shape_table(config.encoder)] * 2 + [head_shape_table(config)]
-    return 4 * sum(math.prod(shape) for table in tables for shape in table.values())
 
 
 class TestTruncatedTensors:

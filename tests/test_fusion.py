@@ -508,6 +508,11 @@ class TestPersistence:
         with pytest.raises(ShapeError, match="emoji_dim must be >= 0, got -1"):
             FusionConfig(config.encoder, emoji_dim=-1, mlp_hidden=(4,))
 
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_non_positive_hidden_width_rejected(self, config, width):
+        with pytest.raises(ShapeError, match=f"mlp_hidden entries must be >= 1, got {width}$"):
+            FusionConfig(config.encoder, mlp_hidden=(4, width))
+
     def test_bytes_deterministic(self, config, vocab):
         a = model_to_bytes(init_model(config, vocab, "fake", base_seed=2), {})
         b = model_to_bytes(init_model(config, vocab, "fake", base_seed=2), {})
